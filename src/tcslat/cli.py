@@ -196,8 +196,7 @@ def cmd_geography(args):
     else:
         cat = _load_catalogs(args.catalog)
         pair_filter = {"rank11": "rank_11", "rankell22": "rank_ell_22", None: "none"}[args.filter]
-        rep = match.geography_general(cat, pair_filter, resolutions=args.resolutions,
-                                      jobs=args.jobs)
+        rep = match.geography_general(cat, pair_filter, resolutions=args.resolutions)
     print(rep.to_human() if args.format == "human" else rep.to_tsv())
     print()
     print(rep.summary_lines())
@@ -262,7 +261,6 @@ def build_parser():
     pg.add_argument("table", choices=("table3", "general"))
     pg.add_argument("--filter", choices=("rank11", "rankell22"))
     pg.add_argument("--resolutions", choices=("best", "all"), default="best")
-    pg.add_argument("--jobs", type=int, default=1)
     pg.add_argument("--format", choices=("human", "tsv"), default="tsv")
     pg.set_defaults(func=cmd_geography)
 

@@ -6,6 +6,8 @@ throughout the package; a lattice element x pairs as x . G . x^T.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import index
 
 import numpy as np
 
@@ -38,14 +40,16 @@ def to_lists(a):
 
 
 class SnfResult:
-    """U, D, V with U @ A @ V = D, |det U| = |det V| = 1, d1 | d2 | ..., di >= 0."""
+    """U, D, V with U @ A @ V = D, |det U| = |det V| = 1, d1 | d2 | ..., di >= 0,
+    and Vinv = V^-1, tracked alongside V."""
 
-    __slots__ = ("U", "D", "V")
+    __slots__ = ("U", "D", "V", "Vinv")
 
-    def __init__(self, U, D, V):
+    def __init__(self, U, D, V, Vinv):
         self.U = U
         self.D = D
         self.V = V
+        self.Vinv = Vinv
 
     @property
     def diagonal(self):
@@ -58,6 +62,11 @@ class SnfResult:
     def invariant_factors(self):
         """Nontrivial invariant factors (> 1) of coker(A), i.e. torsion of Z^cols / rowspace(A)."""
         return [d for d in self.diagonal if d > 1]
+
+    def torsion_generators(self):
+        """Generators of the torsion of coker(A) with their orders (> 1): rowspace(A)
+        is spanned by the d_i Vinv[i], so the rows Vinv[i] with d_i > 1 generate it."""
+        return [(self.Vinv[i], d) for i, d in enumerate(self.diagonal) if d > 1]
 
 
 def _pivot_smallest(A, s):
@@ -81,6 +90,7 @@ def snf(A):
     D = A.copy()
     U = eye(rows)
     V = eye(cols)
+    Vinv = eye(cols)  # each column operation on V is undone by a row operation here
     for s in range(min(rows, cols)):
         while True:
             pos = _pivot_smallest(D, s)
@@ -93,6 +103,7 @@ def snf(A):
             if j != s:
                 D[:, [s, j]] = D[:, [j, s]]
                 V[:, [s, j]] = V[:, [j, s]]
+                Vinv[[s, j]] = Vinv[[j, s]]
             dirty = False
             for i in range(s + 1, rows):
                 if D[i, s] != 0:
@@ -108,6 +119,7 @@ def snf(A):
                     if q != 0:
                         D[:, j] = D[:, j] - q * D[:, s]
                         V[:, j] = V[:, j] - q * V[:, s]
+                        Vinv[s] = Vinv[s] + q * Vinv[j]
                     if D[s, j] != 0:
                         dirty = True
             if dirty:
@@ -128,7 +140,7 @@ def snf(A):
         if D[s, s] < 0:
             D[s] = -D[s]
             U[s] = -U[s]
-    return SnfResult(U, D, V)
+    return SnfResult(U, D, V, Vinv)
 
 
 def hnf(A, prune=False):
@@ -217,73 +229,134 @@ def solve_integer(A, b):
 
 
 def rational_inverse(A):
-    """Exact inverse of a nonsingular integer or rational matrix (Fraction entries)."""
+    """Exact inverse of a nonsingular integer or rational matrix (Fraction entries).
+
+    Row i is scaled by the lcm m_i of its denominators; fraction-free
+    Gauss-Jordan elimination then takes [m_i A_i | m_i e_i] to [d I | d A^-1]."""
     A = np.array(A, dtype=object)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[1] != n:
         raise ValueError("rational_inverse: not square")
-    M = np.array([[Fraction(A[i, j]) for j in range(n)] for i in range(n)], dtype=object)
-    I = np.array([[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)], dtype=object)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r, col] != 0), None)
-        if piv is None:
-            raise ValueError("rational_inverse: singular matrix")
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            I[[col, piv]] = I[[piv, col]]
-        inv = 1 / M[col, col]
-        M[col] = M[col] * inv
-        I[col] = I[col] * inv
-        for r in range(n):
-            if r != col and M[r, col] != 0:
-                f = M[r, col]
-                M[r] = M[r] - f * M[col]
-                I[r] = I[r] - f * I[col]
-    return I
+    M = []
+    for i, row in enumerate(A):
+        row = [Fraction(x) for x in row]
+        m = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (m // x.denominator) for x in row] + [m * (i == j) for j in range(n)])
+    _bareiss(M, jordan=True)
+    d = M[-1][n - 1]  # a zero here means a pivot-free column in the left block
+    if d == 0:
+        raise ValueError("rational_inverse: singular matrix")
+    return np.array([[Fraction(x, d) for x in row[n:]] for row in M], dtype=object)
 
 
 def unimodular_inverse(A):
-    """Exact integer inverse of a unimodular integer matrix."""
-    inv = rational_inverse(A)
-    n = A.shape[0]
-    out = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            f = inv[i, j]
-            if f.denominator != 1:
-                raise ValueError("unimodular_inverse: matrix is not unimodular")
-            out[i, j] = int(f)
-    return out
+    """Exact integer inverse of a unimodular integer matrix: U A V = I gives A^-1 = V U."""
+    A = np.array(A, dtype=object)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("unimodular_inverse: not square")
+    res = snf(A)
+    if any(d != 1 for d in res.diagonal):
+        raise ValueError("unimodular_inverse: matrix is not unimodular")
+    return res.V @ res.U
+
+
+def _bareiss(M, jordan=False):
+    """Fraction-free Gaussian elimination (Bareiss 1968), in place on a list of
+    integer rows.  With jordan=True the entries above each pivot are cleared
+    too, so a nonsingular square leading block ends as d * I.
+
+    Returns (rank, d) where d is the last pivot times the sign of the row swaps;
+    for a square nonsingular M that is det(M).  Every intermediate entry is a
+    minor of M (above the pivots, by Cramer's rule), so each division is exact."""
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    sign, prev, r = 1, 1, 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        top = M[r]
+        p = top[c]
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                a = M[i][c]
+                M[i] = [(p * x - a * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+        r += 1
+        if r == rows:
+            break
+    return r, sign * prev
 
 
 def det(A):
-    """Exact determinant (Bareiss-free: fraction Gaussian elimination)."""
-    A = np.array(A, dtype=object)
-    n = A.shape[0]
-    if n != A.shape[1]:
+    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("det: not square")
-    M = np.array([[Fraction(A[i, j]) for j in range(n)] for i in range(n)], dtype=object)
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r, col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            sign = -sign
-        d *= M[col, col]
-        for r in range(col + 1, n):
-            if M[r, col] != 0:
-                M[r] = M[r] - (M[r, col] / M[col, col]) * M[col]
-    d *= sign
-    if d.denominator == 1:
-        return int(d)
-    return d
+    r, d = _bareiss(_integer_rows(A))
+    return d if r == n else 0
 
 
 def rank(A):
-    return snf(A).rank
+    return _bareiss(_integer_rows(A))[0]
+
+
+def _integer_rows(A):
+    return [[index(x) for x in row] for row in A]
+
+
+def congruence_steps(G):
+    """Rational congruence diagonalisation of a symmetric integer matrix: a
+    symmetric LDL^T elimination that splits off a hyperbolic pair when every
+    remaining diagonal entry is zero.
+
+    M starts as G and is replaced by its Schur complement after every step.
+    Yields one (pivots, value, row) per split-off block, in order:
+
+    - ((i,), d, row): i is the first remaining index with M[i, i] > 0, else
+      the first with M[i, i] != 0, and d = M[i, i]; row maps the remaining
+      indices a with M[i, a] != 0 to M[i, a].
+    - ((i, j), s, (row_i, row_j)): no diagonal entry is left; i is the first
+      remaining index, j the first with s = M[i, j] != 0, and the block
+      [[0, s], [s, 0]] splits off.
+    - ((i,), 0, {}): i pairs to zero with everything left (G is degenerate).
+    """
+    M = [[Fraction(int(x)) for x in row] for row in G]
+    idx = list(range(len(M)))
+    while idx:
+        piv = next((i for i in idx if M[i][i] > 0), None)
+        if piv is None:
+            piv = next((i for i in idx if M[i][i] != 0), None)
+        if piv is not None:
+            idx.remove(piv)
+            d = M[piv][piv]
+            row = {a: M[piv][a] for a in idx if M[piv][a]}
+            yield (piv,), d, row
+            for a, ma in row.items():
+                c = ma / d
+                Ma = M[a]
+                for b, mb in row.items():
+                    Ma[b] -= c * mb
+            continue
+        i = idx.pop(0)
+        j = next((j for j in idx if M[i][j]), None)
+        if j is None:
+            yield (i,), Fraction(0), {}
+            continue
+        idx.remove(j)
+        s = M[i][j]
+        ri = {a: M[i][a] for a in idx if M[i][a]}
+        rj = {a: M[j][a] for a in idx if M[j][a]}
+        yield (i, j), s, (ri, rj)
+        # project the rest orthogonally to the pair: v -> v - (<v,j> i + <v,i> j) / s
+        touched = set(ri) | set(rj)
+        for a in touched:
+            Ma = M[a]
+            for b in touched:
+                Ma[b] -= (ri.get(a, 0) * rj.get(b, 0) + rj.get(a, 0) * ri.get(b, 0)) / s
 
 
 def invariant_factors_via_minors(A):

@@ -6,6 +6,7 @@ and as a tainted float otherwise."""
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -191,8 +192,6 @@ class Metric:
                 @ np.array(_fvec(v, self.dimension), dtype=object))
 
     def signature(self):
-        from math import lcm
-
         denom = 1
         for row in self.matrix:
             for x in row:
@@ -290,7 +289,7 @@ def metric_from_3form(phi):
         for j in range(i, n):
             top = contractions[i].wedge(contractions[j]).wedge(phi)
             B[i][j] = B[j][i] = Fraction(1, 6) * top.top_coefficient()
-    det = _fraction_det(B)
+    det = _rational_det(B)
     if det == 0:
         return DegenerateForm()
     root = _rational_ninth_root(det)
@@ -308,32 +307,23 @@ def metric_from_3form(phi):
     return MetricFromForm(g, vol, positive, exact)
 
 
-def _fraction_det(rows):
-    n = len(rows)
-    M = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] * inv
-                for c in range(col, n):
-                    M[r][c] -= f * M[col][c]
-    return det
+def _rational_det(rows):
+    """Exact determinant of a rational matrix: clear denominators row by row,
+    then take the integer determinant."""
+    scale = 1
+    ints = []
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        scale *= m
+        ints.append([x.numerator * (m // x.denominator) for x in row])
+    return Fraction(xa.det(ints), scale)
 
 
 def gram_determinant(vectors, g=None):
     g = g if g is not None else identity_metric(len(vectors[0]))
     k = len(vectors)
     rows = [[g.pair(vectors[i], vectors[j]) for j in range(k)] for i in range(k)]
-    return _fraction_det(rows)
+    return _rational_det(rows)
 
 
 def is_associative(u, v, w, phi=None, g=None):
@@ -450,8 +440,6 @@ def su3_from_unit_vector(phi, u, g=None, psi=None):
     if not (recon4 - psi).is_zero():
         raise AssertionError("4-form reconstruction fails")
     # exact basis of u-perp, for reference and restriction
-    from math import lcm
-
     denom = 1
     cols = []
     for i in range(n):

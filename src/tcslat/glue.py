@@ -69,10 +69,7 @@ def _complete_to_basis(primitive_rows, n):
     """Rows completing a primitive k x n matrix to a basis of Z^n (the added rows)."""
     if len(primitive_rows) == 0:
         return xa.eye(n)
-    res = xa.snf(np.array(primitive_rows, dtype=object))
-    Vinv = xa.unimodular_inverse(res.V)
-    k = len(primitive_rows)
-    return Vinv[k:]
+    return xa.snf(np.array(primitive_rows, dtype=object)).Vinv[len(primitive_rows):]
 
 
 def _projection_coeffs(x, gram, r_basis, r_gram_inv):
@@ -189,34 +186,37 @@ def _group_elements(orders):
     return elems
 
 
+def _add(e, f, orders):
+    return tuple((a + b) % d for a, b, d in zip(e, f, orders))
+
+
+def _closure(gens, orders):
+    """The subgroup of prod Z/orders generated by gens, as a frozenset of element tuples."""
+    zero = tuple(0 for _ in orders)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = _add(x, g, orders)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
 def _subgroups(orders, max_order):
     """All subgroups (as frozensets of element tuples) of prod Z/orders."""
     elems = _group_elements(orders)
-    zero = tuple(0 for _ in orders)
-
-    def add(e, f):
-        return tuple((a + b) % d for a, b, d in zip(e, f, orders))
-
-    def closure(gens):
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
-
-    subgroups = {frozenset({zero})}
-    frontier = [frozenset({zero})]
+    trivial = _closure([], orders)
+    subgroups = {trivial}
+    frontier = [trivial]
     while frontier:
         H = frontier.pop()
         for e in elems:
             if e in H:
                 continue
-            H2 = closure(set(H) | {e})
+            H2 = _closure(set(H) | {e}, orders)
             if len(H2) <= max_order and H2 not in subgroups:
                 subgroups.add(H2)
                 frontier.append(H2)
@@ -225,29 +225,12 @@ def _subgroups(orders, max_order):
 
 def _min_generators(H, orders):
     """A small generating list for subgroup H (greedy by element order)."""
-    zero = tuple(0 for _ in orders)
-
-    def add(e, f):
-        return tuple((a + b) % d for a, b, d in zip(e, f, orders))
-
-    def closure(gens):
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
     gens = []
-    have = {zero}
+    have = _closure([], orders)
     for e in sorted(H, key=lambda t: (-_elem_order(t, orders), t)):
         if e not in have:
             gens.append(e)
-            have = closure(gens)
+            have = _closure(gens, orders)
             if len(have) == len(H):
                 break
     return gens

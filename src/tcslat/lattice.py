@@ -5,7 +5,7 @@ A Lattice is a symmetric integer Gram matrix; a Sublattice is a basis matrix
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -193,49 +193,26 @@ class DiscGroup:
 
 
 def signature(L):
-    """Sylvester signature via exact symmetric Gaussian elimination."""
-    if not L.is_nondegenerate():
-        raise DegenerateLattice("degenerate")
-    n = L.rank
-    M = np.array([[Fraction(L.gram[i, j]) for j in range(n)] for i in range(n)], dtype=object)
+    """Sylvester signature via exact congruence diagonalisation."""
     pos = neg = 0
-    idx = list(range(n))
-    while idx:
-        piv = next((i for i in idx if M[i, i] != 0), None)
-        if piv is None:
-            # all remaining diagonal entries zero; split off a hyperbolic pair (1, 1)
-            i = idx[0]
-            j = next(j for j in idx[1:] if M[i, j] != 0)
+    for pivots, value, _ in xa.congruence_steps(L.gram):
+        if value == 0:
+            raise DegenerateLattice("degenerate")
+        if len(pivots) == 2:
             pos += 1
             neg += 1
-            rest = [k for k in idx if k not in (i, j)]
-            s = M[i, j]
-            # project the rest orthogonally to the isotropic pair (i, j):
-            # v -> v - (<v,j>/s) i - (<v,i>/s) j, so <v',w'> = <v,w> - (<v,i><w,j> + <v,j><w,i>)/s
-            updated = {}
-            for a in rest:
-                for b in rest:
-                    updated[(a, b)] = M[a, b] - (M[a, i] * M[b, j] + M[a, j] * M[b, i]) / s
-            for (a, b), val in updated.items():
-                M[a, b] = val
-            idx = rest
-            continue
-        d = M[piv, piv]
-        if d > 0:
+        elif value > 0:
             pos += 1
         else:
             neg += 1
-        rest = [k for k in idx if k != piv]
-        for a in rest:
-            if M[a, piv] != 0:
-                c = M[a, piv] / d
-                for b in rest:
-                    M[a, b] = M[a, b] - c * M[piv, b]
-                M[a, piv] = Fraction(0)
-        for b in rest:
-            M[piv, b] = Fraction(0)
-        idx = rest
     return Signature(pos, neg)
+
+
+def _clear_denominators(row):
+    d = 1
+    for x in row:
+        d = lcm(d, x.denominator)
+    return xa.vec([int(x * d) for x in row])
 
 
 def positive_norm_vector(L):
@@ -244,44 +221,19 @@ def positive_norm_vector(L):
     n = L.rank
     if n == 0:
         return None
-    M = np.array([[Fraction(L.gram[i, j]) for j in range(n)] for i in range(n)], dtype=object)
-    P = np.array([[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)], dtype=object)
-
-    def clear_denoms(row):
-        from math import lcm
-
-        d = 1
-        for x in row:
-            d = lcm(d, x.denominator)
-        return xa.vec([int(x * d) for x in row])
-
-    idx = list(range(n))
-    while idx:
-        piv = next((i for i in idx if M[i, i] > 0), None)
-        if piv is not None:
-            return clear_denoms(P[piv])
-        piv = next((i for i in idx if M[i, i] != 0), None)
-        if piv is None:
-            i = idx[0]
-            j = next((j for j in idx[1:] if M[i, j] != 0), None)
-            if j is None:
-                idx = idx[1:]
-                continue
-            s = M[i, j]
-            v = P[i] + P[j] if s > 0 else P[i] - P[j]
-            return clear_denoms(v)
-        d = M[piv, piv]
-        rest = [k for k in idx if k != piv]
-        for a in rest:
-            if M[a, piv] != 0:
-                c = M[a, piv] / d
-                P[a] = P[a] - c * P[piv]
-                for b in rest:
-                    M[a, b] = M[a, b] - c * M[piv, b]
-                M[a, piv] = Fraction(0)
-        for b in rest:
-            M[piv, b] = Fraction(0)
-        idx = rest
+    # P[a]: the current basis vector a of the Schur complement, in the original basis
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for pivots, value, row in xa.congruence_steps(L.gram):
+        if len(pivots) == 2:
+            i, j = pivots
+            sgn = 1 if value > 0 else -1
+            return _clear_denominators([x + sgn * y for x, y in zip(P[i], P[j])])
+        p = P[pivots[0]]
+        if value > 0:
+            return _clear_denominators(p)
+        for a, m in row.items():
+            c = m / value
+            P[a] = [x - c * y for x, y in zip(P[a], p)]
     return None
 
 
@@ -291,39 +243,29 @@ def discriminant_group(L):
         raise DegenerateLattice("degenerate")
     if L.rank == 0:
         return DiscGroup([])
-    res = xa.snf(L.gram)
-    ds = res.diagonal
-    Vinv = xa.unimodular_inverse(res.V)
-    gens = [np.array(Vinv[i], dtype=object) for i in range(L.rank) if ds[i] > 1]
-    factors = [d for d in ds if d > 1]
+    torsion = disc_generators(L)
+    factors = [d for _, d in torsion]
     q_values = None
     b_values = None
-    if L.is_even() and gens:
+    if L.is_even() and torsion:
         Ginv = xa.rational_inverse(L.gram)
-        q_values = []
-        b_values = []
-        for g in gens:
-            q = (g @ Ginv @ g) % 2
-            q_values.append(q)
-        for i, gi in enumerate(gens):
-            row = []
-            for gj in gens:
-                row.append((gi @ Ginv @ gj) % 1)
-            b_values.append(row)
+        duals = [g @ Ginv for g, _ in torsion]
+        q_values = [(h @ g) % 2 for h, (g, _) in zip(duals, torsion)]
+        b_values = [[(h @ g) % 1 for g, _ in torsion] for h in duals]
     return DiscGroup(factors, q_values, b_values)
 
 
 def disc_generators(L):
     """Generators of N*/N in dual-basis coordinates, with their orders (> 1)."""
-    res = xa.snf(L.gram)
-    ds = res.diagonal
-    Vinv = xa.unimodular_inverse(res.V)
-    return [(np.array(Vinv[i], dtype=object), ds[i]) for i in range(L.rank) if ds[i] > 1]
+    return xa.snf(L.gram).torsion_generators()
 
 
 def ell(L):
-    """Minimal number of generators of the discriminant group."""
-    return len(discriminant_group(L).invariant_factors)
+    """Minimal number of generators of the discriminant group: the number of
+    Smith diagonal entries of the Gram matrix greater than 1."""
+    if not L.is_nondegenerate():
+        raise DegenerateLattice("degenerate")
+    return len(xa.snf(L.gram).invariant_factors()) if L.rank else 0
 
 
 def orthogonal_complement(S):
@@ -343,9 +285,7 @@ def saturation(S):
     if S.rank == 0:
         return S
     res = xa.snf(S.basis)
-    Vinv = xa.unimodular_inverse(res.V)
-    rows = [Vinv[i] for i in range(res.rank)]
-    return Sublattice(S.ambient, xa.hnf(np.array(rows, dtype=object), prune=True))
+    return Sublattice(S.ambient, xa.hnf(res.Vinv[: res.rank], prune=True))
 
 
 def is_primitive(S):
@@ -473,21 +413,13 @@ def find_primitive_vector(L, norm, bound):
 def _definite_decomposition(G):
     """G positive definite -> list of (d_i, row_i) with x G x^T = sum d_i (x_i + u_i . x_{>i})^2."""
     n = G.shape[0]
-    M = np.array([[Fraction(G[i, j]) for j in range(n)] for i in range(n)], dtype=object)
     ds = []
     us = []
-    for i in range(n):
-        d = M[i, i]
-        if d <= 0:
+    for k, (pivots, d, row) in enumerate(xa.congruence_steps(G)):
+        if pivots != (k,) or d <= 0:
             raise ValueError("not positive definite")
-        u = [M[i, j] / d for j in range(i + 1, n)]
         ds.append(d)
-        us.append(u)
-        for a in range(i + 1, n):
-            for b in range(i + 1, n):
-                M[a, b] = M[a, b] - M[a, i] * M[i, b] / d
-        for a in range(i + 1, n):
-            M[a, i] = M[i, a] = Fraction(0)
+        us.append([row.get(j, 0) / d for j in range(k + 1, n)])
     return ds, us
 
 

@@ -539,25 +539,14 @@ def _pair_stat(a, b, resolutions):
     return (a.b3_Z + b.b3_Z, tuple(_pair_div_p1_values(a, b, resolutions)))
 
 
-def _pair_stats(pairs, resolutions, jobs):
-    if jobs <= 1:
-        return [_pair_stat(a, b, resolutions) for a, b in pairs]
-    # data-parallel map; the aggregation below is associative and commutative,
-    # and the input order is already deterministic
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_pair_stat, *zip(*((a, b) for a, b in pairs)),
-                             [resolutions] * len(pairs), chunksize=32))
-
-
-def _geography(pairs, resolutions, jobs=1):
+def _geography(pairs, resolutions):
     rows = {}
     types = set()
     no_c2 = 0
     skipped_gramless = 0
     total = 0
-    for stat in _pair_stats(list(pairs), resolutions, jobs):
+    for a, b in pairs:
+        stat = _pair_stat(a, b, resolutions)
         if stat is None:
             skipped_gramless += 1
             continue
@@ -590,11 +579,11 @@ def _geography(pairs, resolutions, jobs=1):
     return GeographyReport(ordered, (total, col_totals), summary)
 
 
-def geography_rank1(cat, resolutions="best", jobs=1):
+def geography_rank1(cat, resolutions="best"):
     """The census over the 17 rank-1 blocks: all 153 unordered pairs."""
-    return _geography(enumerate_pairs(cat, "none"), resolutions, jobs=jobs)
+    return _geography(enumerate_pairs(cat, "none"), resolutions)
 
 
-def geography_general(cat, pair_filter="none", resolutions="best", jobs=1):
+def geography_general(cat, pair_filter="none", resolutions="best"):
     """Same statistics over an arbitrary catalog, reporting actual coverage."""
-    return _geography(enumerate_pairs(cat, pair_filter), resolutions, jobs=jobs)
+    return _geography(enumerate_pairs(cat, pair_filter), resolutions)

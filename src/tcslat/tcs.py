@@ -271,18 +271,6 @@ class TorsionLinking:
         self.full = full  # block matrix on tor_h4_plus (+) tor_h4_minus
 
 
-def _torsion_generators(stacked_basis, n):
-    """Generators (rows of Z^n) of Tor(Z^n / rowspace) with their orders > 1."""
-    res = xa.snf(stacked_basis)
-    Vinv = xa.unimodular_inverse(res.V)
-    gens = []
-    for i in range(min(stacked_basis.shape)):
-        d = int(res.D[i, i])
-        if d > 1:
-            gens.append((np.array(Vinv[i], dtype=object), d))
-    return gens
-
-
 def _linking_value(L, Nn, Tt, alpha, k, beta):
     """b = <t, beta>/k mod 1 where k*alpha = n + t, n in Nn, t in Tt."""
     stacked = np.vstack([Nn.basis, Tt.basis])
@@ -304,8 +292,8 @@ def torsion_linking(cfg):
 def torsion_linking_pair(L, Np, Nm):
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
-    gens_plus = _torsion_generators(np.vstack([Nm.basis, Tp.basis]), L.rank)
-    gens_minus = _torsion_generators(np.vstack([Np.basis, Tm.basis]), L.rank)
+    gens_plus = xa.snf(np.vstack([Nm.basis, Tp.basis])).torsion_generators()
+    gens_minus = xa.snf(np.vstack([Np.basis, Tm.basis])).torsion_generators()
     if not gens_plus and not gens_minus:
         return TorsionLinking([], [], [], [])
     cross = []

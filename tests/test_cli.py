@@ -50,16 +50,6 @@ def test_geography_general_filter():
     assert "pairs = " in out
 
 
-def test_geography_jobs_deterministic():
-    _, out1, _ = run(["geography", "table3"])
-    code, out2, _ = run(["geography", "general"])  # smoke: general over bundled union
-    assert code == 0
-    c1, o1, _ = run(["geography", "general", "--jobs", "2"])
-    c2, o2, _ = run(["geography", "general", "--jobs", "1"])
-    assert c1 == c2 == 0
-    assert o1 == o2
-
-
 def test_match_ample_cone_unasserted_exit1():
     code, out, _ = run(["match", "--plus", "Ex7.4", "--minus", "Ex7.4",
                         "--mode", "orth", "--r", "[[-12]]"])

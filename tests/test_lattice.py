@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
@@ -44,6 +46,29 @@ def test_signature_matches_float_eigen_sign_count():
         eig = np.linalg.eigvalsh(np.array(A, dtype=float))
         expected = (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()))
         assert lat.signature(L).as_pair() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_signature_sylvester_law_of_inertia(d, seed):
+    # P diag(d) P^T with P unimodular has the sign counts of d
+    rng = random.Random(seed)
+    n = len(d)
+    P = xa.eye(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        P[i] = P[i] + rng.randint(-2, 2) * P[j]
+    L = lat.Lattice(P @ lat.diag_lattice(*d).gram @ P.T)
+    v = lat.positive_norm_vector(L)
+    if any(x > 0 for x in d):
+        assert L.norm(v) > 0
+    else:
+        assert v is None
+    if 0 in d:
+        with pytest.raises(lat.DegenerateLattice):
+            lat.signature(L)
+    else:
+        assert lat.signature(L) == (sum(x > 0 for x in d), sum(x < 0 for x in d))
 
 
 def test_discriminant_group_examples():

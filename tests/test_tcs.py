@@ -224,8 +224,8 @@ def test_torsion_linking_well_defined_under_solution_change():
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
     stacked = np.vstack([Nm.basis, Tp.basis])
-    alpha, k = tcs._torsion_generators(stacked, 22)[0]
-    beta = tcs._torsion_generators(np.vstack([Np.basis, Tm.basis]), 22)[0][0]
+    alpha, k = xa.snf(stacked).torsion_generators()[0]
+    beta = xa.snf(np.vstack([Np.basis, Tm.basis])).torsion_generators()[0][0]
     base = tcs._linking_value(L, Nm, Tp, alpha, k, beta)
     assert base == Fraction(1, 2)
     ker = xa.kernel_basis(stacked)
