@@ -1,9 +1,9 @@
 """Building-block catalog: record model, bundled tables, parser and validators.
 
-Catalog files are UTF-8, line-oriented `key = value` records separated by
-blank lines; Gram matrices are bracketed integer lists.  One file per source
-table; see docs/catalog-format.md.  The env var TCS_TABLES_DIR overrides the
-bundled table location.
+Catalog, gluing-config and W files are UTF-8, line-oriented `key = value`
+records separated by blank lines, all read by `parse_records`; Gram matrices
+are bracketed integer lists, all checked by `gram_lattice`.  See
+docs/catalog-format.md.  The env var TCS_TABLES_DIR overrides the bundled tables.
 """
 
 import ast
@@ -24,6 +24,10 @@ KINDS = {
 
 
 class CatalogError(ValueError):
+    pass
+
+
+class UnknownBlockId(KeyError):
     pass
 
 
@@ -75,7 +79,10 @@ class Catalog:
         self.provenance = provenance
 
     def __getitem__(self, id):
-        return self.records[id]
+        try:
+            return self.records[id]
+        except KeyError:
+            raise UnknownBlockId(id) from None
 
     def __iter__(self):
         return iter(self.records.values())
@@ -90,19 +97,107 @@ class Catalog:
         return Catalog(list(self) + list(other), provenance=f"{self.provenance}+{other.provenance}")
 
 
-def _parse_value(raw, path, lineno):
+def _parse_value(raw):
     raw = raw.strip()
     if raw.startswith("[") or raw.startswith("{") or raw.startswith("("):
         try:
             return ast.literal_eval(raw)
-        except (ValueError, SyntaxError) as exc:
-            raise CatalogError(f"{path}:{lineno}: bad literal {raw!r}: {exc}") from None
+        except (ValueError, TypeError, SyntaxError, RecursionError) as exc:
+            raise CatalogError(f"bad literal {raw!r}: {exc}") from None
     if raw in ("true", "false"):
         return raw == "true"
     try:
         return int(raw)
     except ValueError:
         return raw
+
+
+def read_text(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise CatalogError(f"{path}: cannot read: {exc}") from None
+
+
+def parse_records(text, path):
+    """The `key = value` records of a catalog, config or W file, as
+    (first line number, fields) pairs; records are separated by blank lines,
+    `#` starts a comment line, and a key may appear once per record."""
+    records = []
+    fields = {}
+    # the empty line appended closes the last record
+    for lineno, line in enumerate(text.splitlines() + [""], start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        if not stripped:
+            if fields:
+                records.append((start, fields))
+                fields = {}
+            continue
+        key, eq, raw = stripped.partition("=")
+        key = key.strip()
+        if not eq or not key:
+            raise CatalogError(f"{path}:{lineno}: expected 'key = value'")
+        if key in fields:
+            raise CatalogError(f"{path}:{lineno}: duplicate key {key}")
+        if not fields:
+            start = lineno
+        try:
+            fields[key] = _parse_value(raw)
+        except CatalogError as exc:
+            raise CatalogError(f"{path}:{lineno}: {exc}") from None
+    return records
+
+
+def read_fields(path):
+    """All pairs of a one-record file (a gluing config or a W file) as one
+    dict; blank lines only group its lines, and a key may appear once."""
+    fields = {}
+    for start, record in parse_records(read_text(path), path):
+        if duplicates := fields.keys() & record.keys():
+            raise CatalogError(f"{path}:{start}: duplicate key {min(duplicates)}")
+        fields.update(record)
+    return fields
+
+
+def is_int_matrix(value, rows, cols):
+    """True iff `value` is a list of `rows` lists of `cols` ints each."""
+    return isinstance(value, list) and len(value) == rows and all(
+        isinstance(row, list) and len(row) == cols and all(type(x) is int for x in row)
+        for row in value)
+
+
+def gram_lattice(value, where):
+    """The Lattice of a nonempty square symmetric integer matrix given as
+    nested lists; anything else is a CatalogError naming `where`."""
+    n = len(value) if isinstance(value, list) else 0
+    if not n or not is_int_matrix(value, n, n):
+        raise CatalogError(f"{where}: gram must be a square integer matrix, got {value!r}")
+    if any(value[i][j] != value[j][i] for i in range(n) for j in range(i)):
+        raise CatalogError(f"{where}: gram must be symmetric, got {value!r}")
+    return lat.Lattice(value)
+
+
+def parse_gram(text, where):
+    """A Gram matrix written as one literal, such as `--r "[[-4]]"`."""
+    try:
+        value = _parse_value(text)
+    except CatalogError as exc:
+        raise CatalogError(f"{where}: {exc}") from None
+    return gram_lattice(value, where)
+
+
+def load_gram(path):
+    """The lattice W of a W file (`embed --w`): one required `gram` key."""
+    fields = read_fields(path)
+    if "gram" not in fields:
+        raise CatalogError(f"{path}: missing gram")
+    W = gram_lattice(fields["gram"], path)
+    if not W.is_nondegenerate():
+        raise CatalogError(f"{path}: gram is degenerate")
+    return W
 
 
 def _validate_record(fields, path, lineno):
@@ -139,20 +234,23 @@ def _validate_record(fields, path, lineno):
         return rec
     if rec.n_gram is None:
         raise CatalogError(f"{path}:{lineno}: {rid}: missing gram")
-    L = lat.Lattice(rec.n_gram)
+    L = gram_lattice(rec.n_gram, f"{path}:{lineno}: {rid}")
     if not L.is_even():
         raise CatalogError(f"{path}:{lineno}: {rid}: violates evenness (K3 Picard sublattice)")
-    sig = lat.signature(L)
-    if sig.as_pair() != (1, L.rank - 1):
-        raise CatalogError(f"{path}:{lineno}: {rid}: violates signature (1, rank-1), got {sig.as_pair()}")
-    if rec.anticanonical_class is None:
-        raise CatalogError(f"{path}:{lineno}: {rid}: missing A")
-    if L.norm(rec.anticanonical_class) <= 0:
+    try:
+        sig = lat.signature(L).as_pair()
+    except lat.DegenerateLattice:
+        sig = "degenerate"
+    if sig != (1, L.rank - 1):
+        raise CatalogError(f"{path}:{lineno}: {rid}: violates signature (1, rank-1), got {sig}")
+    if not is_int_matrix([rec.anticanonical_class], 1, L.rank):
+        raise CatalogError(f"{path}:{lineno}: {rid}: A must be an integer vector of length {L.rank}")
+    AA = L.norm(rec.anticanonical_class)
+    if AA <= 0:
         raise CatalogError(f"{path}:{lineno}: {rid}: violates A.A > 0")
-    mk3 = fields.get("minus_k3")
-    if mk3 is not None and L.norm(rec.anticanonical_class) != mk3:
+    if fields.get("minus_k3", AA) != AA:
         raise CatalogError(f"{path}:{lineno}: {rid}: violates A.A = -K^3")
-    if rec.b3_Z is None or rec.b3_Z % 2 != 0:
+    if type(rec.b3_Z) is not int or rec.b3_Z % 2 != 0:
         raise CatalogError(f"{path}:{lineno}: {rid}: violates b3_Z even")
     for v in rec.div_c2:
         if v % 2 != 0:
@@ -163,61 +261,21 @@ def _validate_record(fields, path, lineno):
 
 
 def parse_catalog_text(text, path="<string>"):
-    records = []
-    fields = {}
-    start_line = 1
-    schema_seen = False
-    table = ""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        if not stripped:
-            if fields:
-                records.append(_validate_record(fields, path, start_line))
-                fields = {}
-            continue
-        if "=" not in stripped:
-            raise CatalogError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        value = _parse_value(raw, path, lineno)
-        if key == "schema":
-            if value != 1:
-                raise CatalogError(f"{path}:{lineno}: unsupported schema {value}")
-            schema_seen = True
-            continue
-        if not schema_seen:
-            raise CatalogError(f"{path}:{lineno}: missing 'schema = 1' header")
-        if key == "table":
-            table = value
-            continue
-        if not fields:
-            start_line = lineno
-        if key in fields:
-            raise CatalogError(f"{path}:{lineno}: duplicate key {key}")
-        fields[key] = value
-    if fields:
-        records.append(_validate_record(fields, path, start_line))
-    if not schema_seen:
-        raise CatalogError(f"{path}: missing 'schema = 1' header")
-    return Catalog(records, provenance=table or path)
+    records = parse_records(text, path)
+    header = records[0][1] if records else {}
+    if next(iter(header), None) != "schema" or header.pop("schema") != 1:
+        raise CatalogError(f"{path}: the first pair must be 'schema = 1'")
+    table = header.pop("table", "")
+    return Catalog([_validate_record(fields, path, start) for start, fields in records if fields],
+                   provenance=table or path)
 
 
 def load_catalog(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_catalog_text(fh.read(), path=str(path))
-
-
-def _tables_dir():
-    override = os.environ.get("TCS_TABLES_DIR")
-    if override:
-        return override
-    return None
+    return parse_catalog_text(read_text(path), path=str(path))
 
 
 def load_bundled(name):
-    override = _tables_dir()
+    override = os.environ.get("TCS_TABLES_DIR")
     if override:
         return load_catalog(os.path.join(override, name))
     ref = resources.files("tcslat").joinpath("tables").joinpath(name)

@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 domain failure (a verdict or certificate failed),
 2 usage or parse errors (argparse's own convention)."""
 
 import argparse
-import ast
 import sys
 
 from . import blocks, embed, glue, match, tcs
@@ -12,34 +11,35 @@ from . import exactalg as xa
 from . import lattice as lat
 
 
-def _parse_gram(text):
-    try:
-        rows = ast.literal_eval(text)
-        return lat.Lattice(rows)
-    except (ValueError, SyntaxError) as exc:
-        raise SystemExit(2) from exc
+def _parse_r(text):
+    """--r: a 1x1 negative Gram [[-m]], the only R the command line supports."""
+    R = blocks.parse_gram(text, "--r")
+    if R.rank != 1 or R.gram[0, 0] >= 0:
+        raise blocks.CatalogError(f"--r: only a 1x1 negative Gram [[-m]] is supported, got {text}")
+    return R
 
 
-def _load_catalogs(paths):
-    cat = blocks.full_catalog()
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _load_catalogs(paths, cat=None):
+    cat = blocks.full_catalog() if cat is None else cat
     for p in paths or ():
         cat = cat.merged_with(blocks.load_catalog(p))
     return cat
 
 
 def cmd_catalog(args):
-    cat = blocks.all_catalogs()
-    for p in args.catalog or ():
-        cat = cat.merged_with(blocks.load_catalog(p))
+    cat = _load_catalogs(args.catalog, blocks.all_catalogs())
     if args.action == "list":
         for rec in sorted(cat, key=lambda r: r.id):
             kind = rec.kind + (" (gramless)" if rec.gramless else "")
             print(f"{rec.id}\trank {rec.rank}\t{kind}")
         return 0
     if args.action == "show":
-        if args.id not in cat.records:
-            print(f"unknown block id {args.id}", file=sys.stderr)
-            return 1
         rec = cat[args.id]
         print(f"id = {rec.id}")
         print(f"kind = {rec.kind}")
@@ -60,25 +60,16 @@ def cmd_catalog(args):
         if rec.notes:
             print(f"notes = {rec.notes}")
         return 0
-    if args.action == "validate":
-        failures = 0
-        for rec in sorted(cat, key=lambda r: r.id):
-            if rec.kind == "fano_rank1":
-                ok, reason = blocks.validate_rank1(rec)
-                status = "ok" if ok else f"FAIL ({reason})"
-                if not ok:
-                    failures += 1
-                print(f"{rec.id}\t{status}")
-            else:
-                print(f"{rec.id}\tok")
-        return 1 if failures else 0
-    raise SystemExit(2)
+    failures = 0
+    for rec in sorted(cat, key=lambda r: r.id):
+        ok, reason = blocks.validate_rank1(rec) if rec.kind == "fano_rank1" else (True, "")
+        failures += not ok
+        status = "ok" if ok else f"FAIL ({reason})"
+        print(f"{rec.id}\t{status}")
+    return 1 if failures else 0
 
 
 def _find_r_vector(N, r_lattice, bound):
-    if r_lattice.rank != 1:
-        print("only rank-1 R is supported on the command line", file=sys.stderr)
-        return None
     target = int(r_lattice.gram[0, 0])
     v = lat.find_primitive_vector(N, target, bound)
     if v is None:
@@ -87,8 +78,8 @@ def _find_r_vector(N, r_lattice, bound):
 
 
 def cmd_pushout(args):
+    R = _parse_r(args.r)
     cat = _load_catalogs(args.catalog)
-    R = _parse_gram(args.r)
     plus, minus = cat[args.plus], cat[args.minus]
     Np, Nm = plus.lattice(), minus.lattice()
     vp = _find_r_vector(Np, R, args.search_bound)
@@ -109,15 +100,7 @@ def cmd_pushout(args):
 
 
 def cmd_embed(args):
-    fields = {}
-    with open(args.w, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, raw = stripped.split("=", 1)
-            fields[key.strip()] = blocks._parse_value(raw, args.w, lineno)
-    W = lat.Lattice(fields["gram"])
+    W = blocks.load_gram(args.w)
     if not embed.necessary_condition(W):
         print("verdict = ImpossibleByNecessary")
         return 1
@@ -151,18 +134,16 @@ def cmd_match(args):
         mode = match.PerpendicularPrimitive()
     elif args.mode == "perp-over":
         mode = match.PerpendicularOverlattice(args.glue_index)
-    elif args.mode == "orth":
+    else:
         if not args.r:
-            print("--mode orth needs --r", file=sys.stderr)
-            raise SystemExit(2)
-        R = _parse_gram(args.r)
+            print("error: --mode orth needs --r", file=sys.stderr)
+            return 2
+        R = _parse_r(args.r)
         vp = _find_r_vector(plus.lattice(), R, args.search_bound)
         vm = _find_r_vector(minus.lattice(), R, args.search_bound)
         if vp is None or vm is None:
             return 1
         mode = match.Orthogonal(xa.to_lists(R.gram), [list(vp)], [list(vm)])
-    else:
-        raise SystemExit(2)
     cert = match.build_certificate(plus, minus, mode, ample_cone_asserted=args.assert_ample)
     if isinstance(cert, match.MatchFailure):
         print(f"failure = {cert.code}")
@@ -204,8 +185,6 @@ def cmd_geography(args):
 
 
 def cmd_g2(args):
-    if args.action != "verify":
-        raise SystemExit(2)
     from . import g2alg
 
     try:
@@ -219,8 +198,14 @@ def cmd_g2(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one `error:` line and exit 2, like any malformed input."""
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="tcslat", description=__doc__)
+    p = _Parser(prog="tcslat", description=__doc__)
     p.add_argument("--catalog", action="append", metavar="FILE",
                    help="extra catalog file(s) merged with the bundled tables")
     sub = p.add_subparsers(dest="command", required=True)
@@ -234,12 +219,12 @@ def build_parser():
     pp.add_argument("--plus", required=True)
     pp.add_argument("--minus", required=True)
     pp.add_argument("--r", required=True, metavar="GRAM")
-    pp.add_argument("--search-bound", type=int, default=6)
+    pp.add_argument("--search-bound", type=_positive_int, default=6)
     pp.set_defaults(func=cmd_pushout)
 
     pe = sub.add_parser("embed", help="embed a lattice into the rank-22 ambient")
     pe.add_argument("--w", required=True, metavar="FILE")
-    pe.add_argument("--search-bound", type=int, default=3)
+    pe.add_argument("--search-bound", type=_positive_int, default=3)
     pe.set_defaults(func=cmd_embed)
 
     pm = sub.add_parser("match", help="build a matching certificate")
@@ -249,7 +234,7 @@ def build_parser():
     pm.add_argument("--r", metavar="GRAM")
     pm.add_argument("--glue-index", type=int, default=2)
     pm.add_argument("--assert-ample", action="store_true")
-    pm.add_argument("--search-bound", type=int, default=6)
+    pm.add_argument("--search-bound", type=_positive_int, default=6)
     pm.set_defaults(func=cmd_match)
 
     pi = sub.add_parser("invariants", help="invariants of a gluing configuration")
@@ -280,7 +265,7 @@ def main(argv=None):
     except (blocks.CatalogError, tcs.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
+    except blocks.UnknownBlockId as exc:
         print(f"unknown id: {exc}", file=sys.stderr)
         return 1
 

@@ -68,9 +68,13 @@ def nikulin_sufficient(W, target_sig=K3_SIGNATURE, target_rank=K3_RANK):
     return None
 
 
-def necessary_condition(W, target_rank=K3_RANK):
-    """rk W + l(W) <= rk L; False rules out any primitive embedding."""
-    return W.rank + lat.ell(W) <= target_rank
+def necessary_condition(W):
+    """W even, sig W <= (3, 19) componentwise and rk W + l(W) <= 22 (Nikulin
+    1979, Thm 1.12.2); False rules out any primitive embedding into K3."""
+    if not W.is_even() or W.rank + lat.ell(W) > K3_RANK:
+        return False
+    sig = lat.signature(W)
+    return sig.positives <= K3_SIGNATURE[0] and sig.negatives <= K3_SIGNATURE[1]
 
 
 def uniqueness(W, target_rank=K3_RANK):
@@ -196,16 +200,6 @@ def _builtin_embeddings():
     ]
 
 
-def _pad_rows(rows, offset, total):
-    out = []
-    for row in rows:
-        full = [0] * total
-        for j, v in enumerate(row):
-            full[offset + j] = v
-        out.append(full)
-    return out
-
-
 def _library_block(block_gram, slots):
     """Rows in K3 coordinates realizing one connected Gram block, or None."""
     k = len(block_gram)
@@ -287,7 +281,7 @@ def _library_strategy(W):
     glists = xa.to_lists(W.gram)
     for gram, rows, _width in _builtin_embeddings():
         if glists == gram:
-            padded = _pad_rows(rows, 0, K3_RANK)
+            padded = [row + [0] * (K3_RANK - len(row)) for row in rows]
             prim = verify_embedding(W, target, padded)
             if prim is not None:
                 return padded, prim
@@ -439,7 +433,3 @@ def construct_embedding(W, strategy="library", bound=3, ambient=None, require_pr
                                 unique=uniqueness(W, target.rank) or None)
     raise ValueError(f"unknown strategy {strategy!r}")
 
-
-def pad_to_k3(rows, offset=0):
-    """Rows given in a leading sub-block of the K3 basis, zero-padded to rank 22."""
-    return xa.mat(_pad_rows(xa.to_lists(xa.mat(rows)), offset, K3_RANK))

@@ -6,7 +6,7 @@ and as a tainted float otherwise."""
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import exp, lcm, log
 
 import numpy as np
 
@@ -224,10 +224,7 @@ def chi(v, w, x, psi=None, g=None):
     psi = psi if psi is not None else psi0()
     g = g if g is not None else identity_metric(psi.dimension)
     rhs = psi.contract(v).contract(w).contract(x)
-    # contraction order leaves psi(x, w, v, .) = -psi(v, w, x, .) ... track sign:
-    # psi.contract(v) = v -| psi;  (v -| psi).contract(w) = w -| (v -| psi) = psi(v, w, ., .)? no:
-    # (v -| psi)(w, a, b) = psi(v, w, a, b); ((v-|psi)).contract(w)(a,b) = (v-|psi)(w,a,b) = psi(v,w,a,b)
-    # so rhs(u) = psi(v, w, x, u) = -psi(u, v, w, x) after moving u to front (3 transpositions)
+    # rhs(u) = psi(v, w, x, u) = -psi(u, v, w, x): moving u to the front is 3 transpositions
     vec = [-rhs.coeffs.get((i,), Fraction(0)) for i in range(psi.dimension)]
     return 2 * g.solve(vec)
 
@@ -266,7 +263,7 @@ def _rational_ninth_root(q):
 def _int_ninth_root(n):
     if n == 0:
         return 0
-    lo, hi = 0, max(2, int(round(n ** (1.0 / 9))) + 2)
+    lo, hi = 0, 1 << (n.bit_length() // 9 + 1)
     while lo <= hi:
         mid = (lo + hi) // 2
         v = mid**9
@@ -298,10 +295,11 @@ def metric_from_3form(phi):
         g = Metric([[x / vol for x in row] for row in B])
         exact = True
     else:
-        volf = float(det) ** (1.0 / 9.0) if det > 0 else -((-float(det)) ** (1.0 / 9.0))
-        assert abs(volf**9 - float(det)) <= VOL_TOLERANCE * abs(float(det))
-        vol = volf
-        g = Metric([[Fraction(float(x) / volf).limit_denominator(10**15) for x in row] for row in B])
+        # through logarithms, since det B can lie beyond the float range
+        log_det = log(abs(det.numerator)) - log(det.denominator)
+        vol = exp(log_det / 9) if det > 0 else -exp(log_det / 9)
+        assert abs(9 * log(abs(vol)) - log_det) <= VOL_TOLERANCE * max(1.0, abs(log_det))
+        g = Metric([[Fraction(float(x) / vol).limit_denominator(10**15) for x in row] for row in B])
         exact = False
     positive = g.signature() == (n, 0)
     return MetricFromForm(g, vol, positive, exact)

@@ -43,17 +43,9 @@ class Lattice:
     """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix."""
 
     def __init__(self, gram):
-        g = np.array(gram, dtype=object)
-        if g.size == 0:
-            g = xa.zeros(0, 0)
-        else:
-            g = xa.mat(gram)
-        if g.shape[0] != g.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        for i in range(g.shape[0]):
-            for j in range(g.shape[0]):
-                if g[i, j] != g[j, i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        g = xa.mat(gram) if len(gram) else xa.zeros(0, 0)
+        if g.shape[0] != g.shape[1] or (g != g.T).any():
+            raise ValueError("Gram matrix must be square and symmetric")
         self.gram = g
         self.rank = g.shape[0]
 

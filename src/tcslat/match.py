@@ -38,28 +38,26 @@ class PerpendicularOverlattice:
     mode_name = "perpendicular-overlattice"
 
     def __init__(self, glue_index):
-        # smallest nontrivial overlattice index to use, or an OverlatticeSpec
+        # smallest nontrivial overlattice index to use
         self.glue_index = glue_index
 
 
 class Orthogonal:
     mode_name = "orthogonal"
 
-    def __init__(self, r_gram, r_in_plus, r_in_minus, w_embedding=None):
+    def __init__(self, r_gram, r_in_plus, r_in_minus):
         self.r_gram = r_gram
         self.r_in_plus = r_in_plus
         self.r_in_minus = r_in_minus
-        self.w_embedding = w_embedding  # optional explicit rows of W in the ambient
 
 
 class Handcrafted:
     mode_name = "handcrafted"
 
-    def __init__(self, w_gram, n_plus_rows, n_minus_rows, w_embedding=None):
+    def __init__(self, w_gram, n_plus_rows, n_minus_rows):
         self.w_gram = w_gram
         self.n_plus_rows = n_plus_rows  # N+ basis in W coordinates
         self.n_minus_rows = n_minus_rows
-        self.w_embedding = w_embedding
 
 
 class MatchingTriple:
@@ -253,19 +251,17 @@ def _attach_geometry(cert, ep, em, check_rank_formula=True):
         raise AssertionError(f"positivity mismatch: expected {expect}, got {got}")
 
 
-def build_certificate(plus, minus, mode, ample_cone_asserted=False, explicit=None):
+def build_certificate(plus, minus, mode, ample_cone_asserted=False):
     """Assemble the arithmetic evidence that the pair can be matched, or a
     failure with a machine-readable reason."""
     L = k3_lattice()
     if isinstance(mode, PerpendicularPrimitive):
-        use_explicit = explicit
-        if use_explicit is None and plus.id == "Ex7.7" and minus.rank == 1:
-            got = _rank1_partner_embedding(plus, minus)
-            if isinstance(got, MatchFailure):
-                return got
-            use_explicit = got
-        cert = _perpendicular_certificate(plus, minus, use_explicit)
-        return cert
+        explicit = None
+        if plus.id == "Ex7.7" and minus.rank == 1:
+            explicit = _rank1_partner_embedding(plus, minus)
+            if isinstance(explicit, MatchFailure):
+                return explicit
+        return _perpendicular_certificate(plus, minus, explicit)
     if isinstance(mode, PerpendicularOverlattice):
         specs = glue.enumerate_overlattices(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram),
                                             max_index=mode.glue_index)
@@ -332,25 +328,18 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False, explicit=Non
         r = W.rank
         if lat.signature(W).as_pair() != (2, r - 2):
             return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W).as_pair()}")
-        if mode.w_embedding is not None:
-            rows = mode.w_embedding
-            prim = embed.verify_embedding(W, L, rows)
-            if prim is None:
-                return MatchFailure(EMBEDDING_IMPOSSIBLE, "provided rows are not isometric to W")
-        else:
-            v = None
-            for bound in (2, 3, 4):
-                cand = embed.construct_embedding(W, strategy="backtracking", bound=bound,
-                                                 ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()),
-                                                 require_primitive=True)
-                if cand.status == embed.EXISTS_CONSTRUCTED and cand.primitive:
-                    v = cand
-                    break
-            if v is None:
-                return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of W found")
-            rows = [row + [0] * 16 for row in xa.to_lists(v.basis)]
-            prim = True
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=xa.mat(rows), primitive=prim)
+        v = None
+        for bound in (2, 3, 4):
+            cand = embed.construct_embedding(W, strategy="backtracking", bound=bound,
+                                             ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()),
+                                             require_primitive=True)
+            if cand.status == embed.EXISTS_CONSTRUCTED and cand.primitive:
+                v = cand
+                break
+        if v is None:
+            return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of W found")
+        rows = [row + [0] * 16 for row in xa.to_lists(v.basis)]
+        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=xa.mat(rows), primitive=True)
         ep = xa.to_lists(xa.mat(n_plus_in_w) @ xa.mat(rows))
         em = xa.to_lists(xa.mat(n_minus_in_w) @ xa.mat(rows))
         cert = MatchCertificate(plus, minus, mode, W, verdict,

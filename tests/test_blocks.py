@@ -191,3 +191,37 @@ def test_env_override(tmp_path, monkeypatch):
     assert len(blocks.rank1_catalog()) == 1
     monkeypatch.delenv("TCS_TABLES_DIR")
     assert len(blocks.rank1_catalog()) == len(src)
+
+
+def test_reader_rejects_duplicate_keys(tmp_path):
+    with pytest.raises(blocks.CatalogError, match=r":5: duplicate key kind"):
+        blocks.parse_catalog_text("schema = 1\n\nid = x\nkind = fano_rank1\nkind = fano_rank1\n")
+    # a one-record file rejects a repeated key also across its blank-line groups
+    f = tmp_path / "x.cfg"
+    f.write_text("schema = 1\nconfig = a\n\nblock_plus = Ex7.6\nconfig = b\n")
+    with pytest.raises(blocks.CatalogError, match=r"x.cfg:4: duplicate key config"):
+        blocks.read_fields(f)
+
+
+def test_reader_records_and_values():
+    text = "# comment\nschema = 1\n\nid = x\n  gram = [[2]]\nok = true\nname = P3 = Q\n\n\nid = y\n"
+    records = blocks.parse_records(text, "t")
+    assert records == [(2, {"schema": 1}), (4, {"id": "x", "gram": [[2]], "ok": True, "name": "P3 = Q"}),
+                       (10, {"id": "y"})]
+    with pytest.raises(blocks.CatalogError, match=r"t:1: expected 'key = value'"):
+        blocks.parse_records("= 3\n", "t")
+    with pytest.raises(blocks.CatalogError, match=r"t:2: bad literal"):
+        blocks.parse_records("a = 1\nb = [1, 2\n", "t")
+
+
+@pytest.mark.parametrize("value", [5, [], [[1, 2]], [[1], [2]], [[1, 2], [3, 1]], [[True]], [["2"]]])
+def test_gram_check_rejects_non_gram(value):
+    with pytest.raises(blocks.CatalogError, match="^here: gram must"):
+        blocks.gram_lattice(value, "here")
+
+
+def test_unknown_block_id_is_a_key_error():
+    cat = blocks.rank1_catalog()
+    with pytest.raises(blocks.UnknownBlockId) as info:
+        cat["nope"]
+    assert isinstance(info.value, KeyError)

@@ -153,12 +153,24 @@ def test_embed_command(tmp_path):
     code, out, _ = run(["embed", "--w", str(f2), "--search-bound", "2"])
     assert code == 0
     assert "ExistsPrimitiveByCriterion" in out
-    # four positive directions: criterion silent, search exhausts, honest Unknown
-    f3 = tmp_path / "w3.gram"
-    f3.write_text("gram = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]\n")
-    code, out, _ = run(["embed", "--w", str(f3), "--search-bound", "1"])
+    # four positive directions exceed the three of the K3 lattice; an odd W
+    # cannot sit in an even lattice
+    for gram in ("[[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]", "[[1]]"):
+        f3 = tmp_path / "w3.gram"
+        f3.write_text(f"gram = {gram}\n")
+        code, out, _ = run(["embed", "--w", str(f3), "--search-bound", "1"])
+        assert code == 1
+        assert out == "verdict = ImpossibleByNecessary\n"
+    # <2>^2 + <-2>^8 + U: rank 12, signature (3, 9), l = 10; both criteria are
+    # silent and rank 12 is beyond the search, an honest Unknown
+    diag = [2, 2] + [-2] * 8
+    rows = [[d if j == i else 0 for j in range(12)] for i, d in enumerate(diag)]
+    rows += [[0] * 10 + [0, 1], [0] * 10 + [1, 0]]
+    f4 = tmp_path / "w4.gram"
+    f4.write_text(f"gram = {rows}\n")
+    code, out, _ = run(["embed", "--w", str(f4)])
     assert code == 1
-    assert "Unknown" in out
+    assert out == "verdict = Unknown\n"
 
 
 def test_unknown_flag_rejected():
@@ -169,3 +181,83 @@ def test_unknown_flag_rejected():
 def test_usage_error_exit2():
     code, _, _ = run(["match", "--plus", "Ex7.4", "--minus", "Ex7.4", "--mode", "orth"])
     assert code == 2
+
+
+RECORD = """schema = 1
+
+id = user-block
+kind = semifano_small_res
+minus_k3 = 4
+gram = [[4, 1], [1, -2]]
+A = [1, 0]
+b3_Z = 10
+div_c2 = {2}
+"""
+NO8 = open(os.path.join(CONFIG_DIR, "no8.cfg"), encoding="utf-8").read()
+EMB_PLUS = "emb_plus = [[0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], " \
+           "[2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]"
+assert EMB_PLUS in NO8
+ORTH = ["match", "--plus", "Ex7.4", "--minus", "Ex7.4", "--mode", "orth", "--assert-ample"]
+PUSHOUT = ["pushout", "--plus", "MM2-6", "--minus", "MM2-6"]
+
+MALFORMED = {
+    # (file name, file text or None for a missing file, argv with {} for the file path)
+    "w-no-equals": ("w.gram", "gram [[4]]\n", ["embed", "--w", "{}"]),
+    "w-no-gram": ("w.gram", "rank = 1\n", ["embed", "--w", "{}"]),
+    "w-gram-int": ("w.gram", "gram = 5\n", ["embed", "--w", "{}"]),
+    "w-gram-empty": ("w.gram", "gram = []\n", ["embed", "--w", "{}"]),
+    "w-gram-asymmetric": ("w.gram", "gram = [[4, 1], [0, 4]]\n", ["embed", "--w", "{}"]),
+    "w-gram-degenerate": ("w.gram", "gram = [[0]]\n", ["embed", "--w", "{}"]),
+    "w-missing": ("w.gram", None, ["embed", "--w", "{}"]),
+    "config-missing": ("x.cfg", None, ["invariants", "--config", "{}"]),
+    "catalog-missing": ("x.blocks", None, ["--catalog", "{}", "catalog", "list"]),
+    "config-duplicate-key": ("x.cfg", NO8 + "block_minus = Ex7.6\n", ["invariants", "--config", "{}"]),
+    "config-emb-width": ("x.cfg", NO8.replace(EMB_PLUS, "emb_plus = [[0, 1], [2, 1]]"),
+                         ["invariants", "--config", "{}"]),
+    "config-emb-int": ("x.cfg", NO8.replace(EMB_PLUS, "emb_plus = 3"), ["invariants", "--config", "{}"]),
+    "catalog-gram-asymmetric": ("x.blocks", RECORD.replace("[[4, 1], [1, -2]]", "[[4, 1], [0, -2]]"),
+                                ["--catalog", "{}", "catalog", "list"]),
+    "catalog-gram-int": ("x.blocks", RECORD.replace("[[4, 1], [1, -2]]", "4"),
+                         ["--catalog", "{}", "catalog", "list"]),
+    "catalog-A-length": ("x.blocks", RECORD.replace("A = [1, 0]", "A = [1, 0, 0]"),
+                         ["--catalog", "{}", "catalog", "list"]),
+    "r-int": (None, None, PUSHOUT + ["--r", "5"]),
+    "r-not-square": (None, None, PUSHOUT + ["--r", "[[1,2]]"]),
+    "r-unclosed": (None, None, PUSHOUT + ["--r", "[[-4"]),
+    "r-rank-2": (None, None, ORTH + ["--r", "[[-4,0],[0,-4]]"]),
+    "r-positive": (None, None, ORTH + ["--r", "[[2]]"]),
+    "pushout-bound-0": (None, None, PUSHOUT + ["--r", "[[-4]]", "--search-bound", "0"]),
+    "match-bound-0": (None, None, ORTH + ["--r", "[[-12]]", "--search-bound", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit2_one_error_line(case, tmp_path):
+    name, text, argv = MALFORMED[case]
+    path = tmp_path / name if name else None
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run([str(path) if a == "{}" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["match", "--plus", "Ex7.99", "--minus", "Ex7.4", "--mode", "perp"],
+    ["pushout", "--plus", "MM2-6", "--minus", "nope", "--r", "[[-4]]"],
+    ["catalog", "show", "nope"],
+])
+def test_unknown_id_exit1(argv):
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("unknown id: ")
+
+
+def test_config_unknown_block_exit1(tmp_path):
+    f = tmp_path / "x.cfg"
+    f.write_text(NO8.replace("block_plus = Ex7.6", "block_plus = Ex7.99"))
+    code, out, err = run(["invariants", "--config", str(f)])
+    assert code == 1
+    assert err == "unknown id: 'Ex7.99'\n"

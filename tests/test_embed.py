@@ -44,6 +44,16 @@ def test_necessary_condition():
     W2 = lat.direct_sum(N16, lat.Lattice([[-2, 1], [1, 4]]))
     assert not embed.necessary_condition(W2)
     assert embed.necessary_condition(lat.E8(-1))
+    # an odd W has no place in the even K3 lattice
+    assert not embed.necessary_condition(lat.diag_lattice(1))
+    # signature beyond (3, 19): four positive directions, or E8(-1)^2 + D4(-1)
+    # with rank 20 and l = 2, whose rank condition alone holds
+    assert not embed.necessary_condition(lat.diag_lattice(2, 2, 2, 2))
+    assert embed.necessary_condition(lat.diag_lattice(2, 2, 2))
+    D4 = lat.Lattice([[-2, 1, 0, 0], [1, -2, 1, 1], [0, 1, -2, 0], [0, 1, 0, -2]])
+    W = lat.direct_sum(lat.E8(-1), lat.E8(-1), D4)
+    assert W.rank + lat.ell(W) == 22
+    assert not embed.necessary_condition(W)
 
 
 def test_uniqueness():

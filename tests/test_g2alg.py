@@ -88,6 +88,20 @@ def test_metric_degenerate_form():
     assert isinstance(g2alg.metric_from_3form(f), g2alg.DegenerateForm)
 
 
+def test_ninth_root_of_large_scalings():
+    # 10^12 phi0: det B = (10^28)^9, a 9th power too large for a float-seeded
+    # root search to find; the volume and g = 10^8 id are exact
+    res = g2alg.metric_from_3form(Fraction(10**12) * g2alg.phi0())
+    assert res.exact
+    assert res.vol == 10**28
+    assert all(res.g.matrix[i][j] == (10**8 if i == j else 0) for i in range(7) for j in range(7))
+    # (10^16 phi0): det B = 10^336 is no 9th power and lies beyond the float range
+    res = g2alg.metric_from_3form(10**16 * g2alg.phi0())
+    assert not res.exact
+    assert res.positive
+    assert res.vol == pytest.approx(10 ** (336 / 9), rel=1e-12)
+
+
 def test_inexact_ninth_root_is_tainted():
     res = g2alg.metric_from_3form(2 * g2alg.phi0())
     assert not res.exact
