@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Freeze the stdout and exit code of deterministic CLI invocations into
-tests/golden/corpus.json, which tests/test_golden.py replays.
+tests/golden/corpus.json, which tests/test_golden.py replays, and the stdout
+of every demo into tests/golden/demos/, which tests/test_demos.py compares.
 
 Every case runs in-process through ``tcslat.cli.main`` with the repository
 root as the working directory, so file arguments are repository-relative.
@@ -10,9 +11,11 @@ change to the output is intended.
     python3 tools/make_golden.py
 """
 
+import glob
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +26,7 @@ from tcslat import blocks, cli  # noqa: E402
 
 GOLDEN = os.path.join("tests", "golden")
 CORPUS = os.path.join(ROOT, GOLDEN, "corpus.json")
+DEMO_GOLDEN = os.path.join(ROOT, GOLDEN, "demos")
 
 
 def _gram(name):
@@ -63,6 +67,7 @@ def cases():
         ["embed", "--w", _gram("backtrack_rank3.gram"), "--search-bound", "2"],
         ["embed", "--w", _gram("exhaust_rank4.gram"), "--search-bound", "1"],
     ]
+    out += [["g2", "verify", "--samples", "20", "--seed", str(seed)] for seed in (0, 1, 2)]
     return out
 
 
@@ -82,6 +87,20 @@ def run(argv):
     return code, out.getvalue()
 
 
+def demo_scripts():
+    return sorted(glob.glob(os.path.join(ROOT, "demos", "0*.py")))
+
+
+def demo_stdout(script):
+    """stdout of one demo run as its own process with src/ on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                          timeout=300, env=env, check=True)
+    return proc.stdout
+
+
 def main():
     corpus = []
     for argv in cases():
@@ -91,6 +110,12 @@ def main():
         json.dump(corpus, fh, indent=1)
         fh.write("\n")
     print(f"{len(corpus)} cases written to {os.path.relpath(CORPUS, ROOT)}")
+    os.makedirs(DEMO_GOLDEN, exist_ok=True)
+    for script in demo_scripts():
+        name = os.path.splitext(os.path.basename(script))[0] + ".txt"
+        with open(os.path.join(DEMO_GOLDEN, name), "w", encoding="utf-8") as fh:
+            fh.write(demo_stdout(script))
+    print(f"{len(demo_scripts())} demo outputs written to {os.path.relpath(DEMO_GOLDEN, ROOT)}")
 
 
 if __name__ == "__main__":
