@@ -9,7 +9,7 @@ from tcslat.embed import k3_lattice
 # --- Smith normal form with full transform bookkeeping
 A = xa.mat([[2, 4], [6, 8]])
 res = xa.snf(A)
-print("A =", xa.to_lists(A))
+print("A =", A)
 print("diagonal of U A V:", res.diagonal)          # (2, 4): d1 | d2
 print("|det U| =", abs(xa.det(res.U)), " |det V| =", abs(xa.det(res.V)))
 

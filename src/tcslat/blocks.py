@@ -10,7 +10,6 @@ import ast
 import os
 from importlib import resources
 
-from . import exactalg as xa
 from . import lattice as lat
 
 KINDS = {
@@ -208,6 +207,13 @@ def _validate_record(fields, path, lineno):
     if kind not in KINDS:
         raise CatalogError(f"{path}:{lineno}: {rid}: unknown kind {kind!r}")
     gramless = bool(fields.get("gramless", False))
+    div_c2 = fields.get("div_c2", set())
+    # `{}` is how the format writes the empty set
+    if not (isinstance(div_c2, (set, list, tuple)) or div_c2 == {}) or any(type(x) is not int for x in div_c2):
+        raise CatalogError(f"{path}:{lineno}: {rid}: div_c2 must be a set of integers, got {div_c2!r}")
+    rk_K = fields.get("rk_K", 0)
+    if type(rk_K) is not int or rk_K < 0:
+        raise CatalogError(f"{path}:{lineno}: {rid}: rk_K must be a nonnegative integer, got {rk_K!r}")
     meta_keys = ("r", "d", "b3_Y", "name", "rank", "resolutions", "genus")
     meta = {k: fields[k] for k in meta_keys if k in fields}
     rec = BlockRecord(
@@ -216,8 +222,8 @@ def _validate_record(fields, path, lineno):
         n_gram=fields.get("gram"),
         anticanonical_class=fields.get("A"),
         b3_Z=fields.get("b3_Z"),
-        rk_K=fields.get("rk_K", 0),
-        div_c2=fields.get("div_c2", set()),
+        rk_K=rk_K,
+        div_c2=div_c2,
         div_c2_mod_Aperp=fields.get("div_c2_mod_Aperp"),
         e_rigid=fields.get("e", 0),
         ell_N=fields.get("ell"),
@@ -396,7 +402,7 @@ def burkhardt_structure():
     w2[14] = 1
     w2[16] = 1
     w2[18] = 1
-    t_rows = xa.mat([r1, r2, u1, u2, w1, w2])
+    t_rows = [r1, r2, u1, u2, w1, w2]
     T = lat.Sublattice(L, t_rows)
     N = lat.orthogonal_complement(T)
     a_in_L = [0] * n
@@ -404,5 +410,5 @@ def burkhardt_structure():
     a_in_L[2] = 3
     a_in_L[3] = 1
     a_in_L[20] = 1
-    _BURKHARDT = BurkhardtStructure(t_rows, N.basis, xa.vec(a_in_L))
+    _BURKHARDT = BurkhardtStructure(t_rows, N.basis, a_in_L)
     return _BURKHARDT

@@ -7,14 +7,13 @@ import argparse
 import sys
 
 from . import blocks, embed, glue, match, tcs
-from . import exactalg as xa
 from . import lattice as lat
 
 
 def _parse_r(text):
     """--r: a 1x1 negative Gram [[-m]], the only R the command line supports."""
     R = blocks.parse_gram(text, "--r")
-    if R.rank != 1 or R.gram[0, 0] >= 0:
+    if R.rank != 1 or R.gram[0][0] >= 0:
         raise blocks.CatalogError(f"--r: only a 1x1 negative Gram [[-m]] is supported, got {text}")
     return R
 
@@ -70,7 +69,7 @@ def cmd_catalog(args):
 
 
 def _find_r_vector(N, r_lattice, bound):
-    target = int(r_lattice.gram[0, 0])
+    target = r_lattice.gram[0][0]
     v = lat.find_primitive_vector(N, target, bound)
     if v is None:
         print(f"no primitive vector of norm {target} within bound {bound}", file=sys.stderr)
@@ -86,14 +85,14 @@ def cmd_pushout(args):
     vm = _find_r_vector(Nm, R, args.search_bound)
     if vp is None or vm is None:
         return 1
-    res = glue.orthogonal_pushout(glue.PushoutSpec(Np, Nm, R, [list(vp)], [list(vm)]))
+    res = glue.orthogonal_pushout(glue.PushoutSpec(Np, Nm, R, [vp], [vm]))
     if isinstance(res, glue.IntegralityFailure):
         print(f"IntegralityFailure: pairing {res.value} between basis vectors "
               f"{res.plus_index} and {res.minus_index}")
         return 1
     W = res.w
     print(f"rank = {W.rank}")
-    print(f"gram = {xa.to_lists(W.gram)}")
+    print(f"gram = {W.gram}")
     print(f"signature = {lat.signature(W).as_pair()}")
     print(f"det = {W.det()}")
     return 0
@@ -110,11 +109,11 @@ def cmd_embed(args):
                                             ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()),
                                             require_primitive=True)
         if verdict.status == embed.EXISTS_CONSTRUCTED:
-            verdict.basis = xa.mat([row + [0] * 16 for row in xa.to_lists(verdict.basis)])
+            verdict.basis = [row + [0] * 16 for row in verdict.basis]
     if verdict.status == embed.EXISTS_CONSTRUCTED:
         print(f"status = {verdict.status}")
         print(f"primitive = {verdict.primitive}")
-        print(f"basis = {xa.to_lists(verdict.basis)}")
+        print(f"basis = {verdict.basis}")
         cot = embed.cotorsion(embed.k3_lattice(), verdict.basis)
         print(f"cotorsion = {cot.invariant_factors if not cot.is_trivial() else []}")
         return 0
@@ -143,7 +142,7 @@ def cmd_match(args):
         vm = _find_r_vector(minus.lattice(), R, args.search_bound)
         if vp is None or vm is None:
             return 1
-        mode = match.Orthogonal(xa.to_lists(R.gram), [list(vp)], [list(vm)])
+        mode = match.Orthogonal(R.gram, [vp], [vm])
     cert = match.build_certificate(plus, minus, mode, ample_cone_asserted=args.assert_ample)
     if isinstance(cert, match.MatchFailure):
         print(f"failure = {cert.code}")

@@ -6,10 +6,6 @@ Gram of lattice.E8 (chain 1-2-3-4-5-6-7, node 8 attached to node 5), negated.
 Embedding matrices in reports are reproducible bit-for-bit against this basis.
 """
 
-from math import gcd
-
-import numpy as np
-
 from . import exactalg as xa
 from . import lattice as lat
 
@@ -85,16 +81,15 @@ def uniqueness(W, target_rank=K3_RANK):
 
 def verify_embedding(W, ambient, basis):
     """Exact Gram check plus primitivity of the image."""
-    B = xa.mat(basis)
-    sub = lat.Sublattice(ambient, B)
-    if xa.to_lists(sub.induced_gram()) != xa.to_lists(W.gram):
+    sub = lat.Sublattice(ambient, basis)
+    if sub.induced_gram() != W.gram:
         return None
     return lat.is_primitive(sub)
 
 
 def cotorsion(ambient, basis):
     """Invariant factors > 1 of Tor(ambient / image)."""
-    return lat.quotient_torsion(ambient, lat.Sublattice(ambient, xa.mat(basis)))
+    return lat.quotient_torsion(ambient, lat.Sublattice(ambient, basis))
 
 
 def mod_obstruction(T, m, k, budget=10**7):
@@ -110,7 +105,7 @@ def embed_into_complement(T, m, bound):
 
 def _gram_blocks(gram):
     """Connected components of the Gram matrix as (sorted index tuple) lists."""
-    n = gram.shape[0]
+    n = len(gram)
     seen = [False] * n
     comps = []
     for s in range(n):
@@ -123,7 +118,7 @@ def _gram_blocks(gram):
             i = stack.pop()
             comp.append(i)
             for j in range(n):
-                if not seen[j] and gram[i, j] != 0:
+                if not seen[j] and gram[i][j] != 0:
                     seen[j] = True
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
@@ -136,7 +131,7 @@ def _e8_vector_of_norm(norm):
     for bound in (1, 2, 3):
         for x in lat.candidate_vectors(8, bound):
             if E8.norm(x) == norm:
-                return xa.vec(x)
+                return list(x)
     return None
 
 
@@ -263,7 +258,7 @@ def _library_block(block_gram, slots):
             rows[0][oe] = 1
             rows[1][oe + 1] = 1
             return rows
-    if k == 8 and block_gram == xa.to_lists(lat.E8(-1).gram):
+    if k == 8 and block_gram == lat.E8(-1).gram:
         oe = slots.take_e8()
         if oe is None:
             return None
@@ -278,9 +273,8 @@ def _library_block(block_gram, slots):
 
 def _library_strategy(W):
     target = k3_lattice()
-    glists = xa.to_lists(W.gram)
     for gram, rows, _width in _builtin_embeddings():
-        if glists == gram:
+        if W.gram == gram:
             padded = [row + [0] * (K3_RANK - len(row)) for row in rows]
             prim = verify_embedding(W, target, padded)
             if prim is not None:
@@ -289,7 +283,7 @@ def _library_strategy(W):
     slots = _SlotAllocator()
     rows_by_index = {}
     for comp in comps:
-        block = [[int(W.gram[i, j]) for j in comp] for i in comp]
+        block = [[W.gram[i][j] for j in comp] for i in comp]
         got = _library_block(block, slots)
         if got is None:
             return None
@@ -325,14 +319,20 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
     """Blockwise DFS with interval pruning; deterministic; honest None on failure.
 
     With `prefix`, those rows are fixed as the first basis vectors and only the
-    remaining rows of W's Gram are searched."""
+    remaining rows of W's Gram are searched.  A nondegenerate W whose
+    signature exceeds the ambient's in either component (as it does when W
+    has the larger rank) has no isometric image there: None before any search."""
+    if W.is_nondegenerate():
+        sig, amb = lat.signature(W), lat.signature(ambient)
+        if sig.positives > amb.positives or sig.negatives > amb.negatives:
+            return None
     comps = _gram_blocks(ambient.gram)
     blocks = []
     for comp in comps:
-        bg = [[int(ambient.gram[i, j]) for j in comp] for i in comp]
+        bg = [[ambient.gram[i][j] for j in comp] for i in comp]
         pool = _block_pool(bg, bound)
         blocks.append((comp, bg, pool))
-    target = xa.to_lists(W.gram)
+    target = W.gram
     n = ambient.rank
     placed = [list(map(int, row)) for row in prefix] if prefix is not None else []
 
@@ -349,7 +349,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
 
     def place(i):
         if i == W.rank:
-            return not require_primitive or lat.is_primitive(lat.Sublattice(ambient, xa.mat(placed)))
+            return not require_primitive or lat.is_primitive(lat.Sublattice(ambient, placed))
         prev_pieces = [pieces_of(v) for v in placed]
 
         def extend(bi, chosen, norm_acc, pair_acc):
@@ -365,7 +365,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
                         full[idx] = v
                 if any(full):
                     rows = placed + [full]
-                    if xa.rank(xa.mat(rows)) == len(rows):
+                    if xa.rank(rows) == len(rows):
                         placed.append(full)
                         if place(i + 1):
                             return True
@@ -401,7 +401,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
         return extend(0, [], 0, [0] * i)
 
     if place(len(placed)):
-        return [list(map(int, row)) for row in placed]
+        return placed
     return None
 
 
@@ -422,14 +422,14 @@ def construct_embedding(W, strategy="library", bound=3, ambient=None, require_pr
         if got is None:
             return EmbeddingVerdict(UNKNOWN)
         rows, prim = got
-        return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=xa.mat(rows), primitive=prim,
+        return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
                                 unique=uniqueness(W, target.rank) or None)
     if strategy == "backtracking":
         rows = _backtracking_strategy(W, target, bound, require_primitive=require_primitive)
         if rows is None:
             return EmbeddingVerdict(UNKNOWN)
         prim = verify_embedding(W, target, rows)
-        return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=xa.mat(rows), primitive=prim,
+        return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
                                 unique=uniqueness(W, target.rank) or None)
     raise ValueError(f"unknown strategy {strategy!r}")
 

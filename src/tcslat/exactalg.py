@@ -1,42 +1,62 @@
 """Exact integer and rational linear algebra on arbitrary-precision entries.
 
-Matrices are numpy arrays with dtype=object holding Python ints (or Fractions
-for the rational helpers), so all arithmetic is exact.  Vectors are rows
-throughout the package; a lattice element x pairs as x . G . x^T.
+A matrix is a list of rows, each a list of Python ints (or Fractions for the
+rational helpers), so all arithmetic is exact; a vector is a plain list.
+Vectors are rows throughout the package; a lattice element x pairs as
+x . G . x^T.  Every kernel works on its own copy of its arguments.
 """
 
 from fractions import Fraction
 from math import lcm
-from operator import index
-
-import numpy as np
+from operator import index, mul
 
 
 def mat(rows):
-    """Build an exact integer matrix from an iterable of rows."""
-    a = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    if a.ndim != 2:
+    """A copy of a rectangular integer matrix as a list of rows of ints."""
+    a = [[index(x) for x in row] for row in rows]
+    if any(len(row) != len(a[0]) for row in a):
         raise ValueError("matrix rows must all have the same length")
     return a
 
 
-def vec(entries):
-    return np.array([int(x) for x in entries], dtype=object)
-
-
 def eye(n):
-    a = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        a[i, i] = 1
-    return a
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def zeros(r, c):
-    return np.zeros((r, c), dtype=object)
+def transpose(A):
+    return [list(col) for col in zip(*A)]
 
 
-def to_lists(a):
-    return [[int(x) for x in row] for row in a]
+def matmul(A, B):
+    """A . B: row i of the product combines the rows of B with the entries
+    of row i of A as coefficients, skipping the zero ones."""
+    zero = [0 * y for y in B[0]] if B else []
+    out = []
+    for a in A:
+        acc = None
+        for c, b in zip(a, B):
+            if c:
+                acc = [c * y for y in b] if acc is None else [x + c * y for x, y in zip(acc, b)]
+        out.append(zero[:] if acc is None else acc)
+    return out
+
+
+def pairings(B, G, C=None):
+    """B . G . C^T (C defaults to B): the pairings under G of the rows of B
+    with the rows of C."""
+    return matmul(matmul(B, G), transpose(B if C is None else C))
+
+
+def pair(x, G, y):
+    """x . G . y^T for vectors x and y."""
+    return sum(a * sum(map(mul, row, y)) for a, row in zip(x, G) if a)
+
+
+def clear_denominators(rows):
+    """(D, M) with D the lcm of the denominators of all entries (ints or
+    Fractions) and M = D * rows as integer rows; one D for the whole matrix."""
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in rows]
 
 
 class SnfResult:
@@ -53,7 +73,7 @@ class SnfResult:
 
     @property
     def diagonal(self):
-        return [int(self.D[i, i]) for i in range(min(self.D.shape))]
+        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0])))]
 
     @property
     def rank(self):
@@ -71,23 +91,24 @@ class SnfResult:
 
 def _pivot_smallest(A, s):
     """Position of the smallest-abs nonzero entry of A[s:, s:], ties by lowest (row, col)."""
-    rows, cols = A.shape
     best = None
-    for i in range(s, rows):
-        for j in range(s, cols):
-            v = A[i, j]
-            if v != 0 and (best is None or abs(v) < abs(A[best[0], best[1]])):
+    small = 0
+    for i in range(s, len(A)):
+        row = A[i]
+        for j in range(s, len(row)):
+            v = row[j]
+            if v != 0 and (best is None or abs(v) < small):
                 best = (i, j)
+                small = abs(v)
     return best
 
 
 def snf(A):
     """Smith normal form of a nonempty integer matrix."""
-    A = np.array(A, dtype=object)
-    if A.size == 0:
+    D = mat(A)
+    if not D or not D[0]:
         raise ValueError("snf: empty matrix")
-    rows, cols = A.shape
-    D = A.copy()
+    rows, cols = len(D), len(D[0])
     U = eye(rows)
     V = eye(cols)
     Vinv = eye(cols)  # each column operation on V is undone by a row operation here
@@ -98,48 +119,47 @@ def snf(A):
                 break
             i, j = pos
             if i != s:
-                D[[s, i]] = D[[i, s]]
-                U[[s, i]] = U[[i, s]]
+                D[s], D[i] = D[i], D[s]
+                U[s], U[i] = U[i], U[s]
             if j != s:
-                D[:, [s, j]] = D[:, [j, s]]
-                V[:, [s, j]] = V[:, [j, s]]
-                Vinv[[s, j]] = Vinv[[j, s]]
+                for M in (D, V):
+                    for row in M:
+                        row[s], row[j] = row[j], row[s]
+                Vinv[s], Vinv[j] = Vinv[j], Vinv[s]
+            top = D[s]
+            p = top[s]
             dirty = False
             for i in range(s + 1, rows):
-                if D[i, s] != 0:
-                    q = D[i, s] // D[s, s]
+                row = D[i]
+                if row[s] != 0:
+                    q = row[s] // p
                     if q != 0:
-                        D[i] = D[i] - q * D[s]
-                        U[i] = U[i] - q * U[s]
-                    if D[i, s] != 0:
+                        D[i] = row = [x - q * y for x, y in zip(row, top)]
+                        U[i] = [x - q * y for x, y in zip(U[i], U[s])]
+                    if row[s] != 0:
                         dirty = True
             for j in range(s + 1, cols):
-                if D[s, j] != 0:
-                    q = D[s, j] // D[s, s]
+                if top[j] != 0:
+                    q = top[j] // p
                     if q != 0:
-                        D[:, j] = D[:, j] - q * D[:, s]
-                        V[:, j] = V[:, j] - q * V[:, s]
-                        Vinv[s] = Vinv[s] + q * Vinv[j]
-                    if D[s, j] != 0:
+                        for M in (D, V):
+                            for row in M:
+                                row[j] -= q * row[s]
+                        Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
+                    if top[j] != 0:
                         dirty = True
             if dirty:
                 continue
             # edging is zero; force divisibility of the remaining block
-            stubborn = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if D[i, j] % D[s, s] != 0:
-                        stubborn = i
-                        break
-                if stubborn is not None:
-                    break
+            stubborn = next((i for i in range(s + 1, rows)
+                             if any(x % p != 0 for x in D[i][s + 1:])), None)
             if stubborn is None:
                 break
-            D[s] = D[s] + D[stubborn]
-            U[s] = U[s] + U[stubborn]
-        if D[s, s] < 0:
-            D[s] = -D[s]
-            U[s] = -U[s]
+            D[s] = [x + y for x, y in zip(D[s], D[stubborn])]
+            U[s] = [x + y for x, y in zip(U[s], U[stubborn])]
+        if D[s][s] < 0:
+            D[s] = [-x for x in D[s]]
+            U[s] = [-x for x in U[s]]
     return SnfResult(U, D, V, Vinv)
 
 
@@ -148,76 +168,71 @@ def hnf(A, prune=False):
 
     The row space over Z is preserved.  With prune=True zero rows are dropped.
     """
-    H = np.array(A, dtype=object)
-    if H.size == 0:
+    H = mat(A)
+    if not H or not H[0]:
         raise ValueError("hnf: empty matrix")
-    rows, cols = H.shape
+    rows, cols = len(H), len(H[0])
     r = 0
     for j in range(cols):
-        # pick the smallest-abs nonzero entry in column j at or below row r
-        piv = None
-        for i in range(r, rows):
-            if H[i, j] != 0 and (piv is None or abs(H[i, j]) < abs(H[piv, j])):
-                piv = i
-        if piv is None:
-            continue
         while True:
+            # the smallest-abs nonzero entry in column j at or below row r
+            piv = None
+            for i in range(r, rows):
+                if H[i][j] != 0 and (piv is None or abs(H[i][j]) < abs(H[piv][j])):
+                    piv = i
+            if piv is None:
+                break
             if piv != r:
-                H[[r, piv]] = H[[piv, r]]
+                H[r], H[piv] = H[piv], H[r]
+            top = H[r]
             done = True
             for i in range(r + 1, rows):
-                if H[i, j] != 0:
-                    q = H[i, j] // H[r, j]
+                if H[i][j] != 0:
+                    q = H[i][j] // top[j]
                     if q != 0:
-                        H[i] = H[i] - q * H[r]
-                    if H[i, j] != 0:
+                        H[i] = [x - q * y for x, y in zip(H[i], top)]
+                    if H[i][j] != 0:
                         done = False
             if done:
                 break
-            piv = None
-            for i in range(r, rows):
-                if H[i, j] != 0 and (piv is None or abs(H[i, j]) < abs(H[piv, j])):
-                    piv = i
-        if H[r, j] < 0:
-            H[r] = -H[r]
+        if piv is None:
+            continue
+        if H[r][j] < 0:
+            H[r] = [-x for x in H[r]]
+        top = H[r]
         for i in range(r):
-            q = H[i, j] // H[r, j]
+            q = H[i][j] // top[j]
             if q != 0:
-                H[i] = H[i] - q * H[r]
+                H[i] = [x - q * y for x, y in zip(H[i], top)]
         r += 1
         if r == rows:
             break
     if prune:
-        keep = [i for i in range(rows) if any(x != 0 for x in H[i])]
-        H = H[keep] if keep else zeros(0, cols)
+        H = [row for row in H if any(row)]
     return H
 
 
 def kernel_basis(A):
     """Basis (rows) of the saturated integer kernel {x : x . A = 0}."""
-    A = np.array(A, dtype=object)
-    if A.size == 0:
-        raise ValueError("kernel_basis: empty matrix")
     res = snf(A)
-    rows = A.shape[0]
-    free = [i for i in range(rows) if i >= min(A.shape) or res.D[i, i] == 0]
+    rows = len(res.U)
+    free = [i for i in range(rows) if i >= len(res.V) or res.D[i][i] == 0]
     if not free:
-        return zeros(0, rows)
-    return hnf(res.U[free], prune=False)
+        return []
+    return hnf([res.U[i] for i in free], prune=False)
 
 
 def solve_integer(A, b):
     """Some integer x with x . A = b, or None; absence is definitive."""
-    A = np.array(A, dtype=object)
-    b = np.array([int(t) for t in b], dtype=object)
-    if A.shape[1] != b.shape[0]:
-        raise ValueError("solve_integer: dimension mismatch")
+    b = [index(t) for t in b]
     res = snf(A)
-    c = b @ res.V
-    rows, cols = A.shape
-    y = zeros(1, rows)[0]
+    rows, cols = len(res.U), len(res.V)
+    if cols != len(b):
+        raise ValueError("solve_integer: dimension mismatch")
+    c = matmul([b], res.V)[0]
+    y = [0] * rows
     for j in range(cols):
-        d = res.D[j, j] if j < min(rows, cols) else 0
+        d = res.D[j][j] if j < min(rows, cols) else 0
         if d == 0:
             if c[j] != 0:
                 return None
@@ -225,7 +240,7 @@ def solve_integer(A, b):
             if c[j] % d != 0:
                 return None
             y[j] = c[j] // d
-    return y @ res.U
+    return matmul([y], res.U)[0]
 
 
 def rational_inverse(A):
@@ -233,31 +248,28 @@ def rational_inverse(A):
 
     Row i is scaled by the lcm m_i of its denominators; fraction-free
     Gauss-Jordan elimination then takes [m_i A_i | m_i e_i] to [d I | d A^-1]."""
-    A = np.array(A, dtype=object)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
+    n = len(A)
+    if not n or any(len(row) != n for row in A):
         raise ValueError("rational_inverse: not square")
     M = []
     for i, row in enumerate(A):
-        row = [Fraction(x) for x in row]
-        m = lcm(*(x.denominator for x in row))
-        M.append([x.numerator * (m // x.denominator) for x in row] + [m * (i == j) for j in range(n)])
+        m, (ints,) = clear_denominators([row])
+        M.append(ints + [m * (i == j) for j in range(n)])
     _bareiss(M, jordan=True)
     d = M[-1][n - 1]  # a zero here means a pivot-free column in the left block
     if d == 0:
         raise ValueError("rational_inverse: singular matrix")
-    return np.array([[Fraction(x, d) for x in row[n:]] for row in M], dtype=object)
+    return [[Fraction(x, d) for x in row[n:]] for row in M]
 
 
 def unimodular_inverse(A):
     """Exact integer inverse of a unimodular integer matrix: U A V = I gives A^-1 = V U."""
-    A = np.array(A, dtype=object)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if any(len(row) != len(A) for row in A):
         raise ValueError("unimodular_inverse: not square")
     res = snf(A)
     if any(d != 1 for d in res.diagonal):
         raise ValueError("unimodular_inverse: matrix is not unimodular")
-    return res.V @ res.U
+    return matmul(res.V, res.U)
 
 
 def _bareiss(M, jordan=False):
@@ -296,16 +308,12 @@ def det(A):
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("det: not square")
-    r, d = _bareiss(_integer_rows(A))
+    r, d = _bareiss(mat(A))
     return d if r == n else 0
 
 
 def rank(A):
-    return _bareiss(_integer_rows(A))[0]
-
-
-def _integer_rows(A):
-    return [[index(x) for x in row] for row in A]
+    return _bareiss(mat(A))[0]
 
 
 def congruence_steps(G):
@@ -368,16 +376,15 @@ def invariant_factors_via_minors(A):
     from itertools import combinations
     from math import gcd
 
-    A = np.array(A, dtype=object)
-    rows, cols = A.shape
+    A = mat(A)
+    rows, cols = len(A), len(A[0])
     out = []
     prev = 1
     for k in range(1, min(rows, cols) + 1):
         g = 0
         for rsel in combinations(range(rows), k):
             for csel in combinations(range(cols), k):
-                sub = A[np.ix_(rsel, csel)]
-                g = gcd(g, abs(int(det(sub))))
+                g = gcd(g, abs(det([[A[i][j] for j in csel] for i in rsel])))
         if g == 0:
             break
         out.append(g // prev)

@@ -6,9 +6,7 @@ and as a tainted float otherwise."""
 
 import itertools
 from fractions import Fraction
-from math import exp, lcm, log
-
-import numpy as np
+from math import exp, log
 
 from . import exactalg as xa
 from . import lattice as lat
@@ -181,28 +179,24 @@ def psi0():
 
 class Metric:
     def __init__(self, matrix):
-        self.matrix = np.array([[Fraction(x) for x in row] for row in matrix], dtype=object)
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n):
+        self.matrix = [[Fraction(x) for x in row] for row in matrix]
+        n = len(self.matrix)
+        if any(len(row) != n for row in self.matrix):
             raise ValueError("metric must be square")
         self.dimension = n
 
     def pair(self, u, v):
-        return (np.array(_fvec(u, self.dimension), dtype=object) @ self.matrix
-                @ np.array(_fvec(v, self.dimension), dtype=object))
+        return xa.pair(_fvec(u, self.dimension), self.matrix, _fvec(v, self.dimension))
 
     def signature(self):
-        denom = 1
-        for row in self.matrix:
-            for x in row:
-                denom = lcm(denom, x.denominator)
-        scaled = [[int(x * denom) for x in row] for row in self.matrix]
+        # one common denominator keeps the scaled matrix symmetric
+        _, scaled = xa.clear_denominators(self.matrix)
         return lat.signature(lat.Lattice(scaled)).as_pair()
 
     def solve(self, rhs):
         """The unique w with matrix . w = rhs (column convention irrelevant: symmetric)."""
         inv = xa.rational_inverse(self.matrix)
-        return np.array(_fvec(rhs, self.dimension), dtype=object) @ inv
+        return xa.matmul([_fvec(rhs, self.dimension)], inv)[0]
 
 
 def identity_metric(n=7):
@@ -226,7 +220,7 @@ def chi(v, w, x, psi=None, g=None):
     rhs = psi.contract(v).contract(w).contract(x)
     # rhs(u) = psi(v, w, x, u) = -psi(u, v, w, x): moving u to the front is 3 transpositions
     vec = [-rhs.coeffs.get((i,), Fraction(0)) for i in range(psi.dimension)]
-    return 2 * g.solve(vec)
+    return [2 * x for x in g.solve(vec)]
 
 
 VOL_TOLERANCE = 1e-12
@@ -311,9 +305,9 @@ def _rational_det(rows):
     scale = 1
     ints = []
     for row in rows:
-        m = lcm(*(x.denominator for x in row))
+        m, (scaled,) = xa.clear_denominators([row])
         scale *= m
-        ints.append([x.numerator * (m // x.denominator) for x in row])
+        ints.append(scaled)
     return Fraction(xa.det(ints), scale)
 
 
@@ -438,13 +432,7 @@ def su3_from_unit_vector(phi, u, g=None, psi=None):
     if not (recon4 - psi).is_zero():
         raise AssertionError("4-form reconstruction fails")
     # exact basis of u-perp, for reference and restriction
-    denom = 1
-    cols = []
-    for i in range(n):
-        c = g.pair(u, [1 if k == i else 0 for k in range(n)])
-        cols.append(c)
-        denom = lcm(denom, c.denominator)
-    ints = xa.mat([[int(c * denom)] for c in cols])
+    _, ints = xa.clear_denominators([[g.pair(u, e)] for e in xa.eye(n)])
     basis = xa.kernel_basis(ints)
     return SU3Structure(omega, re_om, im_om, basis)
 
@@ -470,12 +458,9 @@ def verify_identity_suite(samples=100, seed=0):
         if lhs != rhs:
             raise AssertionError(f"cross-norm identity fails on {tag}")
         cv = cross(v, w, phi, g)
-        lhs_b = cross(u, cv, phi, g) + cross(cross(u, v, phi, g), w, phi, g)
-        rhs_b = (
-            2 * g.pair(u, w) * np.array(_fvec(v, 7), dtype=object)
-            - g.pair(u, v) * np.array(_fvec(w, 7), dtype=object)
-            - g.pair(w, v) * np.array(_fvec(u, 7), dtype=object)
-        )
+        lhs_b = [a + b for a, b in zip(cross(u, cv, phi, g), cross(cross(u, v, phi, g), w, phi, g))]
+        uw, uv, wv = 2 * g.pair(u, w), g.pair(u, v), g.pair(w, v)
+        rhs_b = [uw * b - uv * c - wv * a for a, b, c in zip(_fvec(u, 7), _fvec(v, 7), _fvec(w, 7))]
         if any(a != b for a, b in zip(lhs_b, rhs_b)):
             raise AssertionError(f"double-cross identity fails on {tag}")
         chv = chi(u, v, w, psi, g)

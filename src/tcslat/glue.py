@@ -5,8 +5,6 @@ anti-isometric discriminant subgroups."""
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from . import exactalg as xa
 from . import lattice as lat
 
@@ -30,7 +28,7 @@ class PushoutSpec:
         for emb, name in ((self.emb_plus, "emb_plus"), (self.emb_minus, "emb_minus")):
             if emb.rank != r.rank:
                 raise ValueError(f"{name} must have the same rank as R")
-            if xa.to_lists(emb.induced_gram()) != xa.to_lists(r.gram):
+            if emb.induced_gram() != r.gram:
                 raise ValueError(f"{name} is not isometric to R")
             if not lat.is_primitive(emb):
                 raise NonPrimitiveEmbedding(f"{name} is not primitive")
@@ -67,15 +65,15 @@ def perpendicular_sum(n_plus, n_minus):
 
 def _complete_to_basis(primitive_rows, n):
     """Rows completing a primitive k x n matrix to a basis of Z^n (the added rows)."""
-    if len(primitive_rows) == 0:
+    if not primitive_rows:
         return xa.eye(n)
-    return xa.snf(np.array(primitive_rows, dtype=object)).Vinv[len(primitive_rows):]
+    return xa.snf(primitive_rows).Vinv[len(primitive_rows):]
 
 
-def _projection_coeffs(x, gram, r_basis, r_gram_inv):
-    """Coefficients (rationals) of the orthogonal projection of x onto R tensor Q."""
-    pair = np.array([Fraction(int(v)) for v in (x @ gram @ r_basis.T)], dtype=object)
-    return pair @ r_gram_inv
+def _projection_coeffs(emb, r_gram_inv):
+    """Row i: coefficients (rationals) of the orthogonal projection of the i-th
+    basis vector of emb's ambient onto R tensor Q."""
+    return xa.matmul(xa.transpose(xa.matmul(emb.basis, emb.ambient.gram)), r_gram_inv)
 
 
 def orthogonal_pushout(spec):
@@ -86,66 +84,47 @@ def orthogonal_pushout(spec):
     rho = r.rank
     if rho == 0:
         w = perpendicular_sum(np_, nm)
-        bp = np.hstack([xa.eye(np_.rank), xa.zeros(np_.rank, nm.rank)])
-        bm = np.hstack([xa.zeros(nm.rank, np_.rank), xa.eye(nm.rank)])
-        return PushoutResult(
-            w,
-            lat.Sublattice(w, bp),
-            lat.Sublattice(w, bm),
-            lat.Sublattice(w, xa.zeros(0, w.rank)),
-        )
+        bp = [row + [0] * nm.rank for row in xa.eye(np_.rank)]
+        bm = [[0] * np_.rank + row for row in xa.eye(nm.rank)]
+        return PushoutResult(w, lat.Sublattice(w, bp), lat.Sublattice(w, bm), lat.Sublattice(w, []))
     r_gram_inv = xa.rational_inverse(r.gram)
-    unit_p = xa.eye(np_.rank)
-    unit_m = xa.eye(nm.rank)
-    alpha = [_projection_coeffs(unit_p[i], np_.gram, spec.emb_plus.basis, r_gram_inv) for i in range(np_.rank)]
-    beta = [_projection_coeffs(unit_m[i], nm.gram, spec.emb_minus.basis, r_gram_inv) for i in range(nm.rank)]
+    alpha = _projection_coeffs(spec.emb_plus, r_gram_inv)
+    beta = _projection_coeffs(spec.emb_minus, r_gram_inv)
     # full pairwise pairing table between the N+ basis and the N- basis
-    cross = [[None] * nm.rank for _ in range(np_.rank)]
-    for i in range(np_.rank):
-        for j in range(nm.rank):
-            v = alpha[i] @ r.gram @ beta[j]
+    cross = xa.pairings(alpha, r.gram, beta)
+    for i, row in enumerate(cross):
+        for j, v in enumerate(row):
             if v.denominator != 1:
                 return IntegralityFailure(i, j, v)
-            cross[i][j] = int(v)
+    cross = [[int(v) for v in row] for row in cross]
     # basis: N+ rows, then completion of R inside N-
-    comp = _complete_to_basis(xa.to_lists(spec.emb_minus.basis), nm.rank)
-    n = np_.rank + comp.shape[0]
-    G = xa.zeros(n, n)
-    G[: np_.rank, : np_.rank] = np_.gram
-    for a in range(comp.shape[0]):
-        for b in range(comp.shape[0]):
-            G[np_.rank + a, np_.rank + b] = int(comp[a] @ nm.gram @ comp[b])
-    for i in range(np_.rank):
-        for a in range(comp.shape[0]):
-            val = sum(int(comp[a][j]) * cross[i][j] for j in range(nm.rank))
-            G[i, np_.rank + a] = G[np_.rank + a, i] = val
+    comp = _complete_to_basis(spec.emb_minus.basis, nm.rank)
+    k = len(comp)
+    glue = xa.matmul(cross, xa.transpose(comp))  # N+ rows against the completion rows
+    G = [row + g for row, g in zip(np_.gram, glue)]
+    G += [g + c for g, c in zip(xa.transpose(glue), xa.pairings(comp, nm.gram))]
     w = lat.Lattice(G)
     if not w.is_nondegenerate():
         raise ValueError("pushout degenerate")
     if not w.is_even():
         raise ValueError("pushout not even")
     # N- inside W: R rows map into N+ via the identification, completion rows are new
-    minus_rows = xa.zeros(nm.rank, n)
-    for m in range(rho):
-        minus_rows[m, : np_.rank] = spec.emb_plus.basis[m]
-    for a in range(comp.shape[0]):
-        minus_rows[rho + a, np_.rank + a] = 1
+    r_rows = [row + [0] * k for row in spec.emb_plus.basis]
+    minus_rows = r_rows + [[0] * np_.rank + row for row in xa.eye(k)]
     # express N- in its own basis order: rows of identity pulled through (R-basis, comp)
-    change = np.vstack([spec.emb_minus.basis, comp])  # basis of Z^{r_-}
-    change_inv = xa.unimodular_inverse(change)
-    n_minus_in_w = lat.Sublattice(w, change_inv @ minus_rows)
-    bp = np.hstack([xa.eye(np_.rank), xa.zeros(np_.rank, comp.shape[0])])
-    n_plus_in_w = lat.Sublattice(w, bp)
-    r_in_w = lat.Sublattice(w, np.hstack([spec.emb_plus.basis, xa.zeros(rho, comp.shape[0])]))
+    change_inv = xa.unimodular_inverse(spec.emb_minus.basis + comp)  # basis of Z^{r_-}
+    n_minus_in_w = lat.Sublattice(w, xa.matmul(change_inv, minus_rows))
+    n_plus_in_w = lat.Sublattice(w, [row + [0] * k for row in xa.eye(np_.rank)])
+    r_in_w = lat.Sublattice(w, r_rows)
     _verify_pushout(w, n_plus_in_w, n_minus_in_w, r_in_w, np_, nm)
     return PushoutResult(w, n_plus_in_w, n_minus_in_w, r_in_w)
 
 
 def _verify_pushout(w, n_plus_in_w, n_minus_in_w, r_in_w, np_, nm):
     # Def 6.5 conditions, each checked independently
-    if xa.to_lists(n_plus_in_w.induced_gram()) != xa.to_lists(np_.gram):
+    if n_plus_in_w.induced_gram() != np_.gram:
         raise ValueError("pushout: N+ image not isometric")
-    if xa.to_lists(n_minus_in_w.induced_gram()) != xa.to_lists(nm.gram):
+    if n_minus_in_w.induced_gram() != nm.gram:
         raise ValueError("pushout: N- image not isometric")
     if not (lat.is_primitive(n_plus_in_w) and lat.is_primitive(n_minus_in_w)):
         raise NonPrimitiveEmbedding("pushout: N+- not primitive in W")
@@ -265,31 +244,15 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     if size_p * size_m > budget:
         raise lat.EnumerationBudgetExceeded(f"{size_p * size_m} exceeds budget {budget}")
     # coset vectors in lattice coordinates (rational rows)
-    ginv_p = xa.rational_inverse(n_plus.gram)
-    ginv_m = xa.rational_inverse(n_minus.gram)
-    gens_p = [np.array([Fraction(x) for x in (g @ ginv_p)], dtype=object) for g, _ in ap]
-    gens_m = [np.array([Fraction(x) for x in (g @ ginv_m)], dtype=object) for g, _ in am]
-
-    rp, rm = n_plus.rank, n_minus.rank
+    gens_p = xa.matmul([g for g, _ in ap], xa.rational_inverse(n_plus.gram))
+    gens_m = xa.matmul([g for g, _ in am], xa.rational_inverse(n_minus.gram))
     base = perpendicular_sum(n_plus, n_minus)
 
-    def vec_p(e):
-        v = np.array([Fraction(0)] * rp, dtype=object)
-        for a, g in zip(e, gens_p):
-            v = v + a * g
-        return v
-
-    def vec_m(e):
-        v = np.array([Fraction(0)] * rm, dtype=object)
-        for a, g in zip(e, gens_m):
-            v = v + a * g
-        return v
-
     def q_of(v, gram):
-        return (v @ gram @ v) % 2
+        return xa.pair(v, gram, v) % 2
 
     def b_of(v, w_, gram):
-        return (v @ gram @ w_) % 1
+        return xa.pair(v, gram, w_) % 1
 
     elems_m = _group_elements(orders_m)
     out = []
@@ -320,7 +283,8 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
             ok = True
             for g, im in zip(gens, img):
                 ep, em = (g, im) if smaller_on_plus else (im, g)
-                vp, vm = vec_p(ep), vec_m(em)
+                # coset vectors: elementwise combinations of the generators
+                vp, vm = xa.matmul([ep], gens_p)[0], xa.matmul([em], gens_m)[0]
                 if (q_of(vp, n_plus.gram) + q_of(vm, n_minus.gram)) % 2 != 0:
                     ok = False
                     break
@@ -353,26 +317,15 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
 def _overlattice_from_glue(base, n_plus, n_minus, glue_gens):
     rp, rm = n_plus.rank, n_minus.rank
     n = rp + rm
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for vp, vm in glue_gens:
-        rows.append([Fraction(x) for x in vp] + [Fraction(x) for x in vm])
-    D = 1
-    for row in rows:
-        for x in row:
-            D = lcm(D, x.denominator)
-    scaled = xa.mat([[int(x * D) for x in row] for row in rows])
+    D, scaled = xa.clear_denominators(xa.eye(n) + [vp + vm for vp, vm in glue_gens])
     H = xa.hnf(scaled, prune=True)
-    if H.shape[0] != n:
+    if len(H) != n:
         return None
-    basis = np.array(
-        [[Fraction(int(H[i, j]), D) for j in range(n)] for i in range(n)], dtype=object
-    )
-    gram = basis @ base.gram @ basis.T
-    for i in range(n):
-        for j in range(n):
-            if isinstance(gram[i, j], Fraction) and gram[i, j].denominator != 1:
-                return None
-    w = lat.Lattice([[int(gram[i, j]) for j in range(n)] for i in range(n)])
+    basis = [[Fraction(x, D) for x in row] for row in H]
+    gram = xa.pairings(basis, base.gram)
+    if any(x.denominator != 1 for row in gram for x in row):
+        return None
+    w = lat.Lattice([[int(x) for x in row] for row in gram])
     if not w.is_even():
         return None
     # index bookkeeping
@@ -392,11 +345,7 @@ def _overlattice_from_glue(base, n_plus, n_minus, glue_gens):
 
 def _span_intersection(basis, start, size, n):
     """Check W' cap (factor tensor Q) = factor; None when primitivity fails."""
-    D = 1
-    for row in basis:
-        for x in row:
-            D = lcm(D, Fraction(x).denominator)
-    scaled = xa.mat([[int(Fraction(x) * D) for x in row] for row in basis])
+    D, scaled = xa.clear_denominators(basis)
     # solve y . scaled = vector supported in the factor, y integer; the image
     # must be exactly D * (unit vectors of the factor block)
     block = []
@@ -404,10 +353,9 @@ def _span_intersection(basis, start, size, n):
         if start <= i < start + size:
             continue
         block.append(i)
-    ker = xa.kernel_basis(scaled[:, block]) if block else xa.eye(n)
-    img = ker @ scaled if ker.shape[0] else xa.zeros(0, n)
-    sub = img[:, start : start + size]
-    invf = xa.snf(sub).diagonal if sub.size else []
+    ker = xa.kernel_basis([[row[i] for i in block] for row in scaled]) if block else xa.eye(n)
+    sub = [row[start : start + size] for row in xa.matmul(ker, scaled)]
+    invf = xa.snf(sub).diagonal if sub else []
     if any(d != D for d in invf if d != 0) or sum(1 for d in invf if d != 0) != size:
         return None
     return True

@@ -5,9 +5,7 @@ A Lattice is a symmetric integer Gram matrix; a Sublattice is a basis matrix
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-
-import numpy as np
+from math import gcd, isqrt
 
 from . import exactalg as xa
 
@@ -43,11 +41,11 @@ class Lattice:
     """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix."""
 
     def __init__(self, gram):
-        g = xa.mat(gram) if len(gram) else xa.zeros(0, 0)
-        if g.shape[0] != g.shape[1] or (g != g.T).any():
+        g = xa.mat(gram)
+        if any(len(row) != len(g) for row in g) or g != xa.transpose(g):
             raise ValueError("Gram matrix must be square and symmetric")
         self.gram = g
-        self.rank = g.shape[0]
+        self.rank = len(g)
 
     def det(self):
         return xa.det(self.gram)
@@ -56,18 +54,16 @@ class Lattice:
         return self.rank == 0 or self.det() != 0
 
     def is_even(self):
-        return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
+        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def pair(self, x, y):
-        x = xa.vec(x)
-        y = xa.vec(y)
-        return int(x @ self.gram @ y)
+        return xa.pair(x, self.gram, y)
 
     def norm(self, x):
         return self.pair(x, x)
 
     def __eq__(self, other):
-        return isinstance(other, Lattice) and xa.to_lists(self.gram) == xa.to_lists(other.gram)
+        return isinstance(other, Lattice) and self.gram == other.gram
 
     def __repr__(self):
         return f"Lattice(rank={self.rank})"
@@ -75,11 +71,10 @@ class Lattice:
 
 def direct_sum(*lattices):
     n = sum(l.rank for l in lattices)
-    g = xa.zeros(n, n)
-    off = 0
+    g = []
     for l in lattices:
-        g[off : off + l.rank, off : off + l.rank] = l.gram
-        off += l.rank
+        # len(g), the rows placed so far, is this block's column offset
+        g += [[0] * len(g) + row + [0] * (n - len(g) - l.rank) for row in l.gram]
     return Lattice(g)
 
 
@@ -89,11 +84,8 @@ def U(k=1):
 
 
 def diag_lattice(*entries):
-    n = len(entries)
-    g = xa.zeros(n, n)
-    for i, e in enumerate(entries):
-        g[i, i] = int(e)
-    return Lattice(g)
+    return Lattice([[e if i == j else 0 for j in range(len(entries))]
+                    for i, e in enumerate(entries)])
 
 
 def A2(sign=1):
@@ -124,21 +116,19 @@ class Sublattice:
 
     def __init__(self, ambient, basis):
         self.ambient = ambient
-        b = xa.mat(basis) if len(basis) else xa.zeros(0, ambient.rank)
-        if b.shape[0] and b.shape[1] != ambient.rank:
+        b = xa.mat(basis)
+        if b and len(b[0]) != ambient.rank:
             raise ValueError("basis rows must live in the ambient lattice")
-        if b.shape[0] and xa.rank(b) != b.shape[0]:
+        if b and xa.rank(b) != len(b):
             raise ValueError("basis rows must be independent over Q")
         self.basis = b
 
     @property
     def rank(self):
-        return self.basis.shape[0]
+        return len(self.basis)
 
     def induced_gram(self):
-        if self.rank == 0:
-            return xa.zeros(0, 0)
-        return self.basis @ self.ambient.gram @ self.basis.T
+        return xa.pairings(self.basis, self.ambient.gram)
 
     def lattice(self):
         """The sublattice as an abstract Lattice with the induced form."""
@@ -148,7 +138,7 @@ class Sublattice:
         return xa.hnf(self.basis, prune=True) if self.rank else self.basis
 
     def same_module(self, other):
-        return xa.to_lists(self.hnf_basis()) == xa.to_lists(other.hnf_basis())
+        return self.hnf_basis() == other.hnf_basis()
 
     def __repr__(self):
         return f"Sublattice(rank={self.rank}, ambient_rank={self.ambient.rank})"
@@ -200,13 +190,6 @@ def signature(L):
     return Signature(pos, neg)
 
 
-def _clear_denominators(row):
-    d = 1
-    for x in row:
-        d = lcm(d, x.denominator)
-    return xa.vec([int(x * d) for x in row])
-
-
 def positive_norm_vector(L):
     """An integer vector of positive norm, via congruence diagonalization;
     None when the form is negative semidefinite."""
@@ -219,10 +202,10 @@ def positive_norm_vector(L):
         if len(pivots) == 2:
             i, j = pivots
             sgn = 1 if value > 0 else -1
-            return _clear_denominators([x + sgn * y for x, y in zip(P[i], P[j])])
+            return xa.clear_denominators([[x + sgn * y for x, y in zip(P[i], P[j])]])[1][0]
         p = P[pivots[0]]
         if value > 0:
-            return _clear_denominators(p)
+            return xa.clear_denominators([p])[1][0]
         for a, m in row.items():
             c = m / value
             P[a] = [x - c * y for x, y in zip(P[a], p)]
@@ -240,10 +223,10 @@ def discriminant_group(L):
     q_values = None
     b_values = None
     if L.is_even() and torsion:
-        Ginv = xa.rational_inverse(L.gram)
-        duals = [g @ Ginv for g, _ in torsion]
-        q_values = [(h @ g) % 2 for h, (g, _) in zip(duals, torsion)]
-        b_values = [[(h @ g) % 1 for g, _ in torsion] for h in duals]
+        # pairings of the generators' duals g . G^-1 with the generators
+        B = xa.pairings([g for g, _ in torsion], xa.rational_inverse(L.gram))
+        q_values = [B[i][i] % 2 for i in range(len(B))]
+        b_values = [[x % 1 for x in row] for row in B]
     return DiscGroup(factors, q_values, b_values)
 
 
@@ -267,9 +250,9 @@ def orthogonal_complement(S):
         raise DegenerateLattice("degenerate ambient")
     if S.rank == 0:
         return Sublattice(amb, xa.eye(amb.rank))
-    pairing = amb.gram @ S.basis.T  # n x k; complement = left kernel
+    pairing = xa.transpose(xa.matmul(S.basis, amb.gram))  # n x k; complement = left kernel
     ker = xa.kernel_basis(pairing)
-    return Sublattice(amb, xa.hnf(ker, prune=True) if ker.shape[0] else ker)
+    return Sublattice(amb, xa.hnf(ker, prune=True) if ker else ker)
 
 
 def saturation(S):
@@ -291,14 +274,12 @@ def intersect(S1, S2):
     if S1.ambient.rank != S2.ambient.rank:
         raise ValueError("sublattices must share the ambient lattice")
     if S1.rank == 0 or S2.rank == 0:
-        return Sublattice(S1.ambient, xa.zeros(0, S1.ambient.rank))
+        return Sublattice(S1.ambient, [])
     # kernel of x . stacked = 0 where x = (y | z) encodes y . B1 = z . B2
-    stacked = np.vstack([S1.basis, -S2.basis])
-    ker = xa.kernel_basis(stacked)
-    if ker.shape[0] == 0:
-        return Sublattice(S1.ambient, xa.zeros(0, S1.ambient.rank))
-    ypart = ker[:, : S1.rank]
-    rows = ypart @ S1.basis
+    ker = xa.kernel_basis(S1.basis + [[-x for x in row] for row in S2.basis])
+    if not ker:
+        return Sublattice(S1.ambient, [])
+    rows = xa.matmul([row[: S1.rank] for row in ker], S1.basis)
     return Sublattice(S1.ambient, xa.hnf(rows, prune=True))
 
 
@@ -310,8 +291,7 @@ def sum_sublattices(S1, S2):
         return S2
     if S2.rank == 0:
         return S1
-    stacked = np.vstack([S1.basis, S2.basis])
-    return Sublattice(S1.ambient, xa.hnf(stacked, prune=True))
+    return Sublattice(S1.ambient, xa.hnf(S1.basis + S2.basis, prune=True))
 
 
 def quotient_torsion(amb, S):
@@ -327,7 +307,7 @@ def coker_map(S, T_dual_target):
         raise ValueError("sublattices must share the ambient lattice")
     if S.rank == 0 or T_dual_target.rank == 0:
         return DiscGroup([])
-    M = S.basis @ S.ambient.gram @ T_dual_target.basis.T
+    M = xa.pairings(S.basis, S.ambient.gram, T_dual_target.basis)
     return DiscGroup(xa.snf(M).invariant_factors())
 
 
@@ -340,7 +320,7 @@ def norm_residues(L, k, budget=10**7):
         raise EnumerationBudgetExceeded(f"{total} vectors exceeds budget {budget}")
     out = set()
     x = [0] * L.rank
-    G = [[int(L.gram[i, j]) % k for j in range(L.rank)] for i in range(L.rank)]
+    G = [[x % k for x in row] for row in L.gram]
     while True:
         acc = 0
         for i in range(L.rank):
@@ -398,13 +378,13 @@ def find_primitive_vector(L, norm, bound):
         if g != 1:
             continue
         if L.norm(x) == norm:
-            return xa.vec(x)
+            return list(x)
     return None
 
 
 def _definite_decomposition(G):
     """G positive definite -> list of (d_i, row_i) with x G x^T = sum d_i (x_i + u_i . x_{>i})^2."""
-    n = G.shape[0]
+    n = len(G)
     ds = []
     us = []
     for k, (pivots, d, row) in enumerate(xa.congruence_steps(G)):

@@ -4,8 +4,6 @@ and what census of invariants results."""
 
 from math import gcd
 
-import numpy as np
-
 from . import blocks as blk
 from . import embed
 from . import exactalg as xa
@@ -100,8 +98,8 @@ class MatchCertificate:
         return tcs.GluingConfig(
             self.block_plus,
             self.block_minus,
-            xa.to_lists(self.emb_plus.basis),
-            xa.to_lists(self.emb_minus.basis),
+            self.emb_plus.basis,
+            self.emb_minus.basis,
             resolution_plus=resolution_plus,
             resolution_minus=resolution_minus,
             div_c2_mod_image=div_c2_mod_image,
@@ -120,8 +118,8 @@ class MatchCertificate:
             f"ample_hypothesis = {'auto' if self.ample_auto else ('asserted' if self.ample_cone_asserted else 'unasserted')}",
         ]
         if self.is_explicit():
-            lines.append(f"emb_plus = {xa.to_lists(self.emb_plus.basis)}")
-            lines.append(f"emb_minus = {xa.to_lists(self.emb_minus.basis)}")
+            lines.append(f"emb_plus = {self.emb_plus.basis}")
+            lines.append(f"emb_minus = {self.emb_minus.basis}")
         if self.triple is not None:
             lines.append(f"triple_norms = {self.triple.norms}")
         return "\n".join(lines)
@@ -140,13 +138,13 @@ def _embed_factor_pair_disjoint(gp, gm):
         W = lat.Lattice(gram)
         if W.rank > amb.rank:
             return None
-        bound = max(3, max(abs(int(x)) for row in gram for x in row) // 2 + 1)
+        bound = max(3, max(abs(x) for row in gram for x in row) // 2 + 1)
         v = embed.construct_embedding(W, strategy="backtracking", bound=bound, ambient=amb,
                                       require_primitive=True)
         if v.status != embed.EXISTS_CONSTRUCTED or not v.primitive:
             return None
         rows = []
-        for row in xa.to_lists(v.basis):
+        for row in v.basis:
             full = [0] * 22
             for j, c in enumerate(row):
                 full[coords[j]] = c
@@ -170,8 +168,7 @@ def _rank1_partner_embedding(big, small):
     x = embed.embed_into_complement(T, m, bound=5)
     if x is None:
         return MatchFailure(EMBEDDING_UNKNOWN, f"no primitive norm-{m} vector within bound")
-    x_in_L = [int(t) for t in (xa.vec(list(x)) @ bs.t_rows)]
-    return xa.to_lists(bs.n_basis), [x_in_L]
+    return bs.n_basis, xa.matmul([x], bs.t_rows)
 
 
 def _perpendicular_certificate(plus, minus, explicit):
@@ -196,7 +193,7 @@ def _perpendicular_certificate(plus, minus, explicit):
             emb_rows = got
     if emb_rows is not None:
         ep, em = emb_rows
-        stacked = xa.mat(list(ep) + list(em))
+        stacked = ep + em
         prim = embed.verify_embedding(W, L, stacked)
         if prim is None:
             return MatchFailure(EMBEDDING_IMPOSSIBLE, "explicit rows are not isometric to W")
@@ -278,16 +275,13 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
                                       require_primitive=True)
         if v.status != embed.EXISTS_CONSTRUCTED or not v.primitive:
             return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of the overlattice found")
-        B = [row + [0] * 16 for row in xa.to_lists(v.basis)]
-        Binv = xa.rational_inverse(spec.basis_rational)
-        np_rows = [[1 if i == j else 0 for j in range(r)] for i in range(plus.rank)]
-        nm_rows = [[1 if i + plus.rank == j else 0 for j in range(r)] for i in range(minus.rank)]
-        ep = xa.to_lists(xa.mat([[int(x) for x in (xa.vec(row) @ Binv)] for row in np_rows]) @ xa.mat(B))
-        em = xa.to_lists(xa.mat([[int(x) for x in (xa.vec(row) @ Binv)] for row in nm_rows]) @ xa.mat(B))
-        stacked_gram = lat.Sublattice(L, ep + em).induced_gram()
-        W = lat.Lattice(stacked_gram)
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=xa.mat(ep + em),
-                                         primitive=False)
+        B = [row + [0] * 16 for row in v.basis]
+        # rows of Binv: the N+ then the N- basis vectors in the coordinates of W'
+        Binv = [[int(x) for x in row] for row in xa.rational_inverse(spec.basis_rational)]
+        ep = xa.matmul(Binv[: plus.rank], B)
+        em = xa.matmul(Binv[plus.rank :], B)
+        W = lat.Sublattice(L, ep + em).lattice()
+        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=ep + em, primitive=False)
         cert = MatchCertificate(plus, minus, mode, W, verdict,
                                 lat.signature(W).as_pair() == (2, W.rank - 2),
                                 ample_auto=True, rho=0)
@@ -320,8 +314,8 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         else:
             W = lat.Lattice(mode.w_gram)
             rho = plus.rank + minus.rank - W.rank
-            n_plus_in_w = xa.mat(mode.n_plus_rows)
-            n_minus_in_w = xa.mat(mode.n_minus_rows)
+            n_plus_in_w = mode.n_plus_rows
+            n_minus_in_w = mode.n_minus_rows
             if not ample_cone_asserted:
                 return MatchFailure(AMPLE_CONE_UNASSERTED, "handcrafted gluing needs the positive-cone assertion")
             ample_ok = True
@@ -338,10 +332,10 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
                 break
         if v is None:
             return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of W found")
-        rows = [row + [0] * 16 for row in xa.to_lists(v.basis)]
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=xa.mat(rows), primitive=True)
-        ep = xa.to_lists(xa.mat(n_plus_in_w) @ xa.mat(rows))
-        em = xa.to_lists(xa.mat(n_minus_in_w) @ xa.mat(rows))
+        rows = [row + [0] * 16 for row in v.basis]
+        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=rows, primitive=True)
+        ep = xa.matmul(n_plus_in_w, rows)
+        em = xa.matmul(n_minus_in_w, rows)
         cert = MatchCertificate(plus, minus, mode, W, verdict,
                                 True, ample_cone_asserted=ample_cone_asserted, rho=rho)
         cert.ample_auto = ample_ok and isinstance(mode, Orthogonal) and plus.kind == "nonsymplectic"
@@ -355,20 +349,19 @@ def _first_positive_combination(sub):
     differences, then an exact diagonalization fallback."""
     amb = sub.ambient
     k = sub.rank
-    for i in range(k):
-        v = sub.basis[i]
-        if int(v @ amb.gram @ v) > 0:
+    for v in sub.basis:
+        if amb.norm(v) > 0:
             return v
     for i in range(k):
         for j in range(i + 1, k):
             for s in (1, -1):
-                v = sub.basis[i] + s * sub.basis[j]
-                if int(v @ amb.gram @ v) > 0:
+                v = [x + s * y for x, y in zip(sub.basis[i], sub.basis[j])]
+                if amb.norm(v) > 0:
                     return v
     coeffs = lat.positive_norm_vector(sub.lattice())
     if coeffs is None:
         return None
-    return coeffs @ sub.basis
+    return xa.matmul([coeffs], sub.basis)[0]
 
 
 def propose_triple(cert):
@@ -378,8 +371,8 @@ def propose_triple(cert):
     amb = k3_lattice()
 
     def a_image(emb, rec, w_side):
-        v = xa.vec(rec.anticanonical_class) @ emb.basis
-        if int(v @ amb.gram @ v) > 0 and xa.solve_integer(w_side.basis, list(v)) is not None:
+        v = xa.matmul([rec.anticanonical_class], emb.basis)[0]
+        if amb.norm(v) > 0 and xa.solve_integer(w_side.basis, v) is not None:
             return v
         return None
 
@@ -392,7 +385,7 @@ def propose_triple(cert):
     k0 = _first_positive_combination(cert.t)
     if kp is None or km is None or k0 is None:
         raise AssertionError("no positive vector found: signature bookkeeping is wrong")
-    norms = tuple(int(v @ amb.gram @ v) for v in (kp, km, k0))
+    norms = tuple(amb.norm(v) for v in (kp, km, k0))
     triple = MatchingTriple(kp, km, k0, norms)
     ok, reasons = verify_triple(triple, cert.emb_plus, cert.emb_minus)
     if not ok:
@@ -411,9 +404,7 @@ def verify_triple(triple, emb_plus, emb_minus):
     def in_span(v, sub):
         if sub.rank == 0:
             return False
-        scaled, denom = _clear_denominators(v)
-        aug = np.vstack([sub.basis, [scaled]])
-        return xa.rank(aug) == sub.rank
+        return xa.rank(sub.basis + xa.clear_denominators([v])[1]) == sub.rank
 
     checks = (
         ("k_plus in span(N+)", triple.k_plus, emb_plus),
@@ -430,22 +421,12 @@ def verify_triple(triple, emb_plus, emb_minus):
     names = ("k_plus", "k_minus", "k_0")
     for i in range(3):
         for j in range(i + 1, 3):
-            if int(vecs[i] @ amb.gram @ vecs[j]) != 0:
+            if amb.pair(vecs[i], vecs[j]) != 0:
                 reasons.append(f"orthogonality fails: {names[i]} . {names[j]} != 0")
     for name, v in zip(names, vecs):
-        if int(v @ amb.gram @ v) <= 0:
+        if amb.norm(v) <= 0:
             reasons.append(f"positivity fails: {name}")
     return (not reasons), reasons
-
-
-def _clear_denominators(v):
-    from fractions import Fraction
-    from math import lcm
-
-    denom = 1
-    for x in v:
-        denom = lcm(denom, Fraction(x).denominator)
-    return [int(Fraction(x) * denom) for x in v], denom
 
 
 def enumerate_pairs(cat, pair_filter="none"):

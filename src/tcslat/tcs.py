@@ -10,8 +10,6 @@ and div p1 from the blocks' second Chern data.
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import blocks as blk
 from . import exactalg as xa
 from . import lattice as lat
@@ -43,7 +41,7 @@ class GluingConfig:
         self.div_c2_mod_image = div_c2_mod_image
         self.ample_cone_asserted = ample_cone_asserted
         for emb, rec, side in ((self.emb_plus, block_plus, "+"), (self.emb_minus, block_minus, "-")):
-            if xa.to_lists(emb.induced_gram()) != rec.n_gram:
+            if emb.induced_gram() != rec.n_gram:
                 raise ConfigError(f"{name}: embedding on side {side} is not isometric to {rec.id}")
             if not lat.is_primitive(emb):
                 raise ConfigError(f"{name}: embedding on side {side} is not primitive")
@@ -51,16 +49,15 @@ class GluingConfig:
     def is_perpendicular(self):
         if self.emb_plus.rank == 0 or self.emb_minus.rank == 0:
             return True
-        cross = self.emb_plus.basis @ k3_lattice().gram @ self.emb_minus.basis.T
-        return all(x == 0 for x in cross.ravel())
+        cross = xa.pairings(self.emb_plus.basis, k3_lattice().gram, self.emb_minus.basis)
+        return not any(any(row) for row in cross)
 
     def n_prime_images(self):
         """Derived data: the images of each polarising lattice in the other's
         dual (rows: basis vectors, columns: dual coordinates of the other side)."""
         G = k3_lattice().gram
-        plus_in_minus_dual = self.emb_plus.basis @ G @ self.emb_minus.basis.T
-        minus_in_plus_dual = self.emb_minus.basis @ G @ self.emb_plus.basis.T
-        return xa.to_lists(plus_in_minus_dual), xa.to_lists(minus_in_plus_dual)
+        return (xa.pairings(self.emb_plus.basis, G, self.emb_minus.basis),
+                xa.pairings(self.emb_minus.basis, G, self.emb_plus.basis))
 
 
 class TcsInvariants:
@@ -271,13 +268,11 @@ class TorsionLinking:
 
 def _linking_value(L, Nn, Tt, alpha, k, beta):
     """b = <t, beta>/k mod 1 where k*alpha = n + t, n in Nn, t in Tt."""
-    stacked = np.vstack([Nn.basis, Tt.basis])
-    x = xa.solve_integer(stacked, [k * int(v) for v in alpha])
+    x = xa.solve_integer(Nn.basis + Tt.basis, [k * v for v in alpha])
     if x is None:
         raise AssertionError("torsion order mismatch in linking computation")
-    t = x[Nn.rank :] @ Tt.basis
-    val = Fraction(int(t @ L.gram @ xa.vec([int(v) for v in beta])), k)
-    return val % 1
+    t = xa.matmul([x[Nn.rank :]], Tt.basis)[0]
+    return Fraction(L.pair(t, beta), k) % 1
 
 
 def torsion_linking(cfg):
@@ -290,8 +285,8 @@ def torsion_linking(cfg):
 def torsion_linking_pair(L, Np, Nm):
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
-    gens_plus = xa.snf(np.vstack([Nm.basis, Tp.basis])).torsion_generators()
-    gens_minus = xa.snf(np.vstack([Np.basis, Tm.basis])).torsion_generators()
+    gens_plus = xa.snf(Nm.basis + Tp.basis).torsion_generators()
+    gens_minus = xa.snf(Np.basis + Tm.basis).torsion_generators()
     if not gens_plus and not gens_minus:
         return TorsionLinking([], [], [], [])
     cross = []
@@ -389,6 +384,8 @@ def load_config(path, catalog):
         if key not in fields:
             raise ConfigError(f"{path}: missing {key}")
     div_pair = fields.get("div_c2_mod_image")
+    if div_pair is not None and not blk.is_int_matrix([div_pair], 1, 2):
+        raise ConfigError(f"{path}: div_c2_mod_image must be a pair of integers, got {div_pair!r}")
     return GluingConfig(
         block_plus=catalog[fields["block_plus"]],
         block_minus=catalog[fields["block_minus"]],

@@ -1,5 +1,6 @@
 import io
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -153,6 +154,13 @@ def test_embed_command(tmp_path):
     code, out, _ = run(["embed", "--w", str(f2), "--search-bound", "2"])
     assert code == 0
     assert "ExistsPrimitiveByCriterion" in out
+    # 4x<-2>, signature (0, 4), cannot sit in the 3U of the search, whose
+    # signature is (3, 3): the search gives up at once and the criterion decides
+    f5 = tmp_path / "w5.gram"
+    f5.write_text("gram = [[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]\n")
+    code, out, _ = run(["embed", "--w", str(f5)])
+    assert code == 0
+    assert out == "verdict = ExistsPrimitiveByCriterion (i)\nunique = True\n"
     # four positive directions exceed the three of the K3 lattice; an odd W
     # cannot sit in an even lattice
     for gram in ("[[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]", "[[1]]"):
@@ -221,6 +229,15 @@ MALFORMED = {
                          ["--catalog", "{}", "catalog", "list"]),
     "catalog-A-length": ("x.blocks", RECORD.replace("A = [1, 0]", "A = [1, 0, 0]"),
                          ["--catalog", "{}", "catalog", "list"]),
+    "catalog-div-c2-int": ("x.blocks", RECORD.replace("div_c2 = {2}", "div_c2 = 5"),
+                           ["--catalog", "{}", "catalog", "list"]),
+    "catalog-div-c2-str": ("x.blocks", RECORD.replace("div_c2 = {2}", "div_c2 = ['a']"),
+                           ["--catalog", "{}", "catalog", "list"]),
+    "catalog-rk-K-str": ("x.blocks", RECORD + "rk_K = 'x'\n", ["--catalog", "{}", "catalog", "list"]),
+    "config-div-pair-int": ("x.cfg", NO8 + "div_c2_mod_image = 5\n", ["invariants", "--config", "{}"]),
+    "config-div-pair-short": ("x.cfg", NO8 + "div_c2_mod_image = [1]\n", ["invariants", "--config", "{}"]),
+    "config-div-pair-str": ("x.cfg", NO8 + "div_c2_mod_image = ['a', 'b']\n",
+                            ["invariants", "--config", "{}"]),
     "r-int": (None, None, PUSHOUT + ["--r", "5"]),
     "r-not-square": (None, None, PUSHOUT + ["--r", "[[1,2]]"]),
     "r-unclosed": (None, None, PUSHOUT + ["--r", "[[-4"]),
@@ -253,6 +270,14 @@ def test_unknown_id_exit1(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("unknown id: ")
+
+
+def test_cli_runs_without_numpy():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "import sys, tcslat.cli; tcslat.blocks.all_catalogs(); assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_unknown_block_exit1(tmp_path):

@@ -73,7 +73,7 @@ def test_construct_embedding_library_44():
     v = embed.construct_embedding(W, strategy="library")
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is True
-    rows = xa.to_lists(v.basis)
+    rows = v.basis
     assert rows[0][:4] == [1, 2, 0, 0]
     assert rows[1][:4] == [0, 0, 1, 2]
     assert all(x == 0 for x in rows[0][4:])
@@ -139,6 +139,18 @@ def test_backtracking_unknown_is_honest():
     W = lat.diag_lattice(100)  # needs (1, 50), far beyond the bound
     v = embed.construct_embedding(W, strategy="backtracking", bound=2, ambient=amb)
     assert v.status == embed.UNKNOWN
+
+
+def test_backtracking_refuses_w_beyond_the_ambient_signature(monkeypatch):
+    # 4x<-2> has signature (0, 4) against (3, 3) for 3U: no search may start
+    def no_search(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(embed, "_block_pool", no_search)
+    amb = lat.direct_sum(lat.U(), lat.U(), lat.U())
+    for W in (lat.diag_lattice(-2, -2, -2, -2), lat.diag_lattice(2, 2, 2, 2)):
+        v = embed.construct_embedding(W, strategy="backtracking", ambient=amb)
+        assert v.status == embed.UNKNOWN
 
 
 def test_mod_obstruction():

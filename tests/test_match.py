@@ -118,7 +118,8 @@ def test_triple_perturbation_fails():
     cert = match.build_certificate(CAT["7.1_4^1"], CAT["7.1_22^1"], match.PerpendicularPrimitive())
     triple = match.propose_triple(cert)
     perturbed = match.MatchingTriple(
-        triple.k_plus, triple.k_minus, triple.k_0 + cert.emb_plus.basis[0], triple.norms
+        triple.k_plus, triple.k_minus, [a + b for a, b in zip(triple.k_0, cert.emb_plus.basis[0])],
+        triple.norms
     )
     ok, reasons = match.verify_triple(perturbed, cert.emb_plus, cert.emb_minus)
     assert not ok

@@ -103,7 +103,7 @@ def test_resolution_choice_required():
     cfg = load("no2a")
     stripped = tcs.GluingConfig(
         rec, rec,
-        xa.to_lists(cfg.emb_plus.basis), xa.to_lists(cfg.emb_minus.basis),
+        cfg.emb_plus.basis, cfg.emb_minus.basis,
         name="no-choice",
     )
     with pytest.raises(tcs.ConfigError, match="resolution"):
@@ -118,12 +118,12 @@ def test_div_p1_insufficient_data():
     amb = lat.direct_sum(lat.U(), lat.U())
     va = embed.construct_embedding(rec_a.lattice(), strategy="backtracking", bound=3,
                                    ambient=amb, require_primitive=True)
-    ep = [row + [0] * 18 for row in xa.to_lists(va.basis)]
+    ep = [row + [0] * 18 for row in va.basis]
     amb_b = lat.direct_sum(lat.U(), lat.E8(-1))
     vb = embed.construct_embedding(rec_a.lattice(), strategy="backtracking", bound=3,
                                    ambient=amb_b, require_primitive=True)
     em = []
-    for row in xa.to_lists(vb.basis):
+    for row in vb.basis:
         full = [0] * 22
         full[4], full[5] = row[0], row[1]
         for j in range(8):
@@ -210,7 +210,7 @@ def test_torsion_linking_synthetic_third():
     assert table.plus_orders == [3] and table.minus_orders == [3]
     assert table.cross[0][0] in (Fraction(1, 3), Fraction(2, 3))
     # explicit generator e1 on both sides: the value is exactly 1/3
-    alpha = xa.vec([1] + [0] * 21)
+    alpha = [1] + [0] * 21
     val = tcs._linking_value(L, Nm, Tp, alpha, 3, alpha)
     assert val == Fraction(1, 3)
 
@@ -223,20 +223,20 @@ def test_torsion_linking_well_defined_under_solution_change():
     Np, Nm = cfg.emb_plus, cfg.emb_minus
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
-    stacked = np.vstack([Nm.basis, Tp.basis])
+    stacked = Nm.basis + Tp.basis
     alpha, k = xa.snf(stacked).torsion_generators()[0]
-    beta = xa.snf(np.vstack([Np.basis, Tm.basis])).torsion_generators()[0][0]
+    beta = xa.snf(Np.basis + Tm.basis).torsion_generators()[0][0]
     base = tcs._linking_value(L, Nm, Tp, alpha, k, beta)
     assert base == Fraction(1, 2)
     ker = xa.kernel_basis(stacked)
-    x0 = xa.solve_integer(stacked, [k * int(v) for v in alpha])
+    x0 = np.array(xa.solve_integer(stacked, [k * v for v in alpha]), dtype=object)
     rng = random.Random(1)
     for _ in range(5):
         x = x0.copy()
         for row in ker:
-            x = x + rng.randint(-2, 2) * row
-        t = x[Nm.rank:] @ Tp.basis
-        val = Fraction(int(t @ L.gram @ xa.vec([int(v) for v in beta])), k) % 1
+            x = x + rng.randint(-2, 2) * np.array(row, dtype=object)
+        t = x[Nm.rank:] @ np.array(Tp.basis, dtype=object)
+        val = Fraction(int(t @ np.array(L.gram, dtype=object) @ np.array(beta, dtype=object)), k) % 1
         assert val == base
 
 

@@ -49,8 +49,8 @@ def write_config(name, block_plus, block_minus, emb_plus, emb_minus, extra=None,
     lines.append("")
     lines.append(f"block_plus = {block_plus}")
     lines.append(f"block_minus = {block_minus}")
-    lines.append(f"emb_plus = {xa.to_lists(xa.mat(emb_plus))}")
-    lines.append(f"emb_minus = {xa.to_lists(xa.mat(emb_minus))}")
+    lines.append(f"emb_plus = {xa.mat(emb_plus)}")
+    lines.append(f"emb_minus = {xa.mat(emb_minus)}")
     for k, v in (extra or {}).items():
         if isinstance(v, bool):
             v = "true" if v else "false"
@@ -98,9 +98,9 @@ def embed_pair_disjoint(gram_plus, gram_minus):
     amb_b = lat.direct_sum(lat.U(), lat.E8(-1))
     vb = embed.construct_embedding(lat.Lattice(gram_minus), strategy="backtracking", bound=3, ambient=amb_b, require_primitive=True)
     assert vb.status == embed.EXISTS_CONSTRUCTED and vb.primitive, "second factor"
-    ep = pad(xa.to_lists(va.basis), 0)
+    ep = pad(va.basis, 0)
     em = []
-    for row in xa.to_lists(vb.basis):
+    for row in vb.basis:
         full = [0] * 22
         full[4] = row[0]
         full[5] = row[1]
@@ -152,7 +152,7 @@ def main():
     amb_a = lat.direct_sum(lat.U(), lat.U())
     va = embed.construct_embedding(lat.Lattice(CAT["Ex7.12"].n_gram), strategy="backtracking", bound=3, ambient=amb_a, require_primitive=True)
     assert va.status == embed.EXISTS_CONSTRUCTED and va.primitive
-    ep = pad(xa.to_lists(va.basis), 0)
+    ep = pad(va.basis, 0)
     # Ex7.10: E8(-1) identity into slot 1, <8> = (1,4) in U3, <-16> primitive in E8 slot 2
     E8m = lat.E8(-1)
     x16 = None
@@ -191,9 +191,9 @@ def main():
         m = rec.n_gram[0][0]
         x = embed.embed_into_complement(T, m, bound=4)
         assert x is not None, (name, m)
-        x_in_L = [int(t) for t in (xa.vec(list(x)) @ bs.t_rows)]
+        x_in_L = xa.matmul([x], bs.t_rows)[0]
         _, inv = write_config(
-            name, "Ex7.7", partner, xa.to_lists(bs.n_basis), [x_in_L],
+            name, "Ex7.7", partner, bs.n_basis, [x_in_L],
             comment=f"rank-16 block against {partner}: rank-1 image is a primitive\n"
             f"norm-{m} vector of the complement A2(-1) + 2U(3)",
         )
@@ -264,9 +264,9 @@ def main():
             if vw.status == embed.EXISTS_CONSTRUCTED and vw.primitive:
                 break
         assert vw.status == embed.EXISTS_CONSTRUCTED and vw.primitive, name
-        B = pad(xa.to_lists(vw.basis), 0)
-        ep = xa.to_lists(res.n_plus_in_w.basis @ xa.mat(B))
-        em = xa.to_lists(res.n_minus_in_w.basis @ xa.mat(B))
+        B = pad(vw.basis, 0)
+        ep = xa.matmul(res.n_plus_in_w.basis, B)
+        em = xa.matmul(res.n_minus_in_w.basis, B)
         _, inv = write_config(name, bp, bm, ep, em, extra={"ample_cone_asserted": True},
                               comment=comment9a if name == "no9a" else "")
         b3, p1 = expect9[name]
@@ -284,7 +284,7 @@ def main():
     vn = embed.construct_embedding(N, strategy="backtracking", bound=3, ambient=amb12,
                                    require_primitive=True)
     assert vn.status == embed.EXISTS_CONSTRUCTED and vn.primitive, "N+ placement"
-    rows5 = embed.extend_rows(W, amb12, xa.to_lists(vn.basis), bound=3, require_primitive=True)
+    rows5 = embed.extend_rows(W, amb12, vn.basis, bound=3, require_primitive=True)
     assert rows5 is not None, "no primitive placement for the rank-5 pushout"
     # U + U + E8(-1) ambient occupies slots (U1, U2, E8#1)
     B = []
@@ -294,8 +294,8 @@ def main():
         for j in range(8):
             full[6 + j] = row[4 + j]
         B.append(full)
-    ep = xa.to_lists(res.n_plus_in_w.basis @ xa.mat(B))
-    em = xa.to_lists(res.n_minus_in_w.basis @ xa.mat(B))
+    ep = xa.matmul(res.n_plus_in_w.basis, B)
+    em = xa.matmul(res.n_minus_in_w.basis, B)
     _, inv = write_config(
         "no10", "Ex7.9", "Ex7.9", ep, em,
         extra={"div_c2_mod_image": [4, 4], "ample_cone_asserted": True},
@@ -308,7 +308,7 @@ def main():
     w11 = lat.Lattice([[12, 4, 0, 0], [4, 0, 0, 1], [0, 0, 12, 4], [0, 1, 4, 0]])
     v11 = embed.construct_embedding(w11, strategy="library")
     assert v11.status == embed.EXISTS_CONSTRUCTED and v11.primitive
-    rows = xa.to_lists(v11.basis)
+    rows = v11.basis
     # factor basis (H, E) with H = A + E; catalog basis is (E, A) = (E, H - E)
     ep = [rows[1], [a - b for a, b in zip(rows[0], rows[1])]]
     em = [rows[3], [a - b for a, b in zip(rows[2], rows[3])]]
