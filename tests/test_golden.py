@@ -1,8 +1,10 @@
-"""Replay the frozen CLI corpus: stdout and exit code must match byte for byte.
+"""Replay the frozen CLI corpus (stdout and exit code must match byte for
+byte) and the frozen renderings of seeded g2alg calls.
 
-The corpus is written by tools/make_golden.py; regenerate it only when a change
+Both are written by tools/make_golden.py; regenerate them only when a change
 to the output is intended."""
 
+import importlib.util
 import io
 import json
 import os
@@ -29,3 +31,28 @@ def test_golden(case, monkeypatch):
             code = exc.code
     assert code == case["exit"]
     assert out.getvalue() == "\n".join(case["stdout"])
+
+
+def _make_golden():
+    path = os.path.join(ROOT, "tools", "make_golden.py")
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MAKE_GOLDEN = _make_golden()
+G2ALG_CASES = dict(MAKE_GOLDEN.g2alg_cases())
+
+with open(os.path.join(ROOT, "tests", "golden", "g2alg.json"), encoding="utf-8") as fh:
+    G2ALG = json.load(fh)
+
+
+def test_g2alg_golden_covers_every_case():
+    assert list(G2ALG) == list(G2ALG_CASES)
+
+
+@pytest.mark.parametrize("name", list(G2ALG))
+def test_g2alg_golden(name):
+    """Each seeded g2alg call renders exactly as frozen by tools/make_golden.py."""
+    assert MAKE_GOLDEN.render_call(G2ALG_CASES[name]) == G2ALG[name]

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Freeze the stdout and exit code of deterministic CLI invocations into
-tests/golden/corpus.json, which tests/test_golden.py replays, and the stdout
-of every demo into tests/golden/demos/, which tests/test_demos.py compares.
+tests/golden/corpus.json, which tests/test_golden.py replays, the stdout of
+every demo into tests/golden/demos/, which tests/test_demos.py compares, and a
+rendering of fixed seeded g2alg calls into tests/golden/g2alg.json, which
+tests/test_golden.py recomputes through ``g2alg_cases`` and ``render_call``.
 
 Every case runs in-process through ``tcslat.cli.main`` with the repository
 root as the working directory, so file arguments are repository-relative.
@@ -15,18 +17,22 @@ import glob
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from tcslat import blocks, cli  # noqa: E402
+from tcslat import blocks, cli, g2alg  # noqa: E402
+from tcslat import exactalg as xa  # noqa: E402
 
 GOLDEN = os.path.join("tests", "golden")
 CORPUS = os.path.join(ROOT, GOLDEN, "corpus.json")
 DEMO_GOLDEN = os.path.join(ROOT, GOLDEN, "demos")
+G2ALG_GOLDEN = os.path.join(ROOT, GOLDEN, "g2alg.json")
 
 
 def _gram(name):
@@ -101,6 +107,136 @@ def demo_stdout(script):
     return proc.stdout
 
 
+def render(x):
+    """A JSON value that depends only on the value of a g2alg result: Fractions
+    as "n/d", dict items sorted by key, other objects as their class name and
+    attributes."""
+    if x is None or isinstance(x, (bool, int, float, str)):
+        return x
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (list, tuple)):
+        return [render(v) for v in x]
+    if isinstance(x, dict):
+        return [[render(k), render(v)] for k, v in sorted(x.items(), key=lambda kv: kv[0])]
+    return {"class": type(x).__name__, "attrs": render(dict(vars(x)))}
+
+
+def render_call(call):
+    """The rendering of ``call()``, or the type and message of what it raised."""
+    try:
+        return {"result": render(call())}
+    except (ValueError, AssertionError, IndexError) as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+
+
+def _e(i):
+    return [1 if k == i - 1 else 0 for k in range(7)]
+
+
+def _rational(rng, n=7):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+
+
+def _triangular(rng):
+    """A rational upper triangular 7x7 matrix with nonzero diagonal."""
+    M = [[Fraction(0)] * 7 for _ in range(7)]
+    for i in range(7):
+        M[i][i] = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2)))
+        for j in range(i + 1, 7):
+            M[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    return M
+
+
+def _positive_metric(rng):
+    """A . A^T for a random rational triangular A: a positive definite metric."""
+    A = _triangular(rng)
+    return g2alg.Metric([[sum(a * b for a, b in zip(r, s)) for s in A] for r in A])
+
+
+def g2alg_cases():
+    """(name, zero-argument call) for every frozen g2alg call, in a fixed order.
+    Each case draws from its own seeded generator."""
+    phi, psi = g2alg.phi0(), g2alg.psi0()
+    rng = {name: random.Random(f"g2alg/{name}") for name in (
+        "cross", "chi", "metric", "assoc", "coassoc", "slag", "su3", "pullback", "exact")}
+    G = _positive_metric(rng["metric"])
+    M = _triangular(rng["exact"])
+    pulled = Fraction(27, 8) * g2alg.pullback(phi, M)
+    pulled_g = g2alg.metric_from_3form(pulled).g
+    flipped = g2alg.Form(3, 7, {idx: -c if idx == (1, 3, 5) else c for idx, c in phi.coeffs.items()})
+    out = []
+    for k in range(3):
+        u, v = _rational(rng["cross"]), _rational(rng["cross"])
+        out.append((f"cross identity #{k}", lambda u=u, v=v: g2alg.cross(u, v)))
+        out.append((f"cross metric #{k}", lambda u=u, v=v: g2alg.cross(u, v, phi, G)))
+        out.append((f"cross pulled back #{k}", lambda u=u, v=v: g2alg.cross(u, v, pulled, pulled_g)))
+        v, w, x = (_rational(rng["chi"]) for _ in range(3))
+        out.append((f"chi identity #{k}", lambda v=v, w=w, x=x: g2alg.chi(v, w, x)))
+        out.append((f"chi metric #{k}", lambda v=v, w=w, x=x: g2alg.chi(v, w, x, psi, G)))
+    out.append(("cross basis e2 e5", lambda: g2alg.cross(_e(2), _e(5))))
+    out.append(("chi basis e5 e6 e7", lambda: g2alg.chi(_e(5), _e(6), _e(7))))
+    calibrated = [[a * x for x in _e(i)] for a, i in zip((2, -1, Fraction(1, 3)), (1, 2, 3))]
+    for k in range(3):
+        triple = [_rational(rng["assoc"]) for _ in range(3)]
+        out.append((f"is_associative random #{k}", lambda t=triple: g2alg.is_associative(*t)))
+        out.append((f"is_associative metric #{k}", lambda t=triple: g2alg.is_associative(*t, phi, G)))
+        quad = [_rational(rng["coassoc"]) for _ in range(4)]
+        out.append((f"is_coassociative random #{k}", lambda q=quad: g2alg.is_coassociative(*q)))
+        out.append((f"is_coassociative metric #{k}", lambda q=quad: g2alg.is_coassociative(*q, psi, G)))
+    out.append(("is_associative calibrated", lambda: g2alg.is_associative(*calibrated)))
+    # x M = e_i for the first three rows of M^-1: a calibrated plane of the pulled-back form
+    pulled_plane = xa.rational_inverse(M)[:3]
+    out.append(("is_associative pulled back calibrated",
+                lambda: g2alg.is_associative(*pulled_plane, pulled, pulled_g)))
+    out.append(("is_associative e1 e4 e6", lambda: g2alg.is_associative(_e(1), _e(4), _e(6))))
+    out.append(("is_associative degenerate", lambda: g2alg.is_associative(_e(1), _e(1), _e(2))))
+    out.append(("is_coassociative e4 e5 e6 e7",
+                lambda: g2alg.is_coassociative(_e(4), _e(5), _e(6), _e(7))))
+    out.append(("is_coassociative degenerate",
+                lambda: g2alg.is_coassociative(_e(4), _e(5), _e(6), [0, 0, 0, 2, 2, 2, 0])))
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    rotated = [[0, c, s, 0, 0, 0, 0], _e(4), _e(6)]
+    for k in range(2):
+        plane = [_rational(rng["slag"]) for _ in range(3)]
+        out.append((f"is_special_lagrangian random #{k}", lambda p=plane: g2alg.is_special_lagrangian(p)))
+    out += [
+        ("is_special_lagrangian e2 e4 e6", lambda: g2alg.is_special_lagrangian([_e(2), _e(4), _e(6)])),
+        ("is_special_lagrangian e2 e3 e4", lambda: g2alg.is_special_lagrangian([_e(2), _e(3), _e(4)])),
+        ("is_special_lagrangian rotated", lambda: g2alg.is_special_lagrangian(rotated, phase=(c, -s))),
+        ("is_special_lagrangian rotated, phase 1", lambda: g2alg.is_special_lagrangian(rotated)),
+        ("is_special_lagrangian degenerate",
+         lambda: g2alg.is_special_lagrangian([_e(2), _e(2), _e(4)])),
+        ("is_special_lagrangian off the circle",
+         lambda: g2alg.is_special_lagrangian([_e(2), _e(4), _e(6)], phase=(1, 1))),
+    ]
+    for k, (a, b, cc, d) in enumerate(((2, 3, 6, 7), (1, 4, 8, 9))):
+        pos = rng["su3"].sample(range(7), 3)
+        u = [Fraction(0)] * 7
+        for p, x in zip(pos, (a, -b, cc)):
+            u[p] = Fraction(x, d)
+        out.append((f"su3_from_unit_vector #{k}", lambda u=u: g2alg.su3_from_unit_vector(phi, u)))
+    out.append(("su3_from_unit_vector e1", lambda: g2alg.su3_from_unit_vector(phi, _e(1))))
+    out.append(("su3_from_unit_vector e5", lambda: g2alg.su3_from_unit_vector(phi, _e(5))))
+    out.append(("su3_from_unit_vector not unit",
+                lambda: g2alg.su3_from_unit_vector(phi, [2, 0, 0, 0, 0, 0, 0])))
+    for k in range(2):
+        P = [_rational(rng["pullback"]) for _ in range(7)]
+        out.append((f"pullback phi0 #{k}", lambda P=P: g2alg.pullback(phi, P)))
+        out.append((f"pullback psi0 #{k}", lambda P=P: g2alg.pullback(psi, P)))
+    out += [
+        ("metric_from_3form phi0", lambda: g2alg.metric_from_3form(phi)),
+        ("metric_from_3form 8 phi0", lambda: g2alg.metric_from_3form(8 * phi)),
+        ("metric_from_3form pulled back", lambda: g2alg.metric_from_3form(pulled)),
+        ("metric_from_3form 2 phi0 (float fallback)", lambda: g2alg.metric_from_3form(2 * phi)),
+        ("metric_from_3form flipped", lambda: g2alg.metric_from_3form(flipped)),
+        ("metric_from_3form degenerate",
+         lambda: g2alg.metric_from_3form(g2alg.form_from_terms(3, 7, [(1, "123")]))),
+        ("gram_determinant metric", lambda: g2alg.gram_determinant(calibrated + [_e(4)], G)),
+    ]
+    return out
+
+
 def main():
     corpus = []
     for argv in cases():
@@ -116,6 +252,11 @@ def main():
         with open(os.path.join(DEMO_GOLDEN, name), "w", encoding="utf-8") as fh:
             fh.write(demo_stdout(script))
     print(f"{len(demo_scripts())} demo outputs written to {os.path.relpath(DEMO_GOLDEN, ROOT)}")
+    frozen = {name: render_call(call) for name, call in g2alg_cases()}
+    with open(G2ALG_GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(frozen, fh, indent=1)
+        fh.write("\n")
+    print(f"{len(frozen)} g2alg calls written to {os.path.relpath(G2ALG_GOLDEN, ROOT)}")
 
 
 if __name__ == "__main__":
