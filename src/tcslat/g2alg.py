@@ -4,6 +4,7 @@ on hyperplanes.  Everything is computed over Q; the only irrational quantity
 (a 9th root) is taken exactly whenever the radicand is a rational 9th power,
 and as a tainted float otherwise."""
 
+import functools
 import itertools
 from fractions import Fraction
 from math import exp, log
@@ -40,14 +41,19 @@ class Form:
             return Fraction(0)
         return sgn * self.coeffs.get(canon, Fraction(0))
 
+    def _add(self, canon, value):
+        """Add value to the coefficient on the sorted index tuple canon,
+        dropping the term when it becomes zero."""
+        value += self.coeffs.get(canon, 0)
+        if value:
+            self.coeffs[canon] = value
+        else:
+            self.coeffs.pop(canon, None)
+
     def __add__(self, other):
         out = Form(self.degree, self.dimension)
-        for idx, c in self.coeffs.items():
-            out.coeffs[idx] = c
-        for idx, c in other.coeffs.items():
-            out.coeffs[idx] = out.coeffs.get(idx, Fraction(0)) + c
-            if not out.coeffs[idx]:
-                del out.coeffs[idx]
+        for idx, c in itertools.chain(self.coeffs.items(), other.coeffs.items()):
+            out._add(idx, c)
         return out
 
     def __sub__(self, other):
@@ -75,12 +81,9 @@ class Form:
         out = Form(self.degree + other.degree, self.dimension)
         for i1, c1 in self.coeffs.items():
             for i2, c2 in other.coeffs.items():
-                if set(i1) & set(i2):
-                    continue
                 sgn, canon = _canonical(i1 + i2)
-                out.coeffs[canon] = out.coeffs.get(canon, Fraction(0)) + sgn * c1 * c2
-                if not out.coeffs[canon]:
-                    del out.coeffs[canon]
+                if sgn:
+                    out._add(canon, sgn * c1 * c2)
         return out
 
     def contract(self, v):
@@ -90,11 +93,7 @@ class Form:
         for idx, c in self.coeffs.items():
             for pos, i in enumerate(idx):
                 if v[i]:
-                    rest = idx[:pos] + idx[pos + 1 :]
-                    sgn = (-1) ** pos
-                    out.coeffs[rest] = out.coeffs.get(rest, Fraction(0)) + sgn * c * v[i]
-                    if not out.coeffs[rest]:
-                        del out.coeffs[rest]
+                    out._add(idx[:pos] + idx[pos + 1 :], (-1) ** pos * c * v[i])
         return out
 
     def evaluate(self, *vectors):
@@ -106,16 +105,6 @@ class Form:
             out = out.contract(v)
         return out.coeffs.get((), Fraction(0)) if out.degree == 0 else out
 
-    def restrict(self, basis):
-        """Pull back along the span of `basis` (rows), as a form on R^len(basis)."""
-        k = len(basis)
-        out = Form(self.degree, k)
-        for idx in itertools.combinations(range(k), self.degree):
-            val = self.evaluate(*(basis[i] for i in idx))
-            if val:
-                out.coeffs[idx] = val
-        return out
-
     def top_coefficient(self):
         if self.degree != self.dimension:
             raise ValueError("not a top form")
@@ -123,23 +112,12 @@ class Form:
 
 
 def _canonical(idx):
+    """(sign, sorted idx), the sign of the sorting permutation being
+    (-1)^(number of inversions); (0, ()) when an index repeats."""
     if len(set(idx)) != len(idx):
         return 0, ()
-    perm = sorted(range(len(idx)), key=lambda i: idx[i])
-    sgn = 1
-    seen = [False] * len(idx)
-    for start in range(len(idx)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn, tuple(sorted(idx))
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return (-1) ** inversions, tuple(sorted(idx))
 
 
 def _fvec(v, n):
@@ -157,7 +135,7 @@ def form_from_terms(degree, dimension, terms):
             idx = tuple(int(ch) - 1 for ch in idx)
         else:
             idx = tuple(i - 1 for i in idx)
-        f[idx] = f[idx] + Fraction(c) if f[idx] else Fraction(c)
+        f[idx] += Fraction(c)
     return f
 
 
@@ -193,34 +171,46 @@ class Metric:
         _, scaled = xa.clear_denominators(self.matrix)
         return lat.signature(lat.Lattice(scaled)).as_pair()
 
+    @functools.cached_property
+    def _inverse(self):
+        # filled by the first solve, not by __init__: a metric that is never
+        # solved keeps the attributes matrix and dimension only
+        return xa.rational_inverse(self.matrix)
+
     def solve(self, rhs):
         """The unique w with matrix . w = rhs (column convention irrelevant: symmetric)."""
-        inv = xa.rational_inverse(self.matrix)
-        return xa.matmul([_fvec(rhs, self.dimension)], inv)[0]
+        return xa.matmul([_fvec(rhs, self.dimension)], self._inverse)[0]
 
 
 def identity_metric(n=7):
-    return Metric([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return Metric(xa.eye(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(n):
+    """The identity metric behind every g=None default, one per dimension, so
+    that it is inverted once; never handed to a caller."""
+    return identity_metric(n)
+
+
+def _raise_index(form, vectors, g):
+    """The w with g(w, .) = form(v1, ..., vk, .): the vectors contracted into
+    the (k+1)-form in order, then the remaining index raised through g."""
+    g = g if g is not None else _identity(form.dimension)
+    for v in vectors:
+        form = form.contract(v)
+    return g.solve([form.coeffs.get((i,), Fraction(0)) for i in range(form.dimension)])
 
 
 def cross(u, v, phi=None, g=None):
     """The unique w with g(w, .) = phi(u, v, .)."""
-    phi = phi if phi is not None else phi0()
-    g = g if g is not None else identity_metric(phi.dimension)
-    # v -| (u -| phi) evaluated at x is phi(u, v, x)
-    rhs = phi.contract(u).contract(v)
-    vec = [rhs.coeffs.get((i,), Fraction(0)) for i in range(phi.dimension)]
-    return g.solve(vec)
+    return _raise_index(phi if phi is not None else phi0(), (u, v), g)
 
 
 def chi(v, w, x, psi=None, g=None):
     """The vector-valued alternating 3-form: g(u, chi/2) = psi(u, v, w, x)."""
-    psi = psi if psi is not None else psi0()
-    g = g if g is not None else identity_metric(psi.dimension)
-    rhs = psi.contract(v).contract(w).contract(x)
-    # rhs(u) = psi(v, w, x, u) = -psi(u, v, w, x): moving u to the front is 3 transpositions
-    vec = [-rhs.coeffs.get((i,), Fraction(0)) for i in range(psi.dimension)]
-    return [2 * x for x in g.solve(vec)]
+    # psi(v, w, x, u) = -psi(u, v, w, x): moving u to the front is 3 transpositions
+    return [-2 * y for y in _raise_index(psi if psi is not None else psi0(), (v, w, x), g)]
 
 
 VOL_TOLERANCE = 1e-12
@@ -248,10 +238,7 @@ def _rational_ninth_root(q):
     rd = _int_ninth_root(den)
     if rn is None or rd is None:
         return None
-    r = Fraction(rn, rd)
-    if num < 0:
-        r = -r
-    return r
+    return Fraction(rn if num > 0 else -rn, rd)
 
 
 def _int_ninth_root(n):
@@ -275,7 +262,7 @@ def metric_from_3form(phi):
     g = B / vol.  DegenerateForm when the induced map vanishes identically."""
     n = phi.dimension
     B = [[Fraction(0)] * n for _ in range(n)]
-    contractions = [phi.contract([1 if k == i else 0 for k in range(n)]) for i in range(n)]
+    contractions = [phi.contract(e) for e in xa.eye(n)]
     for i in range(n):
         for j in range(i, n):
             top = contractions[i].wedge(contractions[j]).wedge(phi)
@@ -300,42 +287,34 @@ def metric_from_3form(phi):
 
 
 def _rational_det(rows):
-    """Exact determinant of a rational matrix: clear denominators row by row,
-    then take the integer determinant."""
-    scale = 1
-    ints = []
-    for row in rows:
-        m, (scaled,) = xa.clear_denominators([row])
-        scale *= m
-        ints.append(scaled)
-    return Fraction(xa.det(ints), scale)
+    """Exact determinant of a rational n x n matrix B: det(D B) / D^n, with D
+    the common denominator of its entries."""
+    D, ints = xa.clear_denominators(rows)
+    return Fraction(xa.det(ints), D ** len(rows))
 
 
 def gram_determinant(vectors, g=None):
-    g = g if g is not None else identity_metric(len(vectors[0]))
-    k = len(vectors)
-    rows = [[g.pair(vectors[i], vectors[j]) for j in range(k)] for i in range(k)]
-    return _rational_det(rows)
+    g = g if g is not None else _identity(len(vectors[0]))
+    return _rational_det([[g.pair(a, b) for b in vectors] for a in vectors])
+
+
+def _calibrated(form, vectors, g):
+    """True iff the span of the vectors is calibrated by the form (for one
+    orientation): form(vectors)^2 equals their nonzero Gram determinant."""
+    gd = gram_determinant(vectors, g)
+    if gd == 0:
+        raise ValueError("degenerate span")
+    return form.evaluate(*vectors) ** 2 == gd
 
 
 def is_associative(u, v, w, phi=None, g=None):
-    """True iff the span is calibrated (for one orientation): the squared value
-    of the 3-form equals the Gram determinant of the triple."""
-    phi = phi if phi is not None else phi0()
-    g = g if g is not None else identity_metric(phi.dimension)
-    gd = gram_determinant([u, v, w], g)
-    if gd == 0:
-        raise ValueError("degenerate span")
-    return phi.evaluate(u, v, w) ** 2 == gd
+    """True iff the span is calibrated by the 3-form (for one orientation)."""
+    return _calibrated(phi if phi is not None else phi0(), [u, v, w], g)
 
 
 def is_coassociative(u, v, w, x, psi=None, g=None):
-    psi = psi if psi is not None else psi0()
-    g = g if g is not None else identity_metric(psi.dimension)
-    gd = gram_determinant([u, v, w, x], g)
-    if gd == 0:
-        raise ValueError("degenerate span")
-    return psi.evaluate(u, v, w, x) ** 2 == gd
+    """True iff the span is calibrated by the 4-form (for one orientation)."""
+    return _calibrated(psi if psi is not None else psi0(), [u, v, w, x], g)
 
 
 def standard_su3_forms():
@@ -360,7 +339,7 @@ def is_special_lagrangian(vectors, phase=(1, 0)):
     omega, re_om, im_om = standard_su3_forms()
     # Im(e^{i theta} Omega) = cos . Im Omega + sin . Re Omega
     im_rot = (c * im_om) + (s * re_om)
-    return omega.restrict(vectors).is_zero() and im_rot.restrict(vectors).is_zero()
+    return pullback(omega, vectors).is_zero() and pullback(im_rot, vectors).is_zero()
 
 
 class SU3Structure:
@@ -374,26 +353,13 @@ class SU3Structure:
         self.basis = basis  # rows spanning the hyperplane u-perp
 
 
-def _dual_covector(u, g):
-    pairing = [g.pair(u, [1 if k == i else 0 for k in range(g.dimension)]) for i in range(g.dimension)]
-    f = Form(1, g.dimension)
-    for i, c in enumerate(pairing):
-        if c:
-            f.coeffs[(i,)] = c
-    return f
-
-
 def pullback(form, matrix):
-    """(M* form)(x, ...) = form(M x, ...); matrix rows are images of basis vectors
-    under the transpose convention x -> x . M."""
-    n = form.dimension
-    M = [[Fraction(x) for x in row] for row in matrix]
-    images = [[M[i][j] for j in range(n)] for i in range(n)]
-    out = Form(form.degree, n)
-    for idx in itertools.combinations(range(n), form.degree):
-        val = form.evaluate(*(images[i] for i in idx))
-        if val:
-            out.coeffs[idx] = val
+    """(M* form)(x, ...) = form(x . M, ...) for a k x n matrix M, a form on R^k:
+    the rows of M are the images of its basis vectors in R^n."""
+    rows = [_fvec(row, form.dimension) for row in matrix]
+    out = Form(form.degree, len(rows))
+    for idx in itertools.combinations(range(len(rows)), form.degree):
+        out._add(idx, form.evaluate(*(rows[i] for i in idx)))
     return out
 
 
@@ -401,18 +367,15 @@ def su3_from_unit_vector(phi, u, g=None, psi=None):
     """Split off the SU(3)-structure on u-perp: omega from u -| phi, Re Omega
     from phi, Im Omega from -(u -| psi), all projected to u-perp; verifies the
     compatibility pair and the reconstruction identities exactly."""
-    g = g if g is not None else identity_metric(phi.dimension)
+    g = g if g is not None else _identity(phi.dimension)
     psi = psi if psi is not None else psi0()
     if g.pair(u, u) != 1:
         raise ValueError("u must be a unit vector")
     n = phi.dimension
     uf = _fvec(u, n)
+    gu = xa.matmul([uf], g.matrix)[0]  # the covector g(u, .)
     # orthogonal projection onto u-perp: x -> x - g(u, x) u, as a matrix of images
-    proj = []
-    for i in range(n):
-        e = [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-        c = g.pair(u, e)
-        proj.append([e[k] - c * uf[k] for k in range(n)])
+    proj = [[int(k == i) - c * x for k, x in enumerate(uf)] for i, c in enumerate(gu)]
     omega = pullback(phi.contract(u), proj)
     re_om = pullback(phi, proj)
     im_om = pullback((-1) * psi.contract(u), proj)
@@ -425,14 +388,14 @@ def su3_from_unit_vector(phi, u, g=None, psi=None):
     if not (lhs - rhs).is_zero():
         raise AssertionError("structure fails the volume normalization")
     # reconstruction of the two model forms from the split data
-    dt = _dual_covector(u, g)
+    dt = Form(1, n, {(i,): c for i, c in enumerate(gu)})
     if not (dt.wedge(omega) + re_om - phi).is_zero():
         raise AssertionError("3-form reconstruction fails")
     recon4 = Fraction(1, 2) * omega.wedge(omega) - dt.wedge(im_om)
     if not (recon4 - psi).is_zero():
         raise AssertionError("4-form reconstruction fails")
     # exact basis of u-perp, for reference and restriction
-    _, ints = xa.clear_denominators([[g.pair(u, e)] for e in xa.eye(n)])
+    _, ints = xa.clear_denominators([[c] for c in gu])
     basis = xa.kernel_basis(ints)
     return SU3Structure(omega, re_om, im_om, basis)
 
@@ -453,12 +416,13 @@ def verify_identity_suite(samples=100, seed=0):
         return g.pair(v, v)
 
     def check_triple(u, v, w, tag):
-        lhs = norm2(cross(u, v, phi, g))
+        uxv = cross(u, v, phi, g)
+        lhs = norm2(uxv)
         rhs = norm2(u) * norm2(v) - g.pair(u, v) ** 2
         if lhs != rhs:
             raise AssertionError(f"cross-norm identity fails on {tag}")
         cv = cross(v, w, phi, g)
-        lhs_b = [a + b for a, b in zip(cross(u, cv, phi, g), cross(cross(u, v, phi, g), w, phi, g))]
+        lhs_b = [a + b for a, b in zip(cross(u, cv, phi, g), cross(uxv, w, phi, g))]
         uw, uv, wv = 2 * g.pair(u, w), g.pair(u, v), g.pair(w, v)
         rhs_b = [uw * b - uv * c - wv * a for a, b, c in zip(_fvec(u, 7), _fvec(v, 7), _fvec(w, 7))]
         if any(a != b for a, b in zip(lhs_b, rhs_b)):
@@ -469,13 +433,11 @@ def verify_identity_suite(samples=100, seed=0):
         if lhs_c != rhs_c:
             raise AssertionError(f"calibration decomposition fails on {tag}")
 
-    basis = [[1 if k == i else 0 for k in range(7)] for i in range(7)]
+    basis = xa.eye(7)
     count = 0
-    for i in range(7):
-        for j in range(7):
-            for k in range(7):
-                check_triple(basis[i], basis[j], basis[k], f"basis ({i},{j},{k})")
-                count += 1
+    for i, j, k in itertools.product(range(7), repeat=3):
+        check_triple(basis[i], basis[j], basis[k], f"basis ({i},{j},{k})")
+        count += 1
     for s in range(samples):
         u = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]
         v = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]

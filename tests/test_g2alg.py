@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tcslat import exactalg as xa
 from tcslat import g2alg
 
 
@@ -188,3 +191,70 @@ def test_wedge_and_contract_consistency():
     psi = g2alg.psi0()
     # phi ^ psi is 7 vol for the model pair
     assert phi.wedge(psi).top_coefficient() == 7
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """A list that grows by one on every exactalg.rational_inverse call."""
+    calls = []
+    inverse = xa.rational_inverse
+
+    def counted(A):
+        calls.append(len(A))
+        return inverse(A)
+
+    monkeypatch.setattr(xa, "rational_inverse", counted)
+    return calls
+
+
+def test_identity_suite_inverts_its_metric_once(inverse_calls):
+    g2alg.verify_identity_suite(samples=5, seed=0)
+    assert len(inverse_calls) <= 1
+
+
+def test_metric_inverse_is_cached_on_first_solve(inverse_calls):
+    for _ in range(3):
+        g2alg.cross(e(1), e(2))
+        g2alg.chi(e(5), e(6), e(7))
+    assert len(inverse_calls) <= 1  # the default identity is shared
+    g = g2alg.metric_from_3form(8 * g2alg.phi0()).g
+    assert set(vars(g)) == {"matrix", "dimension"}  # nothing inverted on construction
+    del inverse_calls[:]
+    assert g2alg.cross(e(1), e(2), g=g) == [0, 0, Fraction(1, 4), 0, 0, 0, 0]
+    assert g2alg.chi(e(5), e(6), e(7), g=g) == [0, 0, 0, Fraction(1, 2), 0, 0, 0]
+    assert inverse_calls == [7]
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def rational_matrices(rows, cols=7):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["phi0", "psi0", "omega"]), rational_matrices(7), rational_matrices(3))
+def test_pullback_composes(name, A, B):
+    form = g2alg.standard_su3_forms()[0] if name == "omega" else getattr(g2alg, name)()
+    assert g2alg.pullback(g2alg.pullback(form, A), B) == g2alg.pullback(form, xa.matmul(B, A))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_matrices(3))
+def test_pullback_to_a_plane_is_the_value_on_its_rows(rows):
+    pulled = g2alg.pullback(g2alg.phi0(), rows)
+    assert (pulled.degree, pulled.dimension) == (3, 3)
+    assert pulled.top_coefficient() == g2alg.phi0().evaluate(*rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=2, max_size=7, unique=True), st.data())
+def test_canonical_sign_flips_under_a_swap(idx, data):
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(idx) - 1), min_size=2, max_size=2, unique=True)))
+    swapped = list(idx)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    sign, canon = g2alg._canonical(tuple(idx))
+    assert canon == tuple(sorted(idx)) and sign in (1, -1)
+    assert g2alg._canonical(tuple(swapped)) == (-sign, canon)
+    assert g2alg._canonical(canon) == (1, canon)
+    assert g2alg._canonical(tuple(idx) + (idx[i],))[0] == 0
