@@ -211,9 +211,13 @@ def _validate_record(fields, path, lineno):
     # `{}` is how the format writes the empty set
     if not (isinstance(div_c2, (set, list, tuple)) or div_c2 == {}) or any(type(x) is not int for x in div_c2):
         raise CatalogError(f"{path}:{lineno}: {rid}: div_c2 must be a set of integers, got {div_c2!r}")
-    rk_K = fields.get("rk_K", 0)
-    if type(rk_K) is not int or rk_K < 0:
-        raise CatalogError(f"{path}:{lineno}: {rid}: rk_K must be a nonnegative integer, got {rk_K!r}")
+    for key in ("rk_K", "e"):
+        value = fields.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise CatalogError(f"{path}:{lineno}: {rid}: {key} must be a nonnegative integer, got {value!r}")
+    div_mod = fields.get("div_c2_mod_Aperp")
+    if div_mod is not None and type(div_mod) is not int:
+        raise CatalogError(f"{path}:{lineno}: {rid}: div_c2_mod_Aperp must be an integer, got {div_mod!r}")
     meta_keys = ("r", "d", "b3_Y", "name", "rank", "resolutions", "genus")
     meta = {k: fields[k] for k in meta_keys if k in fields}
     rec = BlockRecord(
@@ -222,9 +226,9 @@ def _validate_record(fields, path, lineno):
         n_gram=fields.get("gram"),
         anticanonical_class=fields.get("A"),
         b3_Z=fields.get("b3_Z"),
-        rk_K=rk_K,
+        rk_K=fields.get("rk_K", 0),
         div_c2=div_c2,
-        div_c2_mod_Aperp=fields.get("div_c2_mod_Aperp"),
+        div_c2_mod_Aperp=div_mod,
         e_rigid=fields.get("e", 0),
         ell_N=fields.get("ell"),
         gramless=gramless,

@@ -234,6 +234,9 @@ MALFORMED = {
     "catalog-div-c2-str": ("x.blocks", RECORD.replace("div_c2 = {2}", "div_c2 = ['a']"),
                            ["--catalog", "{}", "catalog", "list"]),
     "catalog-rk-K-str": ("x.blocks", RECORD + "rk_K = 'x'\n", ["--catalog", "{}", "catalog", "list"]),
+    "catalog-e-str": ("x.blocks", RECORD + "e = 'x'\n", ["--catalog", "{}", "catalog", "list"]),
+    "catalog-div-c2-mod-Aperp-str": ("x.blocks", RECORD + "div_c2_mod_Aperp = 'y'\n",
+                                     ["--catalog", "{}", "catalog", "list"]),
     "config-div-pair-int": ("x.cfg", NO8 + "div_c2_mod_image = 5\n", ["invariants", "--config", "{}"]),
     "config-div-pair-short": ("x.cfg", NO8 + "div_c2_mod_image = [1]\n", ["invariants", "--config", "{}"]),
     "config-div-pair-str": ("x.cfg", NO8 + "div_c2_mod_image = ['a', 'b']\n",
