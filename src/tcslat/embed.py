@@ -341,9 +341,6 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
         norms = [nm for _, nm in pool]
         norm_ranges.append((min(norms), max(norms)))
 
-    def pair_block(bg, x, y):
-        return sum(x[a] * bg[a][b] * y[b] for a in range(len(x)) for b in range(len(x)) if x[a] and bg[a][b] and y[b])
-
     def pieces_of(vec_full):
         return [tuple(vec_full[i] for i in comp) for comp, _, _ in blocks]
 
@@ -381,7 +378,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
                 for bj in range(bi + 1, len(blocks)):
                     compj, bgj, poolj = blocks[bj]
                     prev_piece = prev_pieces[t][bj]
-                    cap += max(abs(pair_block(bgj, x, prev_piece)) for x, _ in poolj)
+                    cap += max(abs(xa.pair(x, bgj, prev_piece)) for x, _ in poolj)
                 pair_caps.append(cap)
             for piece, nm in pool:
                 na = norm_acc + nm
@@ -390,7 +387,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
                 pa = list(pair_acc)
                 ok = True
                 for t in range(i):
-                    pa[t] += pair_block(bg, piece, prev_pieces[t][bi])
+                    pa[t] += xa.pair(piece, bg, prev_pieces[t][bi])
                     if abs(pa[t] - target[i][t]) > pair_caps[t]:
                         ok = False
                         break
