@@ -90,7 +90,8 @@ class SnfResult:
 
 
 def _pivot_smallest(A, s):
-    """Position of the smallest-abs nonzero entry of A[s:, s:], ties by lowest (row, col)."""
+    """Position of the smallest-abs nonzero entry of A[s:, s:], ties by lowest
+    (row, col); the scan stops at the first unit, which no entry beats."""
     best = None
     small = 0
     for i in range(s, len(A)):
@@ -100,6 +101,8 @@ def _pivot_smallest(A, s):
             if v != 0 and (best is None or abs(v) < small):
                 best = (i, j)
                 small = abs(v)
+                if small == 1:
+                    return best
     return best
 
 
@@ -150,6 +153,8 @@ def snf(A):
                         dirty = True
             if dirty:
                 continue
+            if abs(p) == 1:
+                break  # a unit divides every entry of the remaining block
             # edging is zero; force divisibility of the remaining block
             stubborn = next((i for i in range(s + 1, rows)
                              if any(x % p != 0 for x in D[i][s + 1:])), None)

@@ -92,6 +92,17 @@ matrices = st.integers(1, 5).flatmap(
 )
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices, st.integers(0, 4))
+def test_pivot_is_the_first_smallest_entry(rows, s):
+    # the scan may stop at a unit, but the pivot is still the smallest-abs
+    # nonzero entry of the block, ties by lowest (row, col)
+    entries = [(abs(v), i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+               if v and i >= s and j >= s]
+    expected = min(entries)[1:] if entries else None
+    assert xa._pivot_smallest(xa.mat(rows), s) == expected
+
+
 @settings(max_examples=80, deadline=None)
 @given(matrices)
 def test_snf_tracks_v_inverse(rows):
