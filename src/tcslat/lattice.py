@@ -5,6 +5,7 @@ A Lattice is a symmetric integer Gram matrix; a Sublattice is a basis matrix
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from . import exactalg as xa
@@ -38,7 +39,8 @@ class Signature:
 
 
 class Lattice:
-    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix."""
+    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix;
+    det and the signature are computed on first use and kept."""
 
     def __init__(self, gram):
         g = xa.mat(gram)
@@ -47,8 +49,23 @@ class Lattice:
         self.gram = g
         self.rank = len(g)
 
-    def det(self):
+    @cached_property
+    def _det(self):
         return xa.det(self.gram)
+
+    def det(self):
+        return self._det
+
+    @cached_property
+    def _signature(self):
+        pos = neg = 0
+        for pivots, value, _ in xa.congruence_steps(self.gram):
+            if value == 0:
+                raise DegenerateLattice("degenerate")
+            # a hyperbolic pair adds one to each side
+            pos += len(pivots) == 2 or value > 0
+            neg += len(pivots) == 2 or value < 0
+        return pos, neg
 
     def is_nondegenerate(self):
         return self.rank == 0 or self.det() != 0
@@ -111,6 +128,13 @@ def E8(sign=1):
     return Lattice([[sign * x for x in row] for row in _E8_ROWS])
 
 
+def _is_echelon(rows):
+    """True iff no row is zero and the leading columns strictly increase, as in
+    every `hnf`, `kernel_basis` and `saturation` basis: such rows are independent."""
+    leads = [next((j for j, x in enumerate(row) if x), -1) for row in rows]
+    return leads[0] >= 0 and all(a < b for a, b in zip(leads, leads[1:]))
+
+
 class Sublattice:
     """Rows of `basis` are generators, in ambient coordinates; independent over Q."""
 
@@ -119,7 +143,7 @@ class Sublattice:
         b = xa.mat(basis)
         if b and len(b[0]) != ambient.rank:
             raise ValueError("basis rows must live in the ambient lattice")
-        if b and xa.rank(b) != len(b):
+        if b and not _is_echelon(b) and xa.rank(b) != len(b):
             raise ValueError("basis rows must be independent over Q")
         self.basis = b
 
@@ -175,19 +199,8 @@ class DiscGroup:
 
 
 def signature(L):
-    """Sylvester signature via exact congruence diagonalisation."""
-    pos = neg = 0
-    for pivots, value, _ in xa.congruence_steps(L.gram):
-        if value == 0:
-            raise DegenerateLattice("degenerate")
-        if len(pivots) == 2:
-            pos += 1
-            neg += 1
-        elif value > 0:
-            pos += 1
-        else:
-            neg += 1
-    return Signature(pos, neg)
+    """Sylvester signature via exact congruence diagonalisation, computed once per lattice."""
+    return Signature(*L._signature)
 
 
 def positive_norm_vector(L):

@@ -256,3 +256,23 @@ def test_disc_group_of_complement_matches():
     dg_w = lat.discriminant_group(W.lattice())
     dg_t = lat.discriminant_group(T.lattice())
     assert dg_w.invariant_factors == dg_t.invariant_factors
+
+
+@pytest.mark.parametrize("basis", [[[1, 2, 0], [0, 0, 0]], [[0, 1], [0, 2]], [[1, 1], [2, 2]]])
+def test_sublattice_rejects_dependent_rows(basis):
+    # a zero row, a repeated leading column, and a dependent basis not in echelon form
+    with pytest.raises(ValueError, match="independent"):
+        lat.Sublattice(lat.diag_lattice(*[2] * len(basis[0])), basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-2, 2), min_size=c, max_size=c), min_size=1, max_size=4)))
+def test_sublattice_accepts_exactly_the_independent_rows(rows):
+    independent = xa.rank(rows) == len(rows)
+    try:
+        lat.Sublattice(lat.diag_lattice(*[2] * len(rows[0])), rows)
+    except ValueError:
+        assert not independent
+    else:
+        assert independent
