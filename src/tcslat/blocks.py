@@ -7,6 +7,7 @@ docs/catalog-format.md.  The env var TCS_TABLES_DIR overrides the bundled tables
 """
 
 import ast
+import copy
 import os
 from importlib import resources
 
@@ -284,12 +285,22 @@ def load_catalog(path):
     return parse_catalog_text(read_text(path), path=str(path))
 
 
+_PARSED = {}  # source path -> (file text, the Catalog parsed from it)
+
+
 def load_bundled(name):
+    """Copies of a bundled table's records (or of its TCS_TABLES_DIR override);
+    the file is read at every call but parsed only when its text changed."""
     override = os.environ.get("TCS_TABLES_DIR")
     if override:
-        return load_catalog(os.path.join(override, name))
-    ref = resources.files("tcslat").joinpath("tables").joinpath(name)
-    return parse_catalog_text(ref.read_text(encoding="utf-8"), path=f"tables/{name}")
+        path = os.path.join(override, name)
+        text = read_text(path)
+    else:
+        path = f"tables/{name}"
+        text = resources.files("tcslat").joinpath("tables").joinpath(name).read_text(encoding="utf-8")
+    if _PARSED.get(path, (None,))[0] != text:
+        _PARSED[path] = (text, parse_catalog_text(text, path=path))
+    return copy.deepcopy(_PARSED[path][1])
 
 
 def rank1_catalog():

@@ -190,6 +190,33 @@ def test_env_override(tmp_path, monkeypatch):
     assert len(blocks.rank1_catalog()) == len(src)
 
 
+def test_catalog_cache_hands_out_copies():
+    first = blocks.full_catalog()
+    rec = first["7.1_1^4"]
+    assert (rec.n_gram, rec.anticanonical_class, rec.meta["r"]) == ([[4]], [4], 4)
+    rec.n_gram[0][0] += 2
+    rec.anticanonical_class[0] += 1
+    rec.meta["r"] = 99
+    first["MM2-6"].n_gram.append([0])
+    again = blocks.full_catalog()
+    assert (again["7.1_1^4"].n_gram, again["7.1_1^4"].anticanonical_class) == ([[4]], [4])
+    assert again["7.1_1^4"].meta == {"r": 4, "d": 1, "b3_Y": 0, "name": "P3"}
+    assert again["MM2-6"].n_gram == [[2, 4], [4, 2]]
+
+
+def test_catalog_cache_rereads_a_rewritten_override(tmp_path, monkeypatch):
+    record = "schema = 1\n\nid = x\nkind = fano_rank1\ngram = [[4]]\nA = [1]\nb3_Z = {b3}\n"
+    path = tmp_path / "rank1.blocks"
+    path.write_text(record.format(b3=66))
+    monkeypatch.setenv("TCS_TABLES_DIR", str(tmp_path))
+    assert blocks.rank1_catalog()["x"].b3_Z == 66
+    path.write_text(record.format(b3=68))
+    assert blocks.rank1_catalog()["x"].b3_Z == 68
+    path.write_text(record.format(b3=67))
+    with pytest.raises(blocks.CatalogError, match="b3_Z even"):
+        blocks.rank1_catalog()
+
+
 def test_reader_rejects_duplicate_keys(tmp_path):
     with pytest.raises(blocks.CatalogError, match=r":5: duplicate key kind"):
         blocks.parse_catalog_text("schema = 1\n\nid = x\nkind = fano_rank1\nkind = fano_rank1\n")
