@@ -8,6 +8,7 @@ and div p1 from the blocks' second Chern data.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import blocks as blk
@@ -45,6 +46,11 @@ class GluingConfig:
                 raise ConfigError(f"{name}: embedding on side {side} is not isometric to {rec.id}")
             if not lat.is_primitive(emb):
                 raise ConfigError(f"{name}: embedding on side {side} is not primitive")
+
+    @cached_property
+    def complements(self):
+        """(T+, T-): the orthogonal complements of the two embedded N."""
+        return lat.orthogonal_complement(self.emb_plus), lat.orthogonal_complement(self.emb_minus)
 
     def is_perpendicular(self):
         if self.emb_plus.rank == 0 or self.emb_minus.rank == 0:
@@ -126,8 +132,8 @@ def _div_p1(cfg, tor_h4_nontrivial):
     return 2 * gcd(int(pair[0]), int(pair[1])), "mod-image", tor_h4_nontrivial
 
 
-def _tor_with_routes(L, direct_parts, routes, context):
-    direct = lat.quotient_torsion(L, lat.sum_sublattices(*direct_parts)).invariant_factors
+def _tor_with_routes(L, direct_sum, routes, context):
+    direct = lat.quotient_torsion(L, direct_sum).invariant_factors
     for label, value in routes:
         if value.invariant_factors != direct:
             raise AssertionError(
@@ -140,56 +146,37 @@ def compute_invariants(cfg):
     """Full invariant record of the glued 7-manifold."""
     L = k3_lattice()
     Np, Nm = cfg.emb_plus, cfg.emb_minus
-    Tp = lat.orthogonal_complement(Np)
-    Tm = lat.orthogonal_complement(Nm)
+    Tp, Tm = cfg.complements
     rkKp, rkKm = cfg.block_plus.rk_K, cfg.block_minus.rk_K
     b3Zp, b3Zm = cfg.block_plus.b3_Z, cfg.block_minus.b3_Z
 
     inter_nn = lat.intersect(Np, Nm)
     sum_nn = lat.sum_sublattices(Np, Nm)
+    sum_mp = lat.sum_sublattices(Nm, Tp)
+    sum_pm = lat.sum_sublattices(Np, Tm)
     b2 = inter_nn.rank + rkKp + rkKm
-    b3 = (
-        1
-        + (22 - sum_nn.rank)
-        + lat.intersect(Nm, Tp).rank
-        + lat.intersect(Np, Tm).rank
-        + b3Zp
-        + b3Zm
-        + rkKp
-        + rkKm
-    )
-    b4 = (
-        1
-        + lat.intersect(Tp, Tm).rank
-        + (22 - lat.sum_sublattices(Nm, Tp).rank)
-        + (22 - lat.sum_sublattices(Np, Tm).rank)
-        + b3Zp
-        + b3Zm
-        + rkKp
-        + rkKm
-    )
+    blocks_part = b3Zp + b3Zm + rkKp + rkKm
+    b3 = 1 + (22 - sum_nn.rank) + lat.intersect(Nm, Tp).rank + lat.intersect(Np, Tm).rank + blocks_part
+    b4 = 1 + lat.intersect(Tp, Tm).rank + (22 - sum_mp.rank) + (22 - sum_pm.rank) + blocks_part
     tor_h3 = _tor_with_routes(
-        L,
-        (Np, Nm),
-        [("coker(N+ -> T-*)", lat.coker_map(Np, Tm)), ("coker(N- -> T+*)", lat.coker_map(Nm, Tp))],
+        L, sum_nn, [("coker(N+ -> T-*)", lat.coker_map(Np, Tm)), ("coker(N- -> T+*)", lat.coker_map(Nm, Tp))],
         f"{cfg.name}: Tor H3",
     )
+    # a map and its transpose have the same invariant factors, so one Smith
+    # form each of the N-N and the T-T pairing serves both Tor H4 summands
+    coker_nn = lat.coker_map(Nm, Np)
+    coker_tt = lat.coker_map(Tp, Tm)
     tor_h4_plus = _tor_with_routes(
-        L,
-        (Nm, Tp),
-        [("coker(N- -> N+*)", lat.coker_map(Nm, Np)), ("coker(T+ -> T-*)", lat.coker_map(Tp, Tm))],
-        f"{cfg.name}: Tor H4 (+)",
+        L, sum_mp, [("coker(N- -> N+*)", coker_nn), ("coker(T+ -> T-*)", coker_tt)], f"{cfg.name}: Tor H4 (+)"
     )
     tor_h4_minus = _tor_with_routes(
-        L,
-        (Np, Tm),
-        [("coker(N+ -> N-*)", lat.coker_map(Np, Nm)), ("coker(T- -> T+*)", lat.coker_map(Tm, Tp))],
-        f"{cfg.name}: Tor H4 (-)",
+        L, sum_pm, [("coker(N+ -> N-*)", coker_nn), ("coker(T- -> T+*)", coker_tt)], f"{cfg.name}: Tor H4 (-)"
     )
     h4_torsion_free = not tor_h4_plus and not tor_h4_minus
     div_p1, status, mod_torsion = _div_p1(cfg, not h4_torsion_free)
     a0 = cfg.block_plus.e_rigid + cfg.block_minus.e_rigid
-    two_connected = rkKp == 0 and rkKm == 0 and inter_nn.rank == 0 and lat.is_primitive(sum_nn)
+    # N+ + N- is primitive iff L / (N+ + N-) has no torsion, which is Tor H3
+    two_connected = rkKp == 0 and rkKm == 0 and inter_nn.rank == 0 and not tor_h3
     betti_sum_orthogonal = (b2 + b3) == (b3Zp + b3Zm + 2 * rkKp + 2 * rkKm + 23)
     inv = TcsInvariants(
         b2=b2,
@@ -205,8 +192,8 @@ def compute_invariants(cfg):
         two_connected=two_connected,
         h4_torsion_free=h4_torsion_free,
         betti_sum_orthogonal=betti_sum_orthogonal,
-        n_prime_plus_cotorsion=lat.coker_map(Np, Nm).invariant_factors,
-        n_prime_minus_cotorsion=lat.coker_map(Nm, Np).invariant_factors,
+        n_prime_plus_cotorsion=coker_nn.invariant_factors,
+        n_prime_minus_cotorsion=coker_nn.invariant_factors,
     )
     inv.classification = classify_2connected(inv)
     return inv
@@ -279,12 +266,12 @@ def torsion_linking(cfg):
     """Q/Z-valued linking pairing between the two H4 torsion summands.
 
     Returns an empty table when H4 is torsion-free."""
-    return torsion_linking_pair(k3_lattice(), cfg.emb_plus, cfg.emb_minus)
+    return torsion_linking_pair(k3_lattice(), cfg.emb_plus, cfg.emb_minus, cfg.complements)
 
 
-def torsion_linking_pair(L, Np, Nm):
-    Tp = lat.orthogonal_complement(Np)
-    Tm = lat.orthogonal_complement(Nm)
+def torsion_linking_pair(L, Np, Nm, complements=None):
+    """The linking table of N+ and N- in L; `complements` is (T+, T-) when known."""
+    Tp, Tm = complements or (lat.orthogonal_complement(Np), lat.orthogonal_complement(Nm))
     gens_plus = xa.snf(Nm.basis + Tp.basis).torsion_generators()
     gens_minus = xa.snf(Np.basis + Tm.basis).torsion_generators()
     if not gens_plus and not gens_minus:

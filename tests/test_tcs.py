@@ -1,6 +1,7 @@
 import glob
 import os
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -264,3 +265,49 @@ def test_n_prime_exposure():
     assert not tcs.compute_invariants(perp).div_p1_mod_torsion
     p_img, _ = perp.n_prime_images()
     assert all(x == 0 for row in p_img for x in row)  # perpendicular: zero image
+
+
+@pytest.mark.parametrize("route", ["direct", "coker(T+ -> T-*)", "coker(N- -> N+*)"])
+def test_torsion_cross_checks_can_fail(route, monkeypatch):
+    # a route that returns wrong factors must trip the three-route check,
+    # so no shared or cached value can make the check vacuous
+    cfg = load("no10")
+    Tp, Tm = cfg.complements
+    wrong = lat.DiscGroup([7])
+    if route == "direct":
+        monkeypatch.setattr(lat, "quotient_torsion", lambda amb, S: wrong)
+        expected = r"torsion route disagreement: direct \[7\]"
+    else:
+        coker_map = lat.coker_map
+        S_T = (Tp, Tm) if route.startswith("coker(T") else (cfg.emb_minus, cfg.emb_plus)
+
+        def patched(S, T):
+            return wrong if (S, T) == S_T else coker_map(S, T)
+
+        monkeypatch.setattr(lat, "coker_map", patched)
+        expected = rf"Tor H4 \(\+\): torsion route disagreement: direct \[2\] vs {re.escape(route)} \[7\]"
+    with pytest.raises(AssertionError, match=expected):
+        tcs.compute_invariants(cfg)
+
+
+def test_compute_invariants_kernel_calls(monkeypatch):
+    """No rank check, the K3 det at most once per process, and no SNF input
+    Smith-reduced twice within one config."""
+    K3 = k3_lattice().gram
+    calls = {"rank": [], "det": [], "snf": []}
+    for name, inputs in calls.items():
+        def counted(A, *args, _kernel=getattr(xa, name), _inputs=inputs, **kwargs):
+            _inputs.append(xa.mat(A))
+            return _kernel(A, *args, **kwargs)
+
+        monkeypatch.setattr(xa, name, counted)
+    for name in ("no10", "no5a"):  # Tor H4 = Z/2 + Z/2, and a torsion-free 2-connected one
+        cfg = load(name)
+        for inputs in calls.values():
+            inputs.clear()
+        inv = tcs.compute_invariants(cfg)
+        assert inv.h4_torsion_free == (name == "no5a")
+        assert calls["rank"] == []
+        assert calls["det"] in ([], [K3])
+        assert len(calls["snf"]) == len({repr(A) for A in calls["snf"]})
+    assert calls["det"] == []  # the second config reuses the det kept on the K3 lattice
