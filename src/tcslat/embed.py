@@ -73,10 +73,15 @@ def necessary_condition(W):
     return sig.positives <= K3_SIGNATURE[0] and sig.negatives <= K3_SIGNATURE[1]
 
 
-def uniqueness(W, target_rank=K3_RANK):
-    """True: unique up to automorphisms of the target (given existence);
-    False: undetermined."""
-    return W.rank + lat.ell(W) + 2 <= target_rank
+def uniqueness(W, target=None):
+    """True: a primitive embedding of W into the even unimodular target
+    (default K3), given one exists, is unique up to automorphisms of the target,
+    since its complement is indefinite and rk W + l(W) + 2 <= rk target
+    (Nikulin 1979, Thm 1.14.4); False: undetermined."""
+    target = k3_lattice() if target is None else target
+    sig, amb = lat.signature(W), lat.signature(target)
+    return (sig.positives < amb.positives and sig.negatives < amb.negatives
+            and W.rank + lat.ell(W) + 2 <= target.rank)
 
 
 def verify_embedding(W, ambient, basis):
@@ -420,13 +425,13 @@ def construct_embedding(W, strategy="library", bound=3, ambient=None, require_pr
             return EmbeddingVerdict(UNKNOWN)
         rows, prim = got
         return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
-                                unique=uniqueness(W, target.rank) or None)
+                                unique=uniqueness(W, target) or None)
     if strategy == "backtracking":
         rows = _backtracking_strategy(W, target, bound, require_primitive=require_primitive)
         if rows is None:
             return EmbeddingVerdict(UNKNOWN)
         prim = verify_embedding(W, target, rows)
         return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
-                                unique=uniqueness(W, target.rank) or None)
+                                unique=uniqueness(W, target) or None)
     raise ValueError(f"unknown strategy {strategy!r}")
 

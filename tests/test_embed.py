@@ -182,3 +182,14 @@ def test_dimension_mismatch():
     big = lat.direct_sum(*([lat.U()] * 12))
     with pytest.raises(ValueError):
         embed.construct_embedding(big)
+
+
+def test_uniqueness_needs_an_indefinite_complement():
+    # 3U embeds in two ways, with complements E8(-1)^2 and D16+(-1): both definite
+    W = lat.direct_sum(lat.U(), lat.U(), lat.U())
+    assert not embed.uniqueness(W)
+    assert embed.construct_embedding(W).unique is None
+    # E8(-1)^2 has the indefinite complement 3U
+    E = lat.direct_sum(lat.E8(-1), lat.E8(-1))
+    assert embed.uniqueness(E)
+    assert embed.construct_embedding(E).unique is True
