@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 domain failure (a verdict or certificate failed),
 2 usage or parse errors (argparse's own convention)."""
 
 import argparse
+import os
 import sys
 
 from . import blocks, embed, glue, match, tcs
@@ -260,7 +261,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left early (`| head`): exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (blocks.CatalogError, tcs.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

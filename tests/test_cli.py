@@ -289,3 +289,34 @@ def test_config_unknown_block_exit1(tmp_path):
     code, out, err = run(["invariants", "--config", str(f)])
     assert code == 1
     assert err == "unknown id: 'Ex7.99'\n"
+
+
+GEOGRAPHY_ALL = ["-m", "tcslat.cli", "geography", "general", "--resolutions", "all"]
+
+
+def _cli_env(**extra):
+    return dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"), **extra)
+
+
+def test_stdout_closed_after_one_line_exits_quietly():
+    # `tcslat geography general --resolutions all | head -1`; unbuffered, the
+    # writes after the first line hit the closed pipe unless they won the race
+    proc = subprocess.Popen([sys.executable, *GEOGRAPHY_ALL], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED="1"))
+    assert proc.stdout.readline().startswith(b"b\tcount")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 1)
+    assert err == b""
+
+
+def test_stdout_closed_before_output_exits_1_quietly():
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, *GEOGRAPHY_ALL], stdout=w, stderr=subprocess.PIPE,
+                              env=_cli_env(), timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")
