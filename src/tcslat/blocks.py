@@ -289,8 +289,7 @@ _PARSED = {}  # source path -> (file text, the Catalog parsed from it)
 
 
 def load_bundled(name):
-    """Copies of a bundled table's records (or of its TCS_TABLES_DIR override);
-    the file is read at every call but parsed only when its text changed."""
+    """A copy of a bundled (or TCS_TABLES_DIR) table, read at every call, parsed when its text changed."""
     override = os.environ.get("TCS_TABLES_DIR")
     if override:
         path = os.path.join(override, name)

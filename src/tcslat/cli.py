@@ -261,12 +261,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
-    except BrokenPipeError:  # the reader left early (`| head`): exit quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return args.func(args)
     except (blocks.CatalogError, tcs.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -275,5 +270,18 @@ def main(argv=None):
         return 1
 
 
+def run():
+    """Console entry point; a reader that closes stdout early (`| head`) ends the run quietly with 1."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the exit-time flush finds no pipe
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

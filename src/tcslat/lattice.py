@@ -39,8 +39,7 @@ class Signature:
 
 
 class Lattice:
-    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix;
-    det and the signature are computed on first use and kept."""
+    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix; det and signature kept once computed."""
 
     def __init__(self, gram):
         g = xa.mat(gram)

@@ -162,16 +162,13 @@ def compute_invariants(cfg):
         L, sum_nn, [("coker(N+ -> T-*)", lat.coker_map(Np, Tm)), ("coker(N- -> T+*)", lat.coker_map(Nm, Tp))],
         f"{cfg.name}: Tor H3",
     )
-    # a map and its transpose have the same invariant factors, so one Smith
-    # form each of the N-N and the T-T pairing serves both Tor H4 summands
+    # a map and its transpose have the same invariant factors, so one Smith form each of the N-N
+    # and T-T pairings serves both Tor H4 summands and both n_prime_*_cotorsion fields
     coker_nn = lat.coker_map(Nm, Np)
     coker_tt = lat.coker_map(Tp, Tm)
-    tor_h4_plus = _tor_with_routes(
-        L, sum_mp, [("coker(N- -> N+*)", coker_nn), ("coker(T+ -> T-*)", coker_tt)], f"{cfg.name}: Tor H4 (+)"
-    )
-    tor_h4_minus = _tor_with_routes(
-        L, sum_pm, [("coker(N+ -> N-*)", coker_nn), ("coker(T- -> T+*)", coker_tt)], f"{cfg.name}: Tor H4 (-)"
-    )
+    h4_routes = [("coker(N- -> N+*)", coker_nn), ("coker(T+ -> T-*)", coker_tt)]
+    tor_h4_plus = _tor_with_routes(L, sum_mp, h4_routes, f"{cfg.name}: Tor H4 (+)")
+    tor_h4_minus = _tor_with_routes(L, sum_pm, h4_routes, f"{cfg.name}: Tor H4 (-)")
     h4_torsion_free = not tor_h4_plus and not tor_h4_minus
     div_p1, status, mod_torsion = _div_p1(cfg, not h4_torsion_free)
     a0 = cfg.block_plus.e_rigid + cfg.block_minus.e_rigid
@@ -266,12 +263,12 @@ def torsion_linking(cfg):
     """Q/Z-valued linking pairing between the two H4 torsion summands.
 
     Returns an empty table when H4 is torsion-free."""
-    return torsion_linking_pair(k3_lattice(), cfg.emb_plus, cfg.emb_minus, cfg.complements)
+    return torsion_linking_pair(k3_lattice(), cfg.emb_plus, cfg.emb_minus)
 
 
-def torsion_linking_pair(L, Np, Nm, complements=None):
-    """The linking table of N+ and N- in L; `complements` is (T+, T-) when known."""
-    Tp, Tm = complements or (lat.orthogonal_complement(Np), lat.orthogonal_complement(Nm))
+def torsion_linking_pair(L, Np, Nm):
+    Tp = lat.orthogonal_complement(Np)
+    Tm = lat.orthogonal_complement(Nm)
     gens_plus = xa.snf(Nm.basis + Tp.basis).torsion_generators()
     gens_minus = xa.snf(Np.basis + Tm.basis).torsion_generators()
     if not gens_plus and not gens_minus:
