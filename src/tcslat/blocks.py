@@ -7,7 +7,7 @@ docs/catalog-format.md.  The env var TCS_TABLES_DIR overrides the bundled tables
 """
 
 import ast
-import copy
+import marshal
 import os
 from importlib import resources
 
@@ -285,21 +285,22 @@ def load_catalog(path):
     return parse_catalog_text(read_text(path), path=str(path))
 
 
-_PARSED = {}  # source path -> (file text, the Catalog parsed from it)
+_PARSED = {}  # source path -> (file text, provenance, marshalled fields of each record)
 
 
 def load_bundled(name):
-    """A copy of a bundled (or TCS_TABLES_DIR) table, read at every call, parsed when its text changed."""
+    """A bundled (or TCS_TABLES_DIR) table, read at every call; the cache parses
+    it only when its text changed and hands out fresh records from then on."""
     override = os.environ.get("TCS_TABLES_DIR")
-    if override:
-        path = os.path.join(override, name)
-        text = read_text(path)
-    else:
-        path = f"tables/{name}"
-        text = resources.files("tcslat").joinpath("tables").joinpath(name).read_text(encoding="utf-8")
+    path = os.path.join(override, name) if override else f"tables/{name}"
+    ref = resources.files("tcslat").joinpath("tables").joinpath(name)
+    text = read_text(path) if override else ref.read_text(encoding="utf-8")
     if _PARSED.get(path, (None,))[0] != text:
-        _PARSED[path] = (text, parse_catalog_text(text, path=path))
-    return copy.deepcopy(_PARSED[path][1])
+        cat = parse_catalog_text(text, path=path)
+        _PARSED[path] = (text, cat.provenance, marshal.dumps([vars(rec) for rec in cat]))
+        return cat
+    _, provenance, fields = _PARSED[path]
+    return Catalog([BlockRecord(**kw) for kw in marshal.loads(fields)], provenance=provenance)
 
 
 def rank1_catalog():

@@ -90,8 +90,7 @@ class SnfResult:
 
 
 def _pivot_smallest(A, s):
-    """Position of the smallest-abs nonzero entry of A[s:, s:], ties by lowest
-    (row, col); the scan stops at the first unit, which no entry beats."""
+    """Position of the smallest-abs nonzero entry of A[s:, s:], ties by lowest (row, col); stops at a unit."""
     best = None
     small = 0
     for i in range(s, len(A)):

@@ -190,7 +190,8 @@ def test_env_override(tmp_path, monkeypatch):
     assert len(blocks.rank1_catalog()) == len(src)
 
 
-def test_catalog_cache_hands_out_copies():
+def test_catalog_cache_hands_out_copies(monkeypatch):
+    monkeypatch.setattr(blocks, "_PARSED", {})  # the first load parses, later ones hit the cache
     first = blocks.full_catalog()
     rec = first["7.1_1^4"]
     assert (rec.n_gram, rec.anticanonical_class, rec.meta["r"]) == ([[4]], [4], 4)
@@ -202,6 +203,15 @@ def test_catalog_cache_hands_out_copies():
     assert (again["7.1_1^4"].n_gram, again["7.1_1^4"].anticanonical_class) == ([[4]], [4])
     assert again["7.1_1^4"].meta == {"r": 4, "d": 1, "b3_Y": 0, "name": "P3"}
     assert again["MM2-6"].n_gram == [[2, 4], [4, 2]]
+    again["MM2-6"].n_gram[0][0] = 0
+    assert blocks.full_catalog()["MM2-6"].n_gram == [[2, 4], [4, 2]]
+
+
+def test_catalog_cache_hit_equals_a_fresh_parse(monkeypatch):
+    monkeypatch.setattr(blocks, "_PARSED", {})
+    parsed, cached = blocks.all_catalogs(), blocks.all_catalogs()
+    assert cached.provenance == parsed.provenance
+    assert [vars(rec) for rec in cached] == [vars(rec) for rec in parsed]
 
 
 def test_catalog_cache_rereads_a_rewritten_override(tmp_path, monkeypatch):
