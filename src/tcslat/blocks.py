@@ -11,6 +11,7 @@ import marshal
 import os
 from importlib import resources
 
+from . import exactalg as xa
 from . import lattice as lat
 
 KINDS = {
@@ -395,35 +396,13 @@ def burkhardt_structure():
     from . import embed
 
     L = embed.k3_lattice()
-    n = L.rank
-
-    def unit(i):
-        v = [0] * n
-        v[i] = 1
-        return v
-
-    r1 = unit(6)
-    r2 = unit(7)
-    u1 = unit(0)
-    u2 = [0] * n
-    u2[0] = -1
-    u2[1] = 3
-    u2[2] = 3
-    u2[3] = 1
-    w1 = unit(4)
-    w2 = [0] * n
-    w2[4] = 1
-    w2[5] = 3
-    w2[14] = 1
-    w2[16] = 1
-    w2[18] = 1
-    t_rows = [r1, r2, u1, u2, w1, w2]
+    # A2(-1) from two roots of E8a; U(3) + U(3) as (1,0 | 0,0), (-1,3 | 3,1) in
+    # U1 + U2 and as (1,0), (1,3) in U3 plus a norm -6 vector of E8b
+    t_rows = (embed.scatter(xa.eye(8)[:2], ("E8a",))
+              + embed.scatter([[1, 0, 0, 0], [-1, 3, 3, 1]], ("U1", "U2"))
+              + embed.scatter([[1, 0] + [0] * 8, [1, 3, 1, 0, 1, 0, 1, 0, 0, 0]], ("U3", "E8b")))
     T = lat.Sublattice(L, t_rows)
     N = lat.orthogonal_complement(T)
-    a_in_L = [0] * n
-    a_in_L[0] = -2
-    a_in_L[2] = 3
-    a_in_L[3] = 1
-    a_in_L[20] = 1
+    a_in_L = embed.scatter([[-2, 0, 3, 1, 0, 0, 0, 0, 0, 0, 1, 0]], ("U1", "U2", "E8b"))[0]
     _BURKHARDT = BurkhardtStructure(t_rows, N.basis, a_in_L)
     return _BURKHARDT

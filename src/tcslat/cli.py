@@ -104,13 +104,11 @@ def cmd_embed(args):
     if not embed.necessary_condition(W):
         print("verdict = ImpossibleByNecessary")
         return 1
-    verdict = embed.construct_embedding(W, strategy="library")
+    verdict = embed.construct_embedding(W)
     if verdict.status != embed.EXISTS_CONSTRUCTED and W.rank <= 6:
-        verdict = embed.construct_embedding(W, strategy="backtracking", bound=args.search_bound,
-                                            ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()),
-                                            require_primitive=True)
-        if verdict.status == embed.EXISTS_CONSTRUCTED:
-            verdict.basis = [row + [0] * 16 for row in verdict.basis]
+        rows = embed.place(W, ("U1", "U2", "U3"), args.search_bound)
+        if rows is not None:
+            verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=rows, primitive=True)
     if verdict.status == embed.EXISTS_CONSTRUCTED:
         print(f"status = {verdict.status}")
         print(f"primitive = {verdict.primitive}")
@@ -130,6 +128,7 @@ def cmd_embed(args):
 def cmd_match(args):
     cat = _load_catalogs(args.catalog)
     plus, minus = cat[args.plus], cat[args.minus]
+    Np, Nm = plus.lattice(), minus.lattice()  # a gramless record ends here, with exit 2
     if args.mode == "perp":
         mode = match.PerpendicularPrimitive()
     elif args.mode == "perp-over":
@@ -139,8 +138,8 @@ def cmd_match(args):
             print("error: --mode orth needs --r", file=sys.stderr)
             return 2
         R = _parse_r(args.r)
-        vp = _find_r_vector(plus.lattice(), R, args.search_bound)
-        vm = _find_r_vector(minus.lattice(), R, args.search_bound)
+        vp = _find_r_vector(Np, R, args.search_bound)
+        vm = _find_r_vector(Nm, R, args.search_bound)
         if vp is None or vm is None:
             return 1
         mode = match.Orthogonal(R.gram, [vp], [vm])
@@ -232,7 +231,7 @@ def build_parser():
     pm.add_argument("--minus", required=True)
     pm.add_argument("--mode", choices=("perp", "perp-over", "orth"), required=True)
     pm.add_argument("--r", metavar="GRAM")
-    pm.add_argument("--glue-index", type=int, default=2)
+    pm.add_argument("--glue-index", type=_positive_int, default=2)
     pm.add_argument("--assert-ample", action="store_true")
     pm.add_argument("--search-bound", type=_positive_int, default=6)
     pm.set_defaults(func=cmd_match)

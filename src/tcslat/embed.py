@@ -1,9 +1,10 @@
 """Primitive embeddings of even lattices into the K3 lattice: sufficiency and
 necessity criteria, modular obstructions, and constructive search.
 
-Fixed basis order for the K3 lattice: U, U, U, E8(-1), E8(-1), with the E8
-Gram of lattice.E8 (chain 1-2-3-4-5-6-7, node 8 attached to node 5), negated.
-Embedding matrices in reports are reproducible bit-for-bit against this basis.
+Fixed basis order for the K3 lattice: the summands U1, U2, U3, E8a, E8b, whose
+coordinates the table SUMMANDS gives; each E8(-1) has the E8 Gram of lattice.E8
+(chain 1-2-3-4-5-6-7, node 8 attached to node 5), negated.  Embedding matrices
+in reports are reproducible bit-for-bit against this basis.
 """
 
 from . import exactalg as xa
@@ -11,28 +12,23 @@ from . import lattice as lat
 
 EXISTS_BY_CRITERION = "ExistsPrimitiveByCriterion"
 EXISTS_CONSTRUCTED = "ExistsConstructed"
-IMPOSSIBLE_NECESSARY = "ImpossibleByNecessary"
-IMPOSSIBLE_OBSTRUCTION = "ImpossibleByObstruction"
 UNKNOWN = "Unknown"
+
+# The summands of the fixed K3 basis, by name, with their coordinates.
+SUMMANDS = {"U1": range(0, 2), "U2": range(2, 4), "U3": range(4, 6),
+            "E8a": range(6, 14), "E8b": range(14, 22)}
 
 
 class EmbeddingVerdict:
-    def __init__(self, status, basis=None, primitive=None, criterion=None,
-                 modulus=None, residue=None, unique=None):
+    def __init__(self, status, basis=None, primitive=None, criterion=None, unique=None):
         self.status = status
         self.basis = basis
         self.primitive = primitive
         self.criterion = criterion
-        self.modulus = modulus
-        self.residue = residue
         self.unique = unique
 
     def __repr__(self):
-        extra = ""
-        if self.criterion:
-            extra = f"({self.criterion})"
-        if self.status == IMPOSSIBLE_OBSTRUCTION:
-            extra = f"(mod {self.modulus}, residue {self.residue})"
+        extra = f"({self.criterion})" if self.criterion else ""
         return f"EmbeddingVerdict({self.status}{extra})"
 
 
@@ -51,15 +47,15 @@ K3_SIGNATURE = (3, 19)
 K3_RANK = 22
 
 
-def nikulin_sufficient(W, target_sig=K3_SIGNATURE, target_rank=K3_RANK):
+def nikulin_sufficient(W):
     """True with criterion tag when the sufficient conditions apply; False
     means the criterion is silent, not that embedding is impossible."""
     sig = lat.signature(W)
-    if not (sig.positives <= target_sig[0] and sig.negatives <= target_sig[1]):
+    if not (sig.positives <= K3_SIGNATURE[0] and sig.negatives <= K3_SIGNATURE[1]):
         return None
-    if 2 * W.rank <= target_rank:
+    if 2 * W.rank <= K3_RANK:
         return "i"
-    if W.rank + lat.ell(W) < target_rank:
+    if W.rank + lat.ell(W) < K3_RANK:
         return "ii"
     return None
 
@@ -73,15 +69,13 @@ def necessary_condition(W):
     return sig.positives <= K3_SIGNATURE[0] and sig.negatives <= K3_SIGNATURE[1]
 
 
-def uniqueness(W, target=None):
-    """True: a primitive embedding of W into the even unimodular target
-    (default K3), given one exists, is unique up to automorphisms of the target,
-    since its complement is indefinite and rk W + l(W) + 2 <= rk target
-    (Nikulin 1979, Thm 1.14.4); False: undetermined."""
-    target = k3_lattice() if target is None else target
-    sig, amb = lat.signature(W), lat.signature(target)
-    return (sig.positives < amb.positives and sig.negatives < amb.negatives
-            and W.rank + lat.ell(W) + 2 <= target.rank)
+def uniqueness(W):
+    """True: a primitive embedding of W into K3, given one exists, is unique up
+    to automorphisms of K3, since its complement is indefinite and
+    rk W + l(W) + 2 <= 22 (Nikulin 1979, Thm 1.14.4); False: undetermined."""
+    sig = lat.signature(W)
+    return (sig.positives < K3_SIGNATURE[0] and sig.negatives < K3_SIGNATURE[1]
+            and W.rank + lat.ell(W) + 2 <= K3_RANK)
 
 
 def verify_embedding(W, ambient, basis):
@@ -101,11 +95,6 @@ def mod_obstruction(T, m, k, budget=10**7):
     """True iff m mod k misses the norm residues of T, certifying that T
     represents no vector of norm m (hence no perpendicular rank-1 partner)."""
     return (m % k) not in lat.norm_residues(T, k, budget=budget)
-
-
-def embed_into_complement(T, m, bound):
-    """A primitive norm-m vector of T within the coordinate bound, or None."""
-    return lat.find_primitive_vector(T, m, bound)
 
 
 def _gram_blocks(gram):
@@ -141,11 +130,11 @@ def _e8_vector_of_norm(norm):
 
 
 class _SlotAllocator:
-    """Tracks which U / E8 slots of the K3 basis are still free."""
+    """Tracks which U / E8 summands of the K3 basis are still free."""
 
     def __init__(self):
-        self.u_slots = [0, 2, 4]  # coordinate offsets of the three U factors
-        self.e8_slots = [6, 14]
+        self.u_slots = [name for name in SUMMANDS if name.startswith("U")]
+        self.e8_slots = [name for name in SUMMANDS if name.startswith("E8")]
 
     def take_u(self):
         return self.u_slots.pop(0) if self.u_slots else None
@@ -194,96 +183,54 @@ def _builtin_embeddings():
         [0, 1, 4, 0],
     ]
     return [
-        (gram_2n0, rows_2n0_3u, 6),
-        (gram_w44, rows_w44_2u, 4),
-        (gram_w11, rows_w11_3u, 6),
+        (gram_2n0, rows_2n0_3u, ("U1", "U2", "U3")),
+        (gram_w44, rows_w44_2u, ("U1", "U2")),
+        (gram_w11, rows_w11_3u, ("U1", "U2", "U3")),
     ]
 
 
-def _library_block(block_gram, slots):
-    """Rows in K3 coordinates realizing one connected Gram block, or None."""
-    k = len(block_gram)
-    total = K3_RANK
+def _library_block(g, slots):
+    """Rows in K3 coordinates realizing one connected Gram block g, or None."""
+    k = len(g)
     if k == 1:
-        d = block_gram[0][0]
-        if d % 2 != 0:
+        if g[0][0] % 2 != 0:
             return None
-        off = slots.take_u()
-        if off is None:
-            return None
-        row = [0] * total
-        row[off] = 1
-        row[off + 1] = d // 2
-        return [row]
+        u = slots.take_u()
+        return None if u is None else scatter([[1, g[0][0] // 2]], (u,))
     if k == 2:
-        g = block_gram
         if g == [[0, 1], [1, 0]]:
-            off = slots.take_u()
-            if off is None:
-                return None
-            rows = [[0] * total, [0] * total]
-            rows[0][off] = 1
-            rows[1][off + 1] = 1
-            return rows
+            u = slots.take_u()
+            return None if u is None else scatter(xa.eye(2), (u,))
         if g[0][0] == 0 and g[1][1] == 0 and g[0][1] == g[1][0] and g[0][1] > 1:
             kk = g[0][1]
             # U(k) via two U slots when available: (1,0 | 0,0), (-1,k | k,1)
             if len(slots.u_slots) >= 2:
-                o1 = slots.take_u()
-                o2 = slots.take_u()
-                r1 = [0] * total
-                r1[o1] = 1
-                r2 = [0] * total
-                r2[o1] = -1
-                r2[o1 + 1] = kk
-                r2[o2] = kk
-                r2[o2 + 1] = 1
-                return [r1, r2]
+                return scatter([[1, 0, 0, 0], [-1, kk, kk, 1]], (slots.take_u(), slots.take_u()))
             # else one U slot plus a norm -2k vector in an E8(-1) slot
-            ou = slots.take_u()
-            oe = slots.take_e8()
-            if ou is None or oe is None:
+            u, e = slots.take_u(), slots.take_e8()
+            if u is None or e is None:
                 return None
             y = _e8_vector_of_norm(2 * kk)
             if y is None:
                 return None
-            r1 = [0] * total
-            r1[ou] = 1
-            r2 = [0] * total
-            r2[ou] = 1
-            r2[ou + 1] = kk
-            for j, v in enumerate(y):
-                r2[oe + j] = int(v)
-            return [r1, r2]
+            return scatter([[1, 0] + [0] * 8, [1, kk] + y], (u, e))
         if g == [[-2, 1], [1, -2]]:
-            oe = slots.take_e8()
-            if oe is None:
-                return None
-            rows = [[0] * total, [0] * total]
-            rows[0][oe] = 1
-            rows[1][oe + 1] = 1
-            return rows
-    if k == 8 and block_gram == lat.E8(-1).gram:
-        oe = slots.take_e8()
-        if oe is None:
-            return None
-        rows = []
-        for i in range(8):
-            row = [0] * total
-            row[oe + i] = 1
-            rows.append(row)
-        return rows
+            e = slots.take_e8()
+            return None if e is None else scatter(xa.eye(8)[:2], (e,))
+    if k == 8 and g == lat.E8(-1).gram:
+        e = slots.take_e8()
+        return None if e is None else scatter(xa.eye(8), (e,))
     return None
 
 
 def _library_strategy(W):
     target = k3_lattice()
-    for gram, rows, _width in _builtin_embeddings():
+    for gram, rows, summands in _builtin_embeddings():
         if W.gram == gram:
-            padded = [row + [0] * (K3_RANK - len(row)) for row in rows]
-            prim = verify_embedding(W, target, padded)
+            rows = scatter(rows, summands)
+            prim = verify_embedding(W, target, rows)
             if prim is not None:
-                return padded, prim
+                return rows, prim
     comps = _gram_blocks(W.gram)
     slots = _SlotAllocator()
     rows_by_index = {}
@@ -320,10 +267,11 @@ def _block_pool(block_gram, bound):
     return pool
 
 
-def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=None):
-    """Blockwise DFS with interval pruning; deterministic; honest None on failure.
+def _backtracking_strategy(W, ambient, bound, prefix):
+    """Blockwise DFS with interval pruning for a primitive image of W;
+    deterministic; honest None on failure.
 
-    With `prefix`, those rows are fixed as the first basis vectors and only the
+    The `prefix` rows are fixed as the first basis vectors and only the
     remaining rows of W's Gram are searched.  A nondegenerate W whose
     signature exceeds the ambient's in either component (as it does when W
     has the larger rank) has no isometric image there: None before any search."""
@@ -339,7 +287,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
         blocks.append((comp, bg, pool))
     target = W.gram
     n = ambient.rank
-    placed = [list(map(int, row)) for row in prefix] if prefix is not None else []
+    placed = [list(map(int, row)) for row in prefix]
 
     norm_ranges = []
     for comp, bg, pool in blocks:
@@ -349,9 +297,9 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
     def pieces_of(vec_full):
         return [tuple(vec_full[i] for i in comp) for comp, _, _ in blocks]
 
-    def place(i):
+    def fill(i):
         if i == W.rank:
-            return not require_primitive or lat.is_primitive(lat.Sublattice(ambient, placed))
+            return lat.is_primitive(lat.Sublattice(ambient, placed))
         prev_pieces = [pieces_of(v) for v in placed]
 
         def extend(bi, chosen, norm_acc, pair_acc):
@@ -369,7 +317,7 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
                     rows = placed + [full]
                     if xa.rank(rows) == len(rows):
                         placed.append(full)
-                        if place(i + 1):
+                        if fill(i + 1):
                             return True
                         placed.pop()
                 return False
@@ -402,36 +350,51 @@ def _backtracking_strategy(W, ambient, bound, require_primitive=False, prefix=No
 
         return extend(0, [], 0, [0] * i)
 
-    if place(len(placed)):
+    if fill(len(placed)):
         return placed
     return None
 
 
-def extend_rows(W, ambient, prefix_rows, bound=3, require_primitive=False):
-    """Complete fixed leading rows to a full basis matching W's Gram, or None."""
-    return _backtracking_strategy(W, ambient, bound, require_primitive=require_primitive,
-                                  prefix=prefix_rows)
+def scatter(rows, summands):
+    """Rows given in the coordinates of the named summands, in order, as rows
+    of the K3 basis."""
+    coords = [i for name in summands for i in SUMMANDS[name]]
+    out = []
+    for row in rows:
+        full = [0] * K3_RANK
+        for i, x in zip(coords, row, strict=True):
+            full[i] = x
+        out.append(full)
+    return out
 
 
-def construct_embedding(W, strategy="library", bound=3, ambient=None, require_primitive=False):
-    """Explicit basis into the ambient (default: K3 lattice) verified isometric,
-    or Unknown within the search bound."""
-    target = ambient if ambient is not None else k3_lattice()
-    if W.rank > target.rank:
+def place(W, summands, bound, prefix=()):
+    """A primitive embedding of W into the named summands of the K3 basis,
+    found by the bounded search, as rows of the K3 basis; None when the search
+    finds none.
+
+    The `prefix` rows, in K3 coordinates and inside those summands, come first
+    and only the rest of W's basis is searched.  The summands form a direct
+    summand of K3, so the image is primitive in K3 as well."""
+    coords = [i for name in summands for i in SUMMANDS[name]]
+    if any(x for row in prefix for i, x in enumerate(row) if i not in coords):
+        raise ValueError("prefix rows must lie in the named summands")
+    gram = k3_lattice().gram
+    ambient = lat.Lattice([[gram[i][j] for j in coords] for i in coords])
+    rows = _backtracking_strategy(W, ambient, bound, [[row[i] for i in coords] for row in prefix])
+    if rows is None or not verify_embedding(W, ambient, rows):
+        return None
+    return scatter(rows, summands)
+
+
+def construct_embedding(W):
+    """An explicit basis of W in the K3 lattice from the library of hand
+    patterns, verified isometric, or Unknown."""
+    if W.rank > K3_RANK:
         raise ValueError("dimension mismatch: W larger than the ambient lattice")
-    if strategy == "library":
-        got = _library_strategy(W) if ambient is None else None
-        if got is None:
-            return EmbeddingVerdict(UNKNOWN)
-        rows, prim = got
-        return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
-                                unique=uniqueness(W, target) or None)
-    if strategy == "backtracking":
-        rows = _backtracking_strategy(W, target, bound, require_primitive=require_primitive)
-        if rows is None:
-            return EmbeddingVerdict(UNKNOWN)
-        prim = verify_embedding(W, target, rows)
-        return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
-                                unique=uniqueness(W, target) or None)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
+    got = _library_strategy(W)
+    if got is None:
+        return EmbeddingVerdict(UNKNOWN)
+    rows, prim = got
+    return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
+                            unique=uniqueness(W) or None)

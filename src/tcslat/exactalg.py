@@ -88,6 +88,12 @@ class SnfResult:
         is spanned by the d_i Vinv[i], so the rows Vinv[i] with d_i > 1 generate it."""
         return [(self.Vinv[i], d) for i, d in enumerate(self.diagonal) if d > 1]
 
+    def torsion_cosets(self):
+        """For each d_i > 1, the rational row x = U[i] / d_i, which has x . A = Vinv[i]
+        (row i of U . A . V = D): for a Gram matrix A, the coset vector in lattice
+        coordinates of the torsion generator Vinv[i]."""
+        return [[Fraction(x, d) for x in self.U[i]] for i, d in enumerate(self.diagonal) if d > 1]
+
 
 def _pivot_smallest(A, s):
     """Position of the smallest-abs nonzero entry of A[s:, s:], ties by lowest (row, col); stops at a unit."""

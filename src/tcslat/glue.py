@@ -3,7 +3,7 @@ negative definite sublattice, and finite-index even overlattices from
 anti-isometric discriminant subgroups."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import exactalg as xa
 from . import lattice as lat
@@ -216,8 +216,6 @@ def _min_generators(H, orders):
 
 
 def _elem_order(e, orders):
-    from math import gcd
-
     o = 1
     for a, d in zip(e, orders):
         if a:
@@ -231,10 +229,8 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     for L in (n_plus, n_minus):
         if not (L.is_even() and L.is_nondegenerate()):
             raise ValueError("overlattices need even nondegenerate factors")
-    ap = lat.disc_generators(n_plus)
-    am = lat.disc_generators(n_minus)
-    orders_p = [d for _, d in ap]
-    orders_m = [d for _, d in am]
+    snf_p, snf_m = xa.snf(n_plus.gram), xa.snf(n_minus.gram)
+    orders_p, orders_m = snf_p.invariant_factors(), snf_m.invariant_factors()
     size_p = 1
     for d in orders_p:
         size_p *= d
@@ -243,9 +239,8 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
         size_m *= d
     if size_p * size_m > budget:
         raise lat.EnumerationBudgetExceeded(f"{size_p * size_m} exceeds budget {budget}")
-    # coset vectors in lattice coordinates (rational rows)
-    gens_p = xa.matmul([g for g, _ in ap], xa.rational_inverse(n_plus.gram))
-    gens_m = xa.matmul([g for g, _ in am], xa.rational_inverse(n_minus.gram))
+    # coset vectors of the Smith generators in lattice coordinates (rational rows)
+    gens_p, gens_m = snf_p.torsion_cosets(), snf_m.torsion_cosets()
     base = perpendicular_sum(n_plus, n_minus)
 
     def q_of(v, gram):
@@ -336,9 +331,8 @@ def _overlattice_from_glue(base, n_plus, n_minus, glue_gens):
     if index * index != index_sq:
         return None
     # N+- must stay primitive: their Q-span intersected with W' is N+-
-    for start, size, orig in ((0, rp, n_plus), (rp, rm, n_minus)):
-        coords = _span_intersection(basis, start, size, n)
-        if coords is None:
+    for start, size in ((0, rp), (rp, rm)):
+        if _span_intersection(basis, start, size, n) is None:
             return None
     return OverlatticeSpec(base, glue_gens, basis, w, index)
 

@@ -39,7 +39,7 @@ class Signature:
 
 
 class Lattice:
-    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix; det and signature kept once computed."""
+    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix; det, signature and ell kept once computed."""
 
     def __init__(self, gram):
         g = xa.mat(gram)
@@ -65,6 +65,12 @@ class Lattice:
             pos += len(pivots) == 2 or value > 0
             neg += len(pivots) == 2 or value < 0
         return pos, neg
+
+    @cached_property
+    def _ell(self):
+        if not self.is_nondegenerate():
+            raise DegenerateLattice("degenerate")
+        return len(xa.snf(self.gram).invariant_factors()) if self.rank else 0
 
     def is_nondegenerate(self):
         return self.rank == 0 or self.det() != 0
@@ -230,29 +236,25 @@ def discriminant_group(L):
         raise DegenerateLattice("degenerate")
     if L.rank == 0:
         return DiscGroup([])
-    torsion = disc_generators(L)
-    factors = [d for _, d in torsion]
+    res = xa.snf(L.gram)
+    torsion = [i for i, d in enumerate(res.diagonal) if d > 1]
+    factors = [res.D[i][i] for i in torsion]
     q_values = None
     b_values = None
     if L.is_even() and torsion:
-        # pairings of the generators' duals g . G^-1 with the generators
-        B = xa.pairings([g for g, _ in torsion], xa.rational_inverse(L.gram))
+        # from U . G . V = D, the generator Vinv[i] is the coset of U[i] / d_i,
+        # so b_ij = (U[i] . Vinv[j]) / d_i
+        UV = xa.matmul([res.U[i] for i in torsion], xa.transpose([res.Vinv[j] for j in torsion]))
+        B = [[Fraction(x, d) for x in row] for row, d in zip(UV, factors)]
         q_values = [B[i][i] % 2 for i in range(len(B))]
         b_values = [[x % 1 for x in row] for row in B]
     return DiscGroup(factors, q_values, b_values)
 
 
-def disc_generators(L):
-    """Generators of N*/N in dual-basis coordinates, with their orders (> 1)."""
-    return xa.snf(L.gram).torsion_generators()
-
-
 def ell(L):
     """Minimal number of generators of the discriminant group: the number of
-    Smith diagonal entries of the Gram matrix greater than 1."""
-    if not L.is_nondegenerate():
-        raise DegenerateLattice("degenerate")
-    return len(xa.snf(L.gram).invariant_factors()) if L.rank else 0
+    Smith diagonal entries of the Gram matrix greater than 1, computed once per lattice."""
+    return L._ell
 
 
 def orthogonal_complement(S):

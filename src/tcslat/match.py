@@ -126,29 +126,13 @@ class MatchCertificate:
 
 
 def _embed_factor_pair_disjoint(gp, gm):
-    """Perpendicular primitive embeddings of two small lattices in disjoint slots."""
-    L = k3_lattice()
-    n_used = 0
+    """Perpendicular primitive embeddings of two small lattices in disjoint summands."""
     out = []
-    layouts = (
-        (0, lat.direct_sum(lat.U(), lat.U()), (0, 1, 2, 3)),
-        (1, lat.direct_sum(lat.U(), lat.E8(-1)), (4, 5, 6, 7, 8, 9, 10, 11, 12, 13)),
-    )
-    for gram, (slot, amb, coords) in zip((gp, gm), layouts):
-        W = lat.Lattice(gram)
-        if W.rank > amb.rank:
-            return None
+    for gram, summands in ((gp, ("U1", "U2")), (gm, ("U3", "E8a"))):
         bound = max(3, max(abs(x) for row in gram for x in row) // 2 + 1)
-        v = embed.construct_embedding(W, strategy="backtracking", bound=bound, ambient=amb,
-                                      require_primitive=True)
-        if v.status != embed.EXISTS_CONSTRUCTED or not v.primitive:
+        rows = embed.place(lat.Lattice(gram), summands, bound)
+        if rows is None:
             return None
-        rows = []
-        for row in v.basis:
-            full = [0] * 22
-            for j, c in enumerate(row):
-                full[coords[j]] = c
-            rows.append(full)
         out.append(rows)
     return out
 
@@ -165,7 +149,7 @@ def _rank1_partner_embedding(big, small):
                 return MatchFailure(EMBEDDING_IMPOSSIBLE, f"mod-{k} obstruction, m = {m}")
         except lat.EnumerationBudgetExceeded:
             continue
-    x = embed.embed_into_complement(T, m, bound=5)
+    x = lat.find_primitive_vector(T, m, 5)
     if x is None:
         return MatchFailure(EMBEDDING_UNKNOWN, f"no primitive norm-{m} vector within bound")
     return bs.n_basis, xa.matmul([x], bs.t_rows)
@@ -270,12 +254,9 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         r = Wp.rank
         if lat.signature(Wp).as_pair() != (2, r - 2):
             return MatchFailure(SIGNATURE_MISMATCH, "overlattice signature")
-        v = embed.construct_embedding(Wp, strategy="backtracking", bound=3,
-                                      ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()),
-                                      require_primitive=True)
-        if v.status != embed.EXISTS_CONSTRUCTED or not v.primitive:
+        B = embed.place(Wp, ("U1", "U2", "U3"), 3)
+        if B is None:
             return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of the overlattice found")
-        B = [row + [0] * 16 for row in v.basis]
         # rows of Binv: the N+ then the N- basis vectors in the coordinates of W'
         Binv = [[int(x) for x in row] for row in xa.rational_inverse(spec.basis_rational)]
         ep = xa.matmul(Binv[: plus.rank], B)
@@ -322,17 +303,12 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         r = W.rank
         if lat.signature(W).as_pair() != (2, r - 2):
             return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W).as_pair()}")
-        v = None
-        for bound in (2, 3, 4):
-            cand = embed.construct_embedding(W, strategy="backtracking", bound=bound,
-                                             ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()),
-                                             require_primitive=True)
-            if cand.status == embed.EXISTS_CONSTRUCTED and cand.primitive:
-                v = cand
+        for bound in (2, 3, 4):  # the smallest bound that places W picks the rows
+            rows = embed.place(W, ("U1", "U2", "U3"), bound)
+            if rows is not None:
                 break
-        if v is None:
+        else:
             return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of W found")
-        rows = [row + [0] * 16 for row in v.basis]
         verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=rows, primitive=True)
         ep = xa.matmul(n_plus_in_w, rows)
         em = xa.matmul(n_minus_in_w, rows)

@@ -171,7 +171,7 @@ def test_criterion_4_explicit_matrices():
     L = embed.k3_lattice()
     # the 4x6 block pair into 3U: cotorsion Z^2 + Z/8, both halves primitive
     gram = [[8, 0, 0, 0], [0, -16, 0, 0], [0, 0, 8, 0], [0, 0, 0, -16]]
-    v = embed.construct_embedding(lat.Lattice(gram), strategy="library")
+    v = embed.construct_embedding(lat.Lattice(gram))
     assert v.status == embed.EXISTS_CONSTRUCTED
     sub = lat.Sublattice(L, v.basis)
     assert sub.induced_gram() == gram  # isometric
@@ -182,7 +182,7 @@ def test_criterion_4_explicit_matrices():
         assert lat.is_primitive(lat.Sublattice(L, half))
     # the 4x4 block pair into 2U: cotorsion (Z/4)^2, both halves primitive
     gram8 = [[4, 4, 0, 0], [4, 0, 0, 0], [0, 0, 4, 4], [0, 0, 4, 0]]
-    v8 = embed.construct_embedding(lat.Lattice(gram8), strategy="library")
+    v8 = embed.construct_embedding(lat.Lattice(gram8))
     assert v8.status == embed.EXISTS_CONSTRUCTED
     sub8 = lat.Sublattice(L, v8.basis)
     assert sub8.induced_gram() == gram8

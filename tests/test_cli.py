@@ -207,6 +207,10 @@ EMB_PLUS = "emb_plus = [[0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
 assert EMB_PLUS in NO8
 ORTH = ["match", "--plus", "Ex7.4", "--minus", "Ex7.4", "--mode", "orth", "--assert-ample"]
 PUSHOUT = ["pushout", "--plus", "MM2-6", "--minus", "MM2-6"]
+GRAMLESS = "schema = 1\n\nid = user-gramless\nkind = semifano_small_res\ngramless = true\nrank = 2\nell = 1\n"
+GRAMLESS_MATCH = ["--catalog", "{}", "match", "--plus", "user-gramless", "--minus", "7.1_4^1", "--mode"]
+GRAMLESS_MINUS = ["--catalog", "{}", "match", "--plus", "7.1_4^1", "--minus", "user-gramless", "--mode"]
+GLUE_INDEX = ["match", "--plus", "7.1_4^1", "--minus", "7.1_4^1", "--mode", "perp-over", "--glue-index"]
 
 MALFORMED = {
     # (file name, file text or None for a missing file, argv with {} for the file path)
@@ -248,6 +252,13 @@ MALFORMED = {
     "r-positive": (None, None, ORTH + ["--r", "[[2]]"]),
     "pushout-bound-0": (None, None, PUSHOUT + ["--r", "[[-4]]", "--search-bound", "0"]),
     "match-bound-0": (None, None, ORTH + ["--r", "[[-12]]", "--search-bound", "0"]),
+    "match-gramless-perp": ("g.blocks", GRAMLESS, GRAMLESS_MATCH + ["perp"]),
+    "match-gramless-perp-over": ("g.blocks", GRAMLESS, GRAMLESS_MATCH + ["perp-over"]),
+    "match-gramless-orth": ("g.blocks", GRAMLESS, GRAMLESS_MATCH + ["orth", "--r", "[[-4]]"]),
+    "match-gramless-minus": ("g.blocks", GRAMLESS, GRAMLESS_MINUS + ["perp"]),
+    "match-gramless-minus-orth": ("g.blocks", GRAMLESS, GRAMLESS_MINUS + ["orth", "--r", "[[-4]]"]),
+    "glue-index-0": (None, None, GLUE_INDEX + ["0"]),
+    "glue-index-negative": (None, None, GLUE_INDEX + ["-3"]),
 }
 
 

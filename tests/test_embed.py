@@ -1,6 +1,6 @@
 import pytest
 
-from tcslat import embed
+from tcslat import blocks, embed, glue
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 
@@ -70,7 +70,7 @@ def test_uniqueness():
 
 def test_construct_embedding_library_44():
     W = lat.diag_lattice(4, 4)
-    v = embed.construct_embedding(W, strategy="library")
+    v = embed.construct_embedding(W)
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is True
     rows = v.basis
@@ -84,7 +84,7 @@ def test_construct_embedding_no7_matrix():
     # cotorsion Z^2 + Z/8
     gram = [[8, 0, 0, 0], [0, -16, 0, 0], [0, 0, 8, 0], [0, 0, 0, -16]]
     W = lat.Lattice(gram)
-    v = embed.construct_embedding(W, strategy="library")
+    v = embed.construct_embedding(W)
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is False
     cot = embed.cotorsion(embed.k3_lattice(), v.basis)
@@ -100,7 +100,7 @@ def test_construct_embedding_no7_matrix():
 def test_construct_embedding_no8_matrix():
     gram = [[4, 4, 0, 0], [4, 0, 0, 0], [0, 0, 4, 4], [0, 0, 4, 0]]
     W = lat.Lattice(gram)
-    v = embed.construct_embedding(W, strategy="library")
+    v = embed.construct_embedding(W)
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is False
     assert embed.cotorsion(embed.k3_lattice(), v.basis) == [4, 4]
@@ -112,33 +112,36 @@ def test_construct_embedding_no8_matrix():
 def test_construct_embedding_no11_matrix():
     gram = [[12, 4, 0, 0], [4, 0, 0, 1], [0, 0, 12, 4], [0, 1, 4, 0]]
     W = lat.Lattice(gram)
-    v = embed.construct_embedding(W, strategy="library")
+    v = embed.construct_embedding(W)
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is True
     assert lat.signature(W) == (2, 2)
 
 
+def _outside(rows, summands):
+    """The entries of rows outside the coordinates of the named summands."""
+    inside = {i for name in summands for i in embed.SUMMANDS[name]}
+    return [x for row in rows for i, x in enumerate(row) if i not in inside]
+
+
 def test_backtracking_finds_44_in_2u():
-    amb = lat.direct_sum(lat.U(), lat.U())
     W = lat.diag_lattice(4, 4)
-    v = embed.construct_embedding(W, strategy="backtracking", bound=2, ambient=amb)
-    assert v.status == embed.EXISTS_CONSTRUCTED
-    assert embed.verify_embedding(W, amb, v.basis) is not None
+    rows = embed.place(W, ("U1", "U2"), 2)
+    assert rows is not None
+    assert embed.verify_embedding(W, embed.k3_lattice(), rows) is True
+    assert not any(_outside(rows, ("U1", "U2")))
 
 
 def test_backtracking_finds_pushout_w_in_3u():
-    amb = lat.direct_sum(lat.U(), lat.U(), lat.U())
     W = lat.Lattice([[2, 4, -1], [4, 2, 1], [-1, 1, 2]])  # the rank-3 self-glue pushout
-    v = embed.construct_embedding(W, strategy="backtracking", bound=4, ambient=amb)
-    assert v.status == embed.EXISTS_CONSTRUCTED
-    assert v.primitive is True
+    rows = embed.place(W, ("U1", "U2", "U3"), 4)
+    assert rows is not None
+    assert embed.verify_embedding(W, embed.k3_lattice(), rows) is True
 
 
 def test_backtracking_unknown_is_honest():
-    amb = lat.U()
     W = lat.diag_lattice(100)  # needs (1, 50), far beyond the bound
-    v = embed.construct_embedding(W, strategy="backtracking", bound=2, ambient=amb)
-    assert v.status == embed.UNKNOWN
+    assert embed.place(W, ("U1",), 2) is None
 
 
 def test_backtracking_refuses_w_beyond_the_ambient_signature(monkeypatch):
@@ -147,10 +150,62 @@ def test_backtracking_refuses_w_beyond_the_ambient_signature(monkeypatch):
         raise AssertionError("the search started")
 
     monkeypatch.setattr(embed, "_block_pool", no_search)
-    amb = lat.direct_sum(lat.U(), lat.U(), lat.U())
     for W in (lat.diag_lattice(-2, -2, -2, -2), lat.diag_lattice(2, 2, 2, 2)):
-        v = embed.construct_embedding(W, strategy="backtracking", ambient=amb)
-        assert v.status == embed.UNKNOWN
+        assert embed.place(W, ("U1", "U2", "U3"), 3) is None
+
+
+def test_summands_tile_the_k3_basis():
+    coords = [i for r in embed.SUMMANDS.values() for i in r]
+    assert coords == list(range(embed.K3_RANK))
+    gram = embed.k3_lattice().gram
+    for name, r in embed.SUMMANDS.items():
+        block = [[gram[i][j] for j in r] for i in r]
+        assert block == (lat.U() if name.startswith("U") else lat.E8(-1)).gram
+
+
+# every summand set the package and tools/make_configs.py search in, with
+# the factors of no2d and the rank-3 self-glue pushout
+@pytest.mark.parametrize("summands, gram", [
+    (("U1", "U2"), blocks.full_catalog()["Ex7.3"].n_gram),
+    (("U3", "E8a"), blocks.full_catalog()["Ex7.6"].n_gram),
+    (("U1", "U2", "U3"), [[2, 4, -1], [4, 2, 1], [-1, 1, 2]]),
+])
+def test_place_stays_in_its_summands(summands, gram):
+    W = lat.Lattice(gram)
+    rows = embed.place(W, summands, 3)
+    assert rows is not None and len(rows) == W.rank
+    assert all(len(row) == embed.K3_RANK for row in rows)
+    assert not any(_outside(rows, summands))
+    assert embed.verify_embedding(W, embed.k3_lattice(), rows) is True
+
+
+def test_place_keeps_the_prefix_rows_first():
+    # no10: N = Ex7.9 placed first, then its rank-5 pushout W extends it
+    summands = ("U1", "U2", "E8a")
+    N = blocks.full_catalog()["Ex7.9"].lattice()
+    res = glue.orthogonal_pushout(glue.PushoutSpec(N, N, lat.diag_lattice(-8), [[-1, -1, 1]],
+                                                   [[-1, -1, 1]]))
+    prefix = embed.place(N, summands, 3)
+    assert prefix is not None
+    rows = embed.place(res.w, summands, 3, prefix=prefix)
+    assert rows is not None and len(rows) == res.w.rank
+    assert rows[: N.rank] == prefix
+    assert not any(_outside(rows, summands))
+    assert embed.verify_embedding(res.w, embed.k3_lattice(), rows) is True
+
+
+def test_place_rejects_a_prefix_outside_its_summands():
+    prefix = embed.scatter([[1, 2]], ("U3",))
+    with pytest.raises(ValueError, match="summands"):
+        embed.place(lat.diag_lattice(4, 4), ("U1", "U2"), 2, prefix=prefix)
+
+
+def test_scatter():
+    (row,) = embed.scatter([[1, 2, 3, 4]], ("U3", "U1"))
+    assert len(row) == embed.K3_RANK
+    assert row[:6] == [3, 4, 0, 0, 1, 2] and not any(row[6:])
+    with pytest.raises(ValueError):
+        embed.scatter([[1, 2, 3]], ("U1",))
 
 
 def test_mod_obstruction():
@@ -162,13 +217,13 @@ def test_mod_obstruction():
     assert not embed.mod_obstruction(lat.diag_lattice(4), 4, 3)
 
 
-def test_embed_into_complement():
+def test_find_primitive_vector_in_complement():
     T = lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3))
-    x = embed.embed_into_complement(T, 4, 3)
+    x = lat.find_primitive_vector(T, 4, 3)
     assert x is not None
     assert T.norm(x) == 4
-    assert embed.embed_into_complement(lat.U(3), 6, 2) is not None
-    assert embed.embed_into_complement(lat.A2(-1), 2, 4) is None
+    assert lat.find_primitive_vector(lat.U(3), 6, 2) is not None
+    assert lat.find_primitive_vector(lat.A2(-1), 2, 4) is None
 
 
 def test_criterion_i_implies_necessary():

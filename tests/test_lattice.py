@@ -93,11 +93,47 @@ def test_disc_form_even_consistency():
             assert 0 <= b < 1
 
 
+@st.composite
+def even_nondegenerate_grams(draw):
+    n = draw(st.integers(1, 5))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = draw(st.integers(-3, 3))
+    return G
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_nondegenerate_grams())
+def test_discriminant_form_matches_the_inverse_gram(G):
+    # the Smith-form values against b_ij = g_i . G^-1 . g_j on the SNF generators
+    L = lat.Lattice(G)
+    if L.det() == 0:
+        with pytest.raises(lat.DegenerateLattice):
+            lat.discriminant_group(L)
+        return
+    res = xa.snf(G)
+    gens = [g for g, _ in res.torsion_generators()]
+    dg = lat.discriminant_group(L)
+    assert dg.order == abs(L.det())
+    inverse = xa.rational_inverse(G)
+    assert res.torsion_cosets() == xa.matmul(gens, inverse)
+    if not gens:
+        assert dg.q_values is None and dg.b_values is None
+        return
+    B = xa.pairings(gens, inverse)
+    assert dg.q_values == [B[i][i] % 2 for i in range(len(B))]
+    assert dg.b_values == [[x % 1 for x in row] for row in B]
+
+
 def test_ell():
     assert lat.ell(lat.U()) == 0
     # No 4's W: Ex 7.12 (diag(4, -2)) perp Ex 7.10 (E8(-1) + <8> + <-16>)
     W = lat.direct_sum(lat.diag_lattice(4, -2), lat.E8(-1), lat.diag_lattice(8, -16))
     assert lat.ell(W) == 4
+    with pytest.raises(lat.DegenerateLattice):
+        lat.ell(lat.Lattice([[0, 0], [0, 2]]))
 
 
 def test_orthogonal_complement_examples():

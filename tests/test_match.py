@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from tcslat import blocks, embed, match, tcs
@@ -17,6 +19,24 @@ def test_certificate_rank1_pair():
     assert cert.is_explicit()
     assert cert.positivity["t"] == (1, 19)
     assert cert.ample_auto  # perpendicular gluing satisfies the cone hypothesis
+
+
+def test_perp_match_reduces_w_once(monkeypatch):
+    # ell is kept on the Lattice, so necessary_condition, nikulin_sufficient
+    # and uniqueness share one Smith form of W's Gram
+    calls = collections.Counter()
+    snf = xa.snf
+
+    def counted(A):
+        calls[tuple(map(tuple, A))] += 1
+        return snf(A)
+
+    monkeypatch.setattr(xa, "snf", counted)
+    plus, minus = CAT["Ex7.7"], CAT["7.1_4^1"]
+    cert = match.build_certificate(plus, minus, match.PerpendicularPrimitive())
+    assert isinstance(cert, match.MatchCertificate)
+    W = lat.direct_sum(plus.lattice(), minus.lattice())
+    assert calls[tuple(map(tuple, W.gram))] == 1
 
 
 def test_certificate_burkhardt_obstructed():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tcslat import blocks, tcs
+from tcslat import blocks, embed, tcs
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 from tcslat.embed import k3_lattice
@@ -89,14 +89,14 @@ def test_rejects_non_isometric_embedding():
     rec = CAT["7.1_4^1"]
     rows = [[1, 3] + [0] * 20]  # norm 6, not 4
     with pytest.raises(tcs.ConfigError, match="isometric"):
-        tcs.GluingConfig(rec, rec, rows, [[0, 0, 1, 2] + [0] * 18], name="bad")
+        tcs.GluingConfig(rec, rec, rows, embed.scatter([[1, 2]], ("U2",)), name="bad")
 
 
 def test_rejects_non_primitive_embedding():
     rec = CAT["7.1_16^1"]
     rows = [[2, 4] + [0] * 20]  # norm 16 but imprimitive
     with pytest.raises(tcs.ConfigError, match="primitive"):
-        tcs.GluingConfig(rec, rec, rows, [[0, 0, 1, 8] + [0] * 18], name="bad")
+        tcs.GluingConfig(rec, rec, rows, embed.scatter([[1, 8]], ("U2",)), name="bad")
 
 
 def test_resolution_choice_required():
@@ -114,22 +114,8 @@ def test_resolution_choice_required():
 def test_div_p1_insufficient_data():
     rec_a = CAT["MM2-6"]
     # perpendicular config from two rank-2 Fano blocks: no div_c2 at all
-    from tcslat import embed
-
-    amb = lat.direct_sum(lat.U(), lat.U())
-    va = embed.construct_embedding(rec_a.lattice(), strategy="backtracking", bound=3,
-                                   ambient=amb, require_primitive=True)
-    ep = [row + [0] * 18 for row in va.basis]
-    amb_b = lat.direct_sum(lat.U(), lat.E8(-1))
-    vb = embed.construct_embedding(rec_a.lattice(), strategy="backtracking", bound=3,
-                                   ambient=amb_b, require_primitive=True)
-    em = []
-    for row in vb.basis:
-        full = [0] * 22
-        full[4], full[5] = row[0], row[1]
-        for j in range(8):
-            full[6 + j] = row[2 + j]
-        em.append(full)
+    ep = embed.place(rec_a.lattice(), ("U1", "U2"), 3)
+    em = embed.place(rec_a.lattice(), ("U3", "E8a"), 3)
     cfg = tcs.GluingConfig(rec_a, rec_a, ep, em, name="mm-perp")
     inv = tcs.compute_invariants(cfg)
     assert inv.div_p1 is None

@@ -20,23 +20,6 @@ from tcslat import tcs
 OUT = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 CAT = blocks.full_catalog()
-L = embed.k3_lattice()
-
-
-def unit_row(i):
-    v = [0] * 22
-    v[i] = 1
-    return v
-
-
-def pad(rows, offset):
-    out = []
-    for row in rows:
-        full = [0] * 22
-        for j, x in enumerate(row):
-            full[offset + j] = int(x)
-        out.append(full)
-    return out
 
 
 def write_config(name, block_plus, block_minus, emb_plus, emb_minus, extra=None, comment=""):
@@ -81,32 +64,13 @@ def check(name, inv, b2, b3, th3, th4, a0, p1=None):
     print(f"{name}: ok (b2={b2} b3={b3} th3={th3 or '-'} th4={th4 or '-'} a0={a0} p1={inv.div_p1})")
 
 
-def rank1_pattern(d2, u_slot):
-    # <2k> into a U factor via (1, k)
-    row = [0] * 22
-    row[2 * u_slot] = 1
-    row[2 * u_slot + 1] = d2 // 2
-    return [row]
-
-
 def embed_pair_disjoint(gram_plus, gram_minus):
     """Embed two rank-2 lattices perpendicularly: the first into U1+U2, the
-    second into U3 + E8(-1)#1; both primitive, hence so is the sum."""
-    amb_a = lat.direct_sum(lat.U(), lat.U())
-    va = embed.construct_embedding(lat.Lattice(gram_plus), strategy="backtracking", bound=3, ambient=amb_a, require_primitive=True)
-    assert va.status == embed.EXISTS_CONSTRUCTED and va.primitive, "first factor"
-    amb_b = lat.direct_sum(lat.U(), lat.E8(-1))
-    vb = embed.construct_embedding(lat.Lattice(gram_minus), strategy="backtracking", bound=3, ambient=amb_b, require_primitive=True)
-    assert vb.status == embed.EXISTS_CONSTRUCTED and vb.primitive, "second factor"
-    ep = pad(va.basis, 0)
-    em = []
-    for row in vb.basis:
-        full = [0] * 22
-        full[4] = row[0]
-        full[5] = row[1]
-        for j in range(8):
-            full[6 + j] = row[2 + j]
-        em.append(full)
+    second into U3 + E8a; both primitive, hence so is the sum."""
+    ep = embed.place(lat.Lattice(gram_plus), ("U1", "U2"), 3)
+    assert ep is not None, "first factor"
+    em = embed.place(lat.Lattice(gram_minus), ("U3", "E8a"), 3)
+    assert em is not None, "second factor"
     return ep, em
 
 
@@ -114,10 +78,9 @@ def main():
     os.makedirs(OUT, exist_ok=True)
 
     # --- No 1: quartic x quartic through the index-2 overlattice of <2> + <2>
-    u = [1, 1, 0, 0] + [0] * 18
-    v = [0, 0, 1, 1] + [0] * 18
-    ep = [[a + b for a, b in zip(u, v)]]
-    em = [[a - b for a, b in zip(u, v)]]
+    # u + v and u - v for u = (1, 1) in U1 and v = (1, 1) in U2
+    ep = embed.scatter([[1, 1, 1, 1]], ("U1", "U2"))
+    em = embed.scatter([[1, 1, -1, -1]], ("U1", "U2"))
     _, inv = write_config(
         "no1", "7.1_4^1", "7.1_4^1", ep, em,
         comment="both blocks from the smooth quartic; glued through the index-2\n"
@@ -125,10 +88,11 @@ def main():
     )
     check("no1", inv, 0, 155, [2], [], 0, 8)
 
-    # primitive variant of the same pair (the rank-1 census entry b = 132)
+    # primitive variant of the same pair (the rank-1 census entry b = 132):
+    # <4> as (1, 2) in U1 and in U2
+    q1, q2 = embed.scatter([[1, 2]], ("U1",)), embed.scatter([[1, 2]], ("U2",))
     _, inv = write_config(
-        "no1-primitive", "7.1_4^1", "7.1_4^1",
-        rank1_pattern(4, 0), rank1_pattern(4, 1),
+        "no1-primitive", "7.1_4^1", "7.1_4^1", q1, q2,
         comment="same pair of blocks, primitive perpendicular gluing",
     )
     check("no1-primitive", inv, 0, 155, [], [], 0, 8)
@@ -145,35 +109,17 @@ def main():
         check(name, inv, 0, b3, [], [], a0)
 
     # --- No 3: quartic x the P3 block with rk K = 3
-    _, inv = write_config("no3", "7.1_4^1", "Ex7.8", rank1_pattern(4, 0), rank1_pattern(4, 1))
+    _, inv = write_config("no3", "7.1_4^1", "Ex7.8", q1, q2)
     check("no3", inv, 3, 116, [], [], 24, 4)
 
     # --- No 4: Ex7.12 x Ex7.10, perpendicular primitive (criterion (ii) territory)
-    amb_a = lat.direct_sum(lat.U(), lat.U())
-    va = embed.construct_embedding(lat.Lattice(CAT["Ex7.12"].n_gram), strategy="backtracking", bound=3, ambient=amb_a, require_primitive=True)
-    assert va.status == embed.EXISTS_CONSTRUCTED and va.primitive
-    ep = pad(va.basis, 0)
-    # Ex7.10: E8(-1) identity into slot 1, <8> = (1,4) in U3, <-16> primitive in E8 slot 2
-    E8m = lat.E8(-1)
-    x16 = None
-    for cand in lat.candidate_vectors(8, 2):
-        from math import gcd
-
-        g = 0
-        for c in cand:
-            g = gcd(g, c)
-        if g == 1 and E8m.norm(cand) == -16:
-            x16 = list(cand)
-            break
+    ep = embed.place(lat.Lattice(CAT["Ex7.12"].n_gram), ("U1", "U2"), 3)
+    assert ep is not None
+    # Ex7.10: E8(-1) identity into E8a, <8> = (1,4) in U3, <-16> primitive in E8b
+    x16 = lat.find_primitive_vector(lat.E8(-1), -16, 2)
     assert x16 is not None
-    em = pad([[1 if i == j else 0 for j in range(8)] for i in range(8)], 6)
-    row8 = [0] * 22
-    row8[4] = 1
-    row8[5] = 4
-    row16 = [0] * 22
-    for j, c in enumerate(x16):
-        row16[14 + j] = c
-    em = em + [row8, row16]
+    em = (embed.scatter(xa.eye(8), ("E8a",)) + embed.scatter([[1, 4]], ("U3",))
+          + embed.scatter([x16], ("E8b",)))
     _, inv = write_config("no4", "Ex7.12", "Ex7.10", ep, em)
     check("no4", inv, 0, 93, [], [], 21, 4)
 
@@ -189,7 +135,7 @@ def main():
     for name, partner in list(partners5.items()) + list(partners6.items()):
         rec = CAT[partner]
         m = rec.n_gram[0][0]
-        x = embed.embed_into_complement(T, m, bound=4)
+        x = lat.find_primitive_vector(T, m, 4)
         assert x is not None, (name, m)
         x_in_L = xa.matmul([x], bs.t_rows)[0]
         _, inv = write_config(
@@ -207,8 +153,8 @@ def main():
         [0, 0, 0, 0, 4, 1],
         [-4, 1, 0, 0, -4, 1],
     ]
-    ep = pad([[1 if i == j else 0 for j in range(8)] for i in range(8)], 6) + pad(n0_rows[:2], 0)
-    em = pad([[1 if i == j else 0 for j in range(8)] for i in range(8)], 14) + pad(n0_rows[2:], 0)
+    ep = embed.scatter(xa.eye(8), ("E8a",)) + embed.scatter(n0_rows[:2], ("U1", "U2", "U3"))
+    em = embed.scatter(xa.eye(8), ("E8b",)) + embed.scatter(n0_rows[2:], ("U1", "U2", "U3"))
     _, inv = write_config(
         "no7", "Ex7.11", "Ex7.11", ep, em,
         comment="each polarising lattice is E8(-1) + <8> + <-16>; the two\n"
@@ -224,8 +170,8 @@ def main():
         [0, -1, 0, 1],
     ]
     # the paper's factor basis has Gram [[4,4],[4,0]]; the catalog basis is reversed
-    ep = pad([w_rows[1], w_rows[0]], 0)
-    em = pad([w_rows[3], w_rows[2]], 0)
+    ep = embed.scatter([w_rows[1], w_rows[0]], ("U1", "U2"))
+    em = embed.scatter([w_rows[3], w_rows[2]], ("U1", "U2"))
     _, inv = write_config(
         "no8", "Ex7.6", "Ex7.6", ep, em,
         comment="cotorsion (Z/4)^2: the largest gluing keeping both factors primitive",
@@ -258,13 +204,11 @@ def main():
         res = glue.orthogonal_pushout(glue.PushoutSpec(Npl, Nmi, R, [vplus], [vminus]))
         assert isinstance(res, glue.PushoutResult), name
         W = res.w
-        for bound in (3, 4, 5):
-            vw = embed.construct_embedding(W, strategy="backtracking", bound=bound, require_primitive=True,
-                                           ambient=lat.direct_sum(lat.U(), lat.U(), lat.U()))
-            if vw.status == embed.EXISTS_CONSTRUCTED and vw.primitive:
+        for bound in (3, 4, 5):  # the smallest bound that places W picks the rows
+            B = embed.place(W, ("U1", "U2", "U3"), bound)
+            if B is not None:
                 break
-        assert vw.status == embed.EXISTS_CONSTRUCTED and vw.primitive, name
-        B = pad(vw.basis, 0)
+        assert B is not None, name
         ep = xa.matmul(res.n_plus_in_w.basis, B)
         em = xa.matmul(res.n_minus_in_w.basis, B)
         _, inv = write_config(name, bp, bm, ep, em, extra={"ample_cone_asserted": True},
@@ -280,20 +224,11 @@ def main():
     res = glue.orthogonal_pushout(glue.PushoutSpec(N, N, R, [[-1, -1, 1]], [[-1, -1, 1]]))
     assert isinstance(res, glue.PushoutResult)
     W = res.w
-    amb12 = lat.direct_sum(lat.U(), lat.U(), lat.E8(-1))
-    vn = embed.construct_embedding(N, strategy="backtracking", bound=3, ambient=amb12,
-                                   require_primitive=True)
-    assert vn.status == embed.EXISTS_CONSTRUCTED and vn.primitive, "N+ placement"
-    rows5 = embed.extend_rows(W, amb12, vn.basis, bound=3, require_primitive=True)
-    assert rows5 is not None, "no primitive placement for the rank-5 pushout"
-    # U + U + E8(-1) ambient occupies slots (U1, U2, E8#1)
-    B = []
-    for row in rows5:
-        full = [0] * 22
-        full[0], full[1], full[2], full[3] = row[0], row[1], row[2], row[3]
-        for j in range(8):
-            full[6 + j] = row[4 + j]
-        B.append(full)
+    summands = ("U1", "U2", "E8a")
+    vn = embed.place(N, summands, 3)
+    assert vn is not None, "N+ placement"
+    B = embed.place(W, summands, 3, prefix=vn)
+    assert B is not None, "no primitive placement for the rank-5 pushout"
     ep = xa.matmul(res.n_plus_in_w.basis, B)
     em = xa.matmul(res.n_minus_in_w.basis, B)
     _, inv = write_config(
@@ -306,7 +241,7 @@ def main():
 
     # --- No 11: handcrafted non-orthogonal gluing of Ex7.6 with itself
     w11 = lat.Lattice([[12, 4, 0, 0], [4, 0, 0, 1], [0, 0, 12, 4], [0, 1, 4, 0]])
-    v11 = embed.construct_embedding(w11, strategy="library")
+    v11 = embed.construct_embedding(w11)
     assert v11.status == embed.EXISTS_CONSTRUCTED and v11.primitive
     rows = v11.basis
     # factor basis (H, E) with H = A + E; catalog basis is (E, A) = (E, H - E)
