@@ -74,6 +74,15 @@ def cases():
         ["embed", "--w", _gram("exhaust_rank4.gram"), "--search-bound", "1"],
     ]
     out += [["g2", "verify", "--samples", "20", "--seed", str(seed)] for seed in (0, 1, 2)]
+    # perpendicular matches of Ex7.7 against every rank-1 block, and of every
+    # pair of rank-1 blocks; an argv already frozen above keeps its place
+    rank1 = sorted(blocks.rank1_catalog().ids())
+    pairs = [("Ex7.7", rid) for rid in rank1]
+    pairs += [(a, b) for i, a in enumerate(rank1) for b in rank1[i:]]
+    for plus, minus in pairs:
+        argv = ["match", "--plus", plus, "--minus", minus, "--mode", "perp"]
+        if argv not in out:
+            out.append(argv)
     return out
 
 
