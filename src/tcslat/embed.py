@@ -97,36 +97,11 @@ def mod_obstruction(T, m, k, budget=10**7):
     return (m % k) not in lat.norm_residues(T, k, budget=budget)
 
 
-def _gram_blocks(gram):
-    """Connected components of the Gram matrix as (sorted index tuple) lists."""
-    n = len(gram)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        stack = [s]
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and gram[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def _e8_vector_of_norm(norm):
-    """First vector of the given positive norm in E8 (definite search)."""
+    """First vector of the given positive norm in E8 (definite search), in one
+    pass over coordinates in [-3, 3]; shells come in increasing order."""
     E8 = lat.E8()
-    for bound in (1, 2, 3):
-        for x in lat.candidate_vectors(8, bound):
-            if E8.norm(x) == norm:
-                return list(x)
-    return None
+    return next((list(x) for x in lat.candidate_vectors(8, 3) if E8.norm(x) == norm), None)
 
 
 class _SlotAllocator:
@@ -231,7 +206,7 @@ def _library_strategy(W):
             prim = verify_embedding(W, target, rows)
             if prim is not None:
                 return rows, prim
-    comps = _gram_blocks(W.gram)
+    comps = lat.gram_blocks(W.gram)
     slots = _SlotAllocator()
     rows_by_index = {}
     for comp in comps:
@@ -249,22 +224,29 @@ def _library_strategy(W):
 
 
 _POOL_SIZE_CAP = 30000
+_POOLS = {}
 
 
 def _block_pool(block_gram, bound):
-    """All vectors of one ambient block with coordinates in [-bound, bound],
-    as (coords, norm) in deterministic order; includes the zero vector.
+    """(pool, min norm, max norm) for one ambient block: the pool holds all
+    vectors with coordinates in [-bound, bound] as (coords, norm) in
+    deterministic order, the zero vector first.
 
-    High-rank blocks cap the coordinate bound so the pool stays enumerable."""
+    High-rank blocks cap the coordinate bound so the pool stays enumerable.
+    Each (block Gram, capped bound) is enumerated once per process, on first
+    use, and kept as a tuple of tuples: E8(-1) at bounds 2, 3 and 4 shares
+    one pool."""
     n = len(block_gram)
     b = bound
     while b > 1 and (2 * b + 1) ** n > _POOL_SIZE_CAP:
         b -= 1
-    L = lat.Lattice(block_gram)
-    pool = [((0,) * n, 0)]
-    for x in lat.candidate_vectors(n, b):
-        pool.append((x, L.norm(x)))
-    return pool
+    key = (tuple(map(tuple, block_gram)), b)
+    if key not in _POOLS:
+        L = lat.Lattice(block_gram)
+        pool = (((0,) * n, 0),) + tuple((x, L.norm(x)) for x in lat.candidate_vectors(n, b))
+        norms = [nm for _, nm in pool]
+        _POOLS[key] = (pool, min(norms), max(norms))
+    return _POOLS[key]
 
 
 def _backtracking_strategy(W, ambient, bound, prefix):
@@ -279,20 +261,16 @@ def _backtracking_strategy(W, ambient, bound, prefix):
         sig, amb = lat.signature(W), lat.signature(ambient)
         if sig.positives > amb.positives or sig.negatives > amb.negatives:
             return None
-    comps = _gram_blocks(ambient.gram)
     blocks = []
-    for comp in comps:
+    norm_ranges = []
+    for comp in lat.gram_blocks(ambient.gram):
         bg = [[ambient.gram[i][j] for j in comp] for i in comp]
-        pool = _block_pool(bg, bound)
+        pool, lo, hi = _block_pool(bg, bound)
         blocks.append((comp, bg, pool))
+        norm_ranges.append((lo, hi))
     target = W.gram
     n = ambient.rank
     placed = [list(map(int, row)) for row in prefix]
-
-    norm_ranges = []
-    for comp, bg, pool in blocks:
-        norms = [nm for _, nm in pool]
-        norm_ranges.append((min(norms), max(norms)))
 
     def pieces_of(vec_full):
         return [tuple(vec_full[i] for i in comp) for comp, _, _ in blocks]

@@ -371,7 +371,11 @@ def propose_triple(cert):
 
 
 def verify_triple(triple, emb_plus, emb_minus):
-    """Membership, pairwise orthogonality and positivity, all exact over Q."""
+    """Membership, pairwise orthogonality and positivity, all exact over Q.
+
+    T+ and T- are recomputed from the embeddings on purpose, not read from the
+    certificate that `_attach_geometry` filled: the check stays independent of
+    the construction it checks."""
     amb = emb_plus.ambient
     reasons = []
     Tp = lat.orthogonal_complement(emb_plus)

@@ -154,6 +154,55 @@ def test_backtracking_refuses_w_beyond_the_ambient_signature(monkeypatch):
         assert embed.place(W, ("U1", "U2", "U3"), 3) is None
 
 
+@pytest.mark.parametrize("gram, bound", [(lat.U().gram, 3), (lat.E8(-1).gram, 4)])
+def test_block_pool_is_the_candidate_enumeration(gram, bound):
+    pool, lo, hi = embed._block_pool(gram, bound)
+    n = len(gram)
+    L = lat.Lattice(gram)
+    capped = bound if n == 2 else 1
+    fresh = [((0,) * n, 0)] + [(x, L.norm(x)) for x in lat.candidate_vectors(n, capped)]
+    assert isinstance(pool, tuple) and all(isinstance(v, tuple) for v in pool)
+    assert list(pool) == fresh
+    assert (lo, hi) == (min(nm for _, nm in fresh), max(nm for _, nm in fresh))
+
+
+def test_place_enumerates_each_pool_once(monkeypatch):
+    monkeypatch.setattr(embed, "_POOLS", {})
+    calls = []
+    enumerate_vectors = lat.candidate_vectors
+
+    def counted(n, bound):
+        calls.append((n, bound))
+        return enumerate_vectors(n, bound)
+
+    monkeypatch.setattr(lat, "candidate_vectors", counted)
+    W = lat.Lattice(blocks.full_catalog()["Ex7.6"].n_gram)
+    first = embed.place(W, ("U3", "E8a"), 3)
+    assert first is not None and embed.place(W, ("U3", "E8a"), 4) is not None
+    # E8(-1) caps bounds 3 and 4 to 1: one pool; U3 has one pool per bound
+    assert sorted(calls) == [(2, 3), (2, 4), (8, 1)]
+    assert embed.place(W, ("U3", "E8a"), 3) == first
+    assert len(calls) == 3
+
+
+def _e8_vector_of_norm_by_bounds(norm):
+    """The former search: candidate_vectors(8, bound) for bound 1, 2, 3 in turn."""
+    E8 = lat.E8()
+    for bound in (1, 2, 3):
+        for x in lat.candidate_vectors(8, bound):
+            if E8.norm(x) == norm:
+                return list(x)
+    return None
+
+
+# E8 is even: an odd norm exhausts all 7^8 candidates, which takes minutes
+@pytest.mark.parametrize("norm", range(2, 13, 2))
+def test_e8_vector_of_norm_is_the_first_hit_of_the_shells(norm):
+    got = embed._e8_vector_of_norm(norm)
+    assert got == _e8_vector_of_norm_by_bounds(norm)
+    assert lat.E8().norm(got) == norm
+
+
 def test_summands_tile_the_k3_basis():
     coords = [i for r in embed.SUMMANDS.values() for i in r]
     assert coords == list(range(embed.K3_RANK))

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcslat import exactalg as xa
@@ -221,6 +222,45 @@ def test_norm_residues():
     assert lat.norm_residues(lat.diag_lattice(4), 3) == {0, 1}
     with pytest.raises(lat.EnumerationBudgetExceeded):
         lat.norm_residues(k3_lattice(), 5, budget=100)
+
+
+def test_norm_residues_budget_counts_components():
+    # K3 mod 5 enumerates 3 * 5^2 + 2 * 5^8 vectors, far beyond the budget
+    with pytest.raises(lat.EnumerationBudgetExceeded, match="781325"):
+        lat.norm_residues(k3_lattice(), 5, budget=100)
+    # T = A2(-1) + 2U(3) enumerates 3 * 5^2 = 75 vectors, not 5^6
+    T = lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3))
+    assert lat.norm_residues(T, 5, budget=75) == _brute_norm_residues(T.gram, 5)
+    with pytest.raises(lat.EnumerationBudgetExceeded):
+        lat.norm_residues(T, 5, budget=74)
+
+
+def _brute_norm_residues(gram, k):
+    """The oracle: x . G . x^T mod k over all k^rank vectors x."""
+    n = len(gram)
+    return {sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) % k
+            for x in itertools.product(range(k), repeat=n)}
+
+
+@st.composite
+def _even_gram(draw, size):
+    g = [[0] * size for _ in range(size)]
+    for i in range(size):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, size):
+            g[i][j] = g[j][i] = draw(st.integers(-4, 4))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 3).flatmap(_even_gram), min_size=1, max_size=3),
+       st.integers(2, 5))
+@example([[[2]], [[2]]], 5)  # {0, 2, 3} + {0, 2, 3} is all of Z/5, not their union
+def test_norm_residues_matches_brute_force_on_block_diagonal_grams(parts, k):
+    while len(parts) > 1 and k ** sum(len(g) for g in parts) > 5**5:
+        parts = parts[:-1]
+    L = lat.direct_sum(*(lat.Lattice(g) for g in parts))
+    assert lat.norm_residues(L, k) == _brute_norm_residues(L.gram, k)
 
 
 def test_norm_residues_mod2_even():
