@@ -220,16 +220,10 @@ def test_norm_residues():
     assert lat.norm_residues(T, 3) == {0, 1}
     assert lat.norm_residues(lat.U(), 2) == {0}
     assert lat.norm_residues(lat.diag_lattice(4), 3) == {0, 1}
-    with pytest.raises(lat.EnumerationBudgetExceeded):
-        lat.norm_residues(k3_lattice(), 5, budget=100)
-
-
-def test_norm_residues_budget_counts_components():
-    # K3 mod 5 enumerates 3 * 5^2 + 2 * 5^8 vectors, far beyond the budget
+    # the budget counts the vectors of each component: 3 * 5^2 + 2 * 5^8 for
+    # K3, and 3 * 5^2 = 75 for T, not 5^6
     with pytest.raises(lat.EnumerationBudgetExceeded, match="781325"):
         lat.norm_residues(k3_lattice(), 5, budget=100)
-    # T = A2(-1) + 2U(3) enumerates 3 * 5^2 = 75 vectors, not 5^6
-    T = lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3))
     assert lat.norm_residues(T, 5, budget=75) == _brute_norm_residues(T.gram, 5)
     with pytest.raises(lat.EnumerationBudgetExceeded):
         lat.norm_residues(T, 5, budget=74)
