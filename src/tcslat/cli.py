@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 domain failure (a verdict or certificate failed),
 2 usage or parse errors (argparse's own convention)."""
 
 import argparse
+import functools
 import os
 import sys
 
@@ -22,6 +23,12 @@ def _parse_r(text):
 def _positive_int(text):
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _count(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -212,19 +219,16 @@ def build_parser():
     pc = sub.add_parser("catalog", help="list, show or validate catalog records")
     pc.add_argument("action", choices=("list", "show", "validate"))
     pc.add_argument("id", nargs="?")
-    pc.set_defaults(func=cmd_catalog)
 
     pp = sub.add_parser("pushout", help="orthogonal pushout of two blocks along rank-1 R")
     pp.add_argument("--plus", required=True)
     pp.add_argument("--minus", required=True)
     pp.add_argument("--r", required=True, metavar="GRAM")
     pp.add_argument("--search-bound", type=_positive_int, default=6)
-    pp.set_defaults(func=cmd_pushout)
 
     pe = sub.add_parser("embed", help="embed a lattice into the rank-22 ambient")
     pe.add_argument("--w", required=True, metavar="FILE")
     pe.add_argument("--search-bound", type=_positive_int, default=3)
-    pe.set_defaults(func=cmd_embed)
 
     pm = sub.add_parser("match", help="build a matching certificate")
     pm.add_argument("--plus", required=True)
@@ -234,33 +238,35 @@ def build_parser():
     pm.add_argument("--glue-index", type=_positive_int, default=2)
     pm.add_argument("--assert-ample", action="store_true")
     pm.add_argument("--search-bound", type=_positive_int, default=6)
-    pm.set_defaults(func=cmd_match)
 
     pi = sub.add_parser("invariants", help="invariants of a gluing configuration")
     pi.add_argument("--config", required=True, metavar="FILE")
     pi.add_argument("--format", choices=("human", "tsv"), default="human")
-    pi.set_defaults(func=cmd_invariants)
 
     pg = sub.add_parser("geography", help="census tables over a catalog")
     pg.add_argument("table", choices=("table3", "general"))
     pg.add_argument("--filter", choices=("rank11", "rankell22"))
     pg.add_argument("--resolutions", choices=("best", "all"), default="best")
     pg.add_argument("--format", choices=("human", "tsv"), default="tsv")
-    pg.set_defaults(func=cmd_geography)
 
     pv = sub.add_parser("g2", help="verify the pointwise identities of the model forms")
     pv.add_argument("action", choices=("verify",))
-    pv.add_argument("--samples", type=int, default=100)
+    pv.add_argument("--samples", type=_count, default=100)
     pv.add_argument("--seed", type=int, default=0)
-    pv.set_defaults(func=cmd_g2)
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on every call, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (blocks.CatalogError, tcs.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

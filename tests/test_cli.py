@@ -82,6 +82,24 @@ def test_g2_verify():
     code, out, _ = run(["g2", "verify", "--samples", "5", "--seed", "1"])
     assert code == 0
     assert "all identities hold" in out
+    code, out, _ = run(["g2", "verify", "--samples", "0"])
+    assert code == 0
+    assert "triples_checked = 343" in out  # basis triples only
+
+
+def test_main_builds_its_parser_once_and_dispatches_by_name(monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["g2", "verify", "--samples", "3", "--seed", "2"]
+    first, second = run(argv), run(argv)
+    assert first == second and first[0] == 0
+    assert builds == [1]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_g2", lambda args: seen.append(args.samples) or 0)
+    assert run(argv) == (0, "", "")
+    assert seen == [3]
 
 
 def test_invariants_config():
@@ -259,6 +277,7 @@ MALFORMED = {
     "match-gramless-minus-orth": ("g.blocks", GRAMLESS, GRAMLESS_MINUS + ["orth", "--r", "[[-4]]"]),
     "glue-index-0": (None, None, GLUE_INDEX + ["0"]),
     "glue-index-negative": (None, None, GLUE_INDEX + ["-3"]),
+    "g2-samples-negative": (None, None, ["g2", "verify", "--samples", "-3"]),
 }
 
 

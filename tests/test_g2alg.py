@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcslat import exactalg as xa
@@ -258,3 +259,133 @@ def test_canonical_sign_flips_under_a_swap(idx, data):
     assert g2alg._canonical(tuple(swapped)) == (-sign, canon)
     assert g2alg._canonical(canon) == (1, canon)
     assert g2alg._canonical(tuple(idx) + (idx[i],))[0] == 0
+
+
+def test_metric_rejects_a_nonsymmetric_matrix():
+    M = xa.eye(7)
+    M[0][1] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="symmetric"):
+        g2alg.Metric(M)
+    M[1][0] = Fraction(1, 2)
+    assert g2alg.Metric(M).matrix[1][0] == Fraction(1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@example([0] * 7, [Fraction(1, 2), -3, 0, 0, Fraction(2, 3), 1, 0])
+@given(st.lists(rationals, min_size=7, max_size=7), st.lists(rationals, min_size=7, max_size=7))
+def test_identity_fast_path_matches_the_generic_products(u, v):
+    g = g2alg.identity_metric()
+    assert g.pair(u, v) == xa.pair(u, xa.eye(7), v)
+    assert g._is_identity  # the value above came from the fast path
+    w = g.solve(u)
+    assert w == xa.matmul([u], xa.eye(7))[0]
+    assert all(type(x) is Fraction for x in w)
+
+
+def test_model_form_copies_do_not_reach_the_defaults():
+    before = (g2alg.cross(e(1), e(2)), g2alg.chi(e(5), e(6), e(7)),
+              g2alg.is_associative(e(1), e(2), e(3)), g2alg.is_associative(e(1), e(4), e(6)))
+    phi, psi = g2alg.phi0(), g2alg.psi0()
+    phi[(0, 3, 5)] = 1
+    phi.coeffs.pop((0, 1, 2))
+    psi.coeffs.clear()
+    assert (g2alg.cross(e(1), e(2)), g2alg.chi(e(5), e(6), e(7)),
+            g2alg.is_associative(e(1), e(2), e(3)), g2alg.is_associative(e(1), e(4), e(6))) == before
+    assert g2alg.phi0()[(0, 1, 2)] == 1 and len(g2alg.psi0().coeffs) == 7
+
+
+def test_gram_determinant_makes_one_pairing_per_unordered_pair(monkeypatch):
+    import random
+
+    calls = []
+    pair = g2alg.Metric.pair
+    monkeypatch.setattr(g2alg.Metric, "pair", lambda self, u, v: calls.append((u, v)) or pair(self, u, v))
+    rng = random.Random(5)
+    for k in range(1, 6):
+        vectors = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(7)] for _ in range(k)]
+        del calls[:]
+        gd = g2alg.gram_determinant(vectors)
+        assert len(calls) == k * (k + 1) // 2
+        den, ints = xa.clear_denominators(xa.pairings(vectors, xa.eye(7)))
+        assert gd == Fraction(xa.det(ints), den**k)
+
+
+# The contract-based evaluation, pullback and wedge that the minor- and
+# mask-based kernels replaced, kept here as their oracle.
+
+def _ref_contract(coeffs, v):
+    out = {}
+    for idx, c in coeffs.items():
+        for pos, i in enumerate(idx):
+            if v[i]:
+                rest = idx[:pos] + idx[pos + 1 :]
+                out[rest] = out.get(rest, 0) + (-1) ** pos * c * Fraction(v[i])
+    return {idx: c for idx, c in out.items() if c}
+
+
+def _ref_evaluate(form, vectors):
+    coeffs = form.coeffs
+    for v in vectors:
+        coeffs = _ref_contract(coeffs, v)
+    return coeffs.get((), Fraction(0))
+
+
+def _ref_pullback(form, rows):
+    values = {idx: _ref_evaluate(form, [rows[i] for i in idx])
+              for idx in itertools.combinations(range(len(rows)), form.degree)}
+    return {idx: c for idx, c in values.items() if c}
+
+
+def _ref_wedge(a, b):
+    out = {}
+    for i1, c1 in a.coeffs.items():
+        for i2, c2 in b.coeffs.items():
+            idx = i1 + i2
+            if len(set(idx)) == len(idx):
+                sign = (-1) ** sum(x > y for x, y in itertools.combinations(idx, 2))
+                out[tuple(sorted(idx))] = out.get(tuple(sorted(idx)), 0) + sign * c1 * c2
+    return {idx: c for idx, c in out.items() if c}
+
+
+@st.composite
+def forms(draw, dimension, degree):
+    support = draw(st.lists(st.sampled_from(list(itertools.combinations(range(dimension), degree))),
+                            unique=True, max_size=10))
+    return g2alg.Form(degree, dimension, {idx: draw(rationals) for idx in support})
+
+
+@st.composite
+def form_and_rows(draw):
+    n = draw(st.integers(1, 7))
+    form = draw(forms(n, draw(st.integers(0, min(n, 4)))))
+    return form, draw(rational_matrices(draw(st.integers(0, 6)), n))
+
+
+@settings(max_examples=80, deadline=None)
+@example((g2alg.Form(2, 3, {(0, 2): 1, (1, 2): Fraction(-2, 3)}), [[1, 2, 0], [0, 1, 3], [2, 0, 1], [1, 1, 1]]))
+@given(form_and_rows())
+def test_minor_kernels_match_nested_contractions(case):
+    form, rows = case
+    pulled = g2alg.pullback(form, rows)
+    assert (pulled.degree, pulled.dimension) == (form.degree, len(rows))
+    assert pulled.coeffs == _ref_pullback(form, rows)
+    assert all(type(c) is Fraction for c in pulled.coeffs.values())
+    vectors = rows[: form.degree]
+    if len(vectors) == form.degree:
+        value = form.evaluate(*vectors)
+        assert value == _ref_evaluate(form, vectors) and type(value) is Fraction
+    if rows:
+        assert form.contract(rows[0]).coeffs == _ref_contract(form.coeffs, rows[0])
+
+
+@settings(max_examples=80, deadline=None)
+@example((g2alg.Form(1, 3, {(2,): 1}), g2alg.Form(2, 3, {(0, 1): Fraction(1, 2)})))  # e3 ^ e12 = e123 / 2
+@example((g2alg.Form(2, 4, {(1, 3): 1}), g2alg.Form(1, 4, {(2,): 1})))  # e24 ^ e3 = -e234
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    *(st.integers(0, n).flatmap(lambda d: forms(n, d)) for _ in range(2)))))
+def test_mask_wedge_matches_sorting_by_inversions(pair):
+    a, b = pair
+    product = a.wedge(b)
+    assert (product.degree, product.dimension) == (a.degree + b.degree, a.dimension)
+    assert product.coeffs == _ref_wedge(a, b)
+    assert all(type(c) is Fraction for c in product.coeffs.values())

@@ -56,3 +56,17 @@ def test_g2alg_golden_covers_every_case():
 def test_g2alg_golden(name):
     """Each seeded g2alg call renders exactly as frozen by tools/make_golden.py."""
     assert MAKE_GOLDEN.render_call(G2ALG_CASES[name]) == G2ALG[name]
+
+
+def test_make_golden_check_names_the_first_case_that_differs(tmp_path):
+    cases = {f"g2 verify --seed {k}": {"argv": ["g2", "verify", "--seed", str(k)], "exit": 0,
+                                        "stdout": [f"line {k}", ""]} for k in range(3)}
+    text = MAKE_GOLDEN._json(list(cases.values()))
+    path = tmp_path / "corpus.json"
+    assert MAKE_GOLDEN.first_difference(str(path), text, cases) == "the file is missing"
+    path.write_text(text)
+    assert MAKE_GOLDEN.first_difference(str(path), text, cases) is None
+    path.write_text(text.replace("line 1", "line one"))
+    assert MAKE_GOLDEN.first_difference(str(path), text, cases) == "g2 verify --seed 1"
+    path.write_text(text.replace("\n", "\n\n", 1))
+    assert MAKE_GOLDEN.first_difference(str(path), text, cases) == "same cases, different layout"

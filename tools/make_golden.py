@@ -8,16 +8,20 @@ tests/test_golden.py recomputes through ``g2alg_cases`` and ``render_call``.
 Every case runs in-process through ``tcslat.cli.main`` with the repository
 root as the working directory, so file arguments are repository-relative.
 Re-running must reproduce the corpus byte-for-byte; regenerate it only when a
-change to the output is intended.
+change to the output is intended.  ``--check`` recomputes everything in memory
+and writes nothing: it exits 1 naming the first case that differs from its
+golden file, and 0 when every file would be rewritten byte for byte.
 
-    python3 tools/make_golden.py
+    python3 tools/make_golden.py [--check]
 """
 
+import argparse
 import glob
 import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -246,27 +250,72 @@ def g2alg_cases():
     return out
 
 
-def main():
+def _json(value):
+    return json.dumps(value, indent=1) + "\n"
+
+
+def golden_files():
+    """(what, where, files) for the corpus, the demo outputs and the g2alg
+    renderings, each recomputed in memory; files are (path, text, cases) with
+    text the exact file content and cases its entries by name, in file order."""
     corpus = []
     for argv in cases():
         code, stdout = run(argv)
         corpus.append({"argv": argv, "exit": code, "stdout": stdout.split("\n")})
-    with open(CORPUS, "w", encoding="utf-8") as fh:
-        json.dump(corpus, fh, indent=1)
-        fh.write("\n")
-    print(f"{len(corpus)} cases written to {os.path.relpath(CORPUS, ROOT)}")
-    os.makedirs(DEMO_GOLDEN, exist_ok=True)
+    yield "cases", CORPUS, [(CORPUS, _json(corpus), {shlex.join(c["argv"]): c for c in corpus})]
+    demos = []
     for script in demo_scripts():
         name = os.path.splitext(os.path.basename(script))[0] + ".txt"
-        with open(os.path.join(DEMO_GOLDEN, name), "w", encoding="utf-8") as fh:
-            fh.write(demo_stdout(script))
-    print(f"{len(demo_scripts())} demo outputs written to {os.path.relpath(DEMO_GOLDEN, ROOT)}")
+        text = demo_stdout(script)
+        demos.append((os.path.join(DEMO_GOLDEN, name), text, {name: text}))
+    yield "demo outputs", DEMO_GOLDEN, demos
     frozen = {name: render_call(call) for name, call in g2alg_cases()}
-    with open(G2ALG_GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(frozen, fh, indent=1)
-        fh.write("\n")
-    print(f"{len(frozen)} g2alg calls written to {os.path.relpath(G2ALG_GOLDEN, ROOT)}")
+    yield "g2alg calls", G2ALG_GOLDEN, [(G2ALG_GOLDEN, _json(frozen), frozen)]
+
+
+def first_difference(path, text, cases):
+    """None when the file at path holds exactly text, else the name of the
+    first case whose entry differs from (or is missing in) the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            old = fh.read()
+    except FileNotFoundError:
+        return "the file is missing"
+    if old == text:
+        return None
+    if path.endswith(".json"):
+        frozen = json.loads(old)
+        if isinstance(frozen, list):
+            frozen = {shlex.join(c["argv"]): c for c in frozen}
+    else:
+        frozen = {name: old for name in cases}
+    for name in list(cases) + list(frozen):
+        if cases.get(name) != frozen.get(name):
+            return name
+    return "same cases, different layout"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute in memory, write nothing, exit 1 at the first case that differs")
+    args = parser.parse_args(argv)
+    for what, where, files in golden_files():
+        where = os.path.relpath(where, ROOT)
+        count = sum(len(entries) for _, _, entries in files)
+        for path, text, entries in files:
+            if args.check:
+                diff = first_difference(path, text, entries)
+                if diff is not None:
+                    print(f"{os.path.relpath(path, ROOT)} differs: {diff}")
+                    return 1
+            else:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+        print(f"{count} {what} {'match' if args.check else 'written to'} {where}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
