@@ -87,6 +87,14 @@ def cases():
         argv = ["match", "--plus", plus, "--minus", minus, "--mode", "perp"]
         if argv not in out:
             out.append(argv)
+    # the perpendicular matches and backtracking embeds that perfbench's
+    # certify workload runs, searches that hit and searches that exhaust
+    for plus, minus in (("Ex7.6", "Ex7.6"), ("Ex7.3", "MM2-10"), ("Ex7.9", "Ex7.10"),
+                        ("Ex7.10", "Ex7.11")):
+        out.append(["match", "--plus", plus, "--minus", minus, "--mode", "perp"])
+    for name, bound in (("backtrack_rank3_a", 2), ("backtrack_rank3_b", 2), ("exhaust_sig22", 1)):
+        out.append(["embed", "--w", os.path.join("perfbench", "grams", name + ".gram"),
+                    "--search-bound", str(bound)])
     return out
 
 
