@@ -7,6 +7,8 @@ coordinates the table SUMMANDS gives; each E8(-1) has the E8 Gram of lattice.E8
 in reports are reproducible bit-for-bit against this basis.
 """
 
+from operator import mul
+
 from . import exactalg as xa
 from . import lattice as lat
 
@@ -228,8 +230,8 @@ _POOLS = {}
 
 
 def _block_pool(block_gram, bound):
-    """(pool, min norm, max norm) for one ambient block: the pool holds all
-    vectors with coordinates in [-bound, bound] as (coords, norm) in
+    """(pool, min norm, max norm, capped bound b) for one ambient block: the
+    pool holds all vectors with coordinates in [-b, b] as (coords, norm) in
     deterministic order, the zero vector first.
 
     High-rank blocks cap the coordinate bound so the pool stays enumerable.
@@ -245,7 +247,7 @@ def _block_pool(block_gram, bound):
         L = lat.Lattice(block_gram)
         pool = (((0,) * n, 0),) + tuple((x, L.norm(x)) for x in lat.candidate_vectors(n, b))
         norms = [nm for _, nm in pool]
-        _POOLS[key] = (pool, min(norms), max(norms))
+        _POOLS[key] = (pool, min(norms), max(norms), b)
     return _POOLS[key]
 
 
@@ -254,41 +256,38 @@ def _backtracking_strategy(W, ambient, bound, prefix):
     deterministic; honest None on failure.
 
     The `prefix` rows are fixed as the first basis vectors and only the
-    remaining rows of W's Gram are searched.  A nondegenerate W whose
-    signature exceeds the ambient's in either component (as it does when W
-    has the larger rank) has no isometric image there: None before any search."""
-    if W.is_nondegenerate():
-        sig, amb = lat.signature(W), lat.signature(ambient)
-        if sig.positives > amb.positives or sig.negatives > amb.negatives:
-            return None
-    blocks = []
-    norm_ranges = []
+    remaining rows of W's Gram are searched.  A placed row p pairs with a
+    vector x of a block with Gram G by the dot product of x and the linear
+    form G p, and a pool is the whole box [-b, b]^n, so the later blocks
+    add at most the sum of b |G p|_1 over those blocks to that pairing."""
+    blocks = []  # (coordinates, Gram, pool, min norm, max norm, capped bound)
     for comp in lat.gram_blocks(ambient.gram):
         bg = [[ambient.gram[i][j] for j in comp] for i in comp]
-        pool, lo, hi = _block_pool(bg, bound)
-        blocks.append((comp, bg, pool))
-        norm_ranges.append((lo, hi))
+        blocks.append((comp, bg) + _block_pool(bg, bound))
+    # the norm window of the blocks after each block
+    lo_rest = [sum(blk[3] for blk in blocks[bi + 1:]) for bi in range(len(blocks))]
+    hi_rest = [sum(blk[4] for blk in blocks[bi + 1:]) for bi in range(len(blocks))]
     target = W.gram
     n = ambient.rank
     placed = [list(map(int, row)) for row in prefix]
 
-    def pieces_of(vec_full):
-        return [tuple(vec_full[i] for i in comp) for comp, _, _ in blocks]
-
     def fill(i):
         if i == W.rank:
             return lat.is_primitive(lat.Sublattice(ambient, placed))
-        prev_pieces = [pieces_of(v) for v in placed]
+        # each placed row's linear form per block, and caps[bi][t]: the most
+        # the blocks after bi can add to the pairing with row t
+        forms = [[[sum(row[k] * v[c] for k, c in enumerate(comp)) for row in bg]
+                  for comp, bg, *_ in blocks] for v in placed]
+        reach = [[blk[5] * sum(map(abs, f)) for blk, f in zip(blocks, form)] for form in forms]
+        caps = [[sum(r[bi + 1:]) for r in reach] for bi in range(len(blocks))]
+        goal = target[i][:i]
 
         def extend(bi, chosen, norm_acc, pair_acc):
             if bi == len(blocks):
-                if norm_acc != target[i][i]:
+                if norm_acc != target[i][i] or pair_acc != goal:
                     return False
-                for t in range(i):
-                    if pair_acc[t] != target[i][t]:
-                        return False
                 full = [0] * n
-                for (comp, _, _), piece in zip(blocks, chosen):
+                for (comp, *_), piece in zip(blocks, chosen):
                     for idx, v in zip(comp, piece):
                         full[idx] = v
                 if any(full):
@@ -299,31 +298,20 @@ def _backtracking_strategy(W, ambient, bound, prefix):
                             return True
                         placed.pop()
                 return False
-            comp, bg, pool = blocks[bi]
-            lo_rest = sum(norm_ranges[bj][0] for bj in range(bi + 1, len(blocks)))
-            hi_rest = sum(norm_ranges[bj][1] for bj in range(bi + 1, len(blocks)))
-            # max |pairing| contribution of later blocks against previous vectors
-            pair_caps = []
-            for t in range(i):
-                cap = 0
-                for bj in range(bi + 1, len(blocks)):
-                    compj, bgj, poolj = blocks[bj]
-                    prev_piece = prev_pieces[t][bj]
-                    cap += max(abs(xa.pair(x, bgj, prev_piece)) for x, _ in poolj)
-                pair_caps.append(cap)
+            pool, cap = blocks[bi][2], caps[bi]
+            lo, hi = target[i][i] - hi_rest[bi], target[i][i] - lo_rest[bi]
             for piece, nm in pool:
                 na = norm_acc + nm
-                if not (target[i][i] - hi_rest <= na <= target[i][i] - lo_rest):
+                if not lo <= na <= hi:
                     continue
                 pa = list(pair_acc)
-                ok = True
                 for t in range(i):
-                    pa[t] += xa.pair(piece, bg, prev_pieces[t][bi])
-                    if abs(pa[t] - target[i][t]) > pair_caps[t]:
-                        ok = False
+                    pa[t] += sum(map(mul, piece, forms[t][bi]))
+                    if abs(pa[t] - goal[t]) > cap[t]:
                         break
-                if ok and extend(bi + 1, chosen + [piece], na, pa):
-                    return True
+                else:
+                    if extend(bi + 1, chosen + [piece], na, pa):
+                        return True
             return False
 
         return extend(0, [], 0, [0] * i)
@@ -352,11 +340,21 @@ def place(W, summands, bound, prefix=()):
     finds none.
 
     The `prefix` rows, in K3 coordinates and inside those summands, come first
-    and only the rest of W's basis is searched.  The summands form a direct
-    summand of K3, so the image is primitive in K3 as well."""
+    and only the rest of W's basis is searched.  The summands form a
+    unimodular direct summand of K3, so the image is primitive in K3 as well,
+    and a nondegenerate W has no primitive image there when its signature
+    exceeds theirs, or when rk W + l(W) exceeds their rank, since W and its
+    complement have isomorphic discriminant groups (Nikulin 1979, Prop.
+    1.6.1): None before any search."""
     coords = [i for name in summands for i in SUMMANDS[name]]
     if any(x for row in prefix for i, x in enumerate(row) if i not in coords):
         raise ValueError("prefix rows must lie in the named summands")
+    if W.is_nondegenerate():
+        sig, u = lat.signature(W), sum(name.startswith("U") for name in summands)
+        # U has signature (1, 1) and E8(-1) has (0, 8)
+        if (sig.positives > u or sig.negatives > len(coords) - u
+                or W.rank + lat.ell(W) > len(coords)):
+            return None
     gram = k3_lattice().gram
     ambient = lat.Lattice([[gram[i][j] for j in coords] for i in coords])
     rows = _backtracking_strategy(W, ambient, bound, [[row[i] for i in coords] for row in prefix])

@@ -156,7 +156,7 @@ def test_backtracking_refuses_w_beyond_the_ambient_signature(monkeypatch):
 
 @pytest.mark.parametrize("gram, bound", [(lat.U().gram, 3), (lat.E8(-1).gram, 4)])
 def test_block_pool_is_the_candidate_enumeration(gram, bound):
-    pool, lo, hi = embed._block_pool(gram, bound)
+    pool, lo, hi, _ = embed._block_pool(gram, bound)
     n = len(gram)
     L = lat.Lattice(gram)
     capped = bound if n == 2 else 1
