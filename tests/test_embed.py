@@ -1,4 +1,8 @@
+from operator import mul
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcslat import blocks, embed, glue
 from tcslat import exactalg as xa
@@ -152,6 +156,169 @@ def test_backtracking_refuses_w_beyond_the_ambient_signature(monkeypatch):
     monkeypatch.setattr(embed, "_block_pool", no_search)
     for W in (lat.diag_lattice(-2, -2, -2, -2), lat.diag_lattice(2, 2, 2, 2)):
         assert embed.place(W, ("U1", "U2", "U3"), 3) is None
+
+
+def _no_search(*args):
+    raise AssertionError("the search started")
+
+
+# l(W) > rk(summands) - rk W: W and a complement would need isomorphic
+# discriminant groups, but the complement has too small a rank
+@pytest.mark.parametrize("block, summands", [
+    ("Ex7.9", ("U1", "U2")), ("Ex7.10", ("U3", "E8a")), ("Ex7.11", ("U3", "E8a"))])
+def test_place_refuses_w_whose_discriminant_outgrows_the_complement(block, summands, monkeypatch):
+    W = blocks.full_catalog()[block].lattice()
+    rank = sum(len(embed.SUMMANDS[name]) for name in summands)
+    assert W.rank + lat.ell(W) > rank
+    sig, u = lat.signature(W), sum(name.startswith("U") for name in summands)
+    assert sig.positives <= u and sig.negatives <= rank - u
+    monkeypatch.setattr(embed, "_block_pool", _no_search)
+    for bound in (1, 3, 9):
+        assert embed.place(W, summands, bound) is None
+
+
+def test_place_searches_when_the_discriminant_just_fits():
+    # U(2): rank 2 and l = 2 fill the rank 4 of U1 + U2; its complement is U(2)
+    W = lat.U(2)
+    assert W.rank + lat.ell(W) == 4
+    rows = embed.place(W, ("U1", "U2"), 2)
+    assert rows is not None
+    assert embed.verify_embedding(W, embed.k3_lattice(), rows) is True
+
+
+def _parent_backtracking_strategy(W, ambient, bound, prefix):
+    """The search as it was before the linear forms and closed-form caps:
+    every pairing through xa.pair and every cap by a scan of the later pools.
+    Test-only oracle for the search order."""
+    if W.is_nondegenerate():
+        sig, amb = lat.signature(W), lat.signature(ambient)
+        if sig.positives > amb.positives or sig.negatives > amb.negatives:
+            return None
+    blocks_ = []
+    norm_ranges = []
+    for comp in lat.gram_blocks(ambient.gram):
+        bg = [[ambient.gram[i][j] for j in comp] for i in comp]
+        pool, lo, hi, _ = embed._block_pool(bg, bound)
+        blocks_.append((comp, bg, pool))
+        norm_ranges.append((lo, hi))
+    target = W.gram
+    n = ambient.rank
+    placed = [list(map(int, row)) for row in prefix]
+
+    def pieces_of(vec_full):
+        return [tuple(vec_full[i] for i in comp) for comp, _, _ in blocks_]
+
+    def fill(i):
+        if i == W.rank:
+            return lat.is_primitive(lat.Sublattice(ambient, placed))
+        prev_pieces = [pieces_of(v) for v in placed]
+
+        def extend(bi, chosen, norm_acc, pair_acc):
+            if bi == len(blocks_):
+                if norm_acc != target[i][i]:
+                    return False
+                for t in range(i):
+                    if pair_acc[t] != target[i][t]:
+                        return False
+                full = [0] * n
+                for (comp, _, _), piece in zip(blocks_, chosen):
+                    for idx, v in zip(comp, piece):
+                        full[idx] = v
+                if any(full):
+                    rows = placed + [full]
+                    if xa.rank(rows) == len(rows):
+                        placed.append(full)
+                        if fill(i + 1):
+                            return True
+                        placed.pop()
+                return False
+            comp, bg, pool = blocks_[bi]
+            lo_rest = sum(norm_ranges[bj][0] for bj in range(bi + 1, len(blocks_)))
+            hi_rest = sum(norm_ranges[bj][1] for bj in range(bi + 1, len(blocks_)))
+            pair_caps = []
+            for t in range(i):
+                cap = 0
+                for bj in range(bi + 1, len(blocks_)):
+                    compj, bgj, poolj = blocks_[bj]
+                    prev_piece = prev_pieces[t][bj]
+                    cap += max(abs(xa.pair(x, bgj, prev_piece)) for x, _ in poolj)
+                pair_caps.append(cap)
+            for piece, nm in pool:
+                na = norm_acc + nm
+                if not (target[i][i] - hi_rest <= na <= target[i][i] - lo_rest):
+                    continue
+                pa = list(pair_acc)
+                ok = True
+                for t in range(i):
+                    pa[t] += xa.pair(piece, bg, prev_pieces[t][bi])
+                    if abs(pa[t] - target[i][t]) > pair_caps[t]:
+                        ok = False
+                        break
+                if ok and extend(bi + 1, chosen + [piece], na, pa):
+                    return True
+            return False
+
+        return extend(0, [], 0, [0] * i)
+
+    if fill(len(placed)):
+        return placed
+    return None
+
+
+def _parent_place(W, summands, bound):
+    coords = [i for name in summands for i in embed.SUMMANDS[name]]
+    gram = embed.k3_lattice().gram
+    ambient = lat.Lattice([[gram[i][j] for j in coords] for i in coords])
+    rows = _parent_backtracking_strategy(W, ambient, bound, [])
+    if rows is None or not embed.verify_embedding(W, ambient, rows):
+        return None
+    return embed.scatter(rows, summands)
+
+
+@st.composite
+def _small_placements(draw):
+    """(Gram, summands, bound): an even Gram of rank at most 3 into U1 + U2,
+    or at most 2 into U1 + U2 + U3, which keeps exhausted searches short."""
+    summands = draw(st.sampled_from([("U1", "U2"), ("U1", "U2", "U3")]))
+    k = draw(st.integers(1, 2 if len(summands) == 3 else 3))
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    return g, summands, draw(st.integers(1, 2))
+
+
+# U(2) at bound 2: a cap without the factor b skips the first hit
+PINNED_HIT = ([[0, 2], [2, 0]], ("U1", "U2"), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_small_placements())
+@example(case=PINNED_HIT)
+@example(case=([[2, 1], [1, -4]], ("U1", "U2", "U3"), 2))
+def test_place_returns_what_the_parent_search_returns(case):
+    gram, summands, bound = case
+    W = lat.Lattice(gram)
+    assert embed.place(W, summands, bound) == _parent_place(W, summands, bound)
+
+
+def test_the_pinned_oracle_example_hits():
+    gram, summands, bound = PINNED_HIT
+    rows = embed.place(lat.Lattice(gram), summands, bound)
+    assert rows is not None and rows == _parent_place(lat.Lattice(gram), summands, bound)
+
+
+# every pool is the whole box [-b, b]^n, so its largest pairing with a fixed p
+# is b |G p|_1, the cap the search computes in closed form
+@pytest.mark.parametrize("gram, bound", [(lat.U().gram, 3), (lat.E8(-1).gram, 4)])
+@settings(max_examples=15, deadline=None)
+@given(p=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_closed_form_cap_is_the_pool_maximum(gram, bound, p):
+    p = p[: len(gram)]
+    pool, _, _, b = embed._block_pool(gram, bound)
+    form = [sum(map(mul, row, p)) for row in gram]
+    assert b * sum(map(abs, form)) == max(abs(xa.pair(x, gram, p)) for x, _ in pool)
 
 
 @pytest.mark.parametrize("gram, bound", [(lat.U().gram, 3), (lat.E8(-1).gram, 4)])

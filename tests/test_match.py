@@ -2,7 +2,7 @@ import collections
 
 import pytest
 
-from tcslat import blocks, embed, match, tcs
+from tcslat import blocks, cli, embed, match, tcs
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 
@@ -37,6 +37,38 @@ def test_perp_match_reduces_w_once(monkeypatch):
     assert isinstance(cert, match.MatchCertificate)
     W = lat.direct_sum(plus.lattice(), minus.lattice())
     assert calls[tuple(map(tuple, W.gram))] == 1
+
+
+# the rank-10 minus blocks have l = 2, so rk + l = 12 exceeds the rank 10 of
+# U3 + E8a: place refuses them and the criterion answers, where the search
+# at bound 9 did not end
+@pytest.mark.parametrize("plus, minus, criterion, ranks", [
+    ("7.1_4^1", "Ex7.10", "i", ((1, 0), 11, (1, 10))),
+    ("7.1_4^1", "Ex7.11", "i", ((1, 0), 11, (1, 10))),
+    ("Ex7.6", "Ex7.10", "ii", ((1, 1), 12, (1, 9))),
+    ("Ex7.6", "Ex7.11", "ii", ((1, 1), 12, (1, 9))),
+])
+def test_perp_match_refuses_the_rank10_minus_search(plus, minus, criterion, ranks, monkeypatch,
+                                                     capsys):
+    pool = embed._block_pool
+
+    def no_e8_search(block_gram, bound):
+        if len(block_gram) == 8:
+            raise AssertionError("the search into U3 + E8a started")
+        return pool(block_gram, bound)
+
+    monkeypatch.setattr(embed, "_block_pool", no_e8_search)
+    assert cli.main(["match", "--plus", plus, "--minus", minus, "--mode", "perp"]) == 0
+    w_plus, w_rank, t = ranks
+    assert capsys.readouterr().out == "\n".join([
+        f"blocks = {plus} x {minus}",
+        "mode = perpendicular-primitive",
+        f"w_rank = {w_rank}",
+        f"embedding = EmbeddingVerdict(ExistsPrimitiveByCriterion({criterion}))",
+        "sig_check = True",
+        f"positivity = {{'w_plus': {w_plus}, 'w_minus': (1, 9), 't': {t}}}",
+        "ample_hypothesis = auto",
+    ]) + "\n"
 
 
 def test_certificate_burkhardt_obstructed():
