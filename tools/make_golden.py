@@ -95,6 +95,13 @@ def cases():
     for name, bound in (("backtrack_rank3_a", 2), ("backtrack_rank3_b", 2), ("exhaust_sig22", 1)):
         out.append(["embed", "--w", os.path.join("perfbench", "grams", name + ".gram"),
                     "--search-bound", str(bound)])
+    # the orthogonal matches of the no9 configs' pairs: rank-3 placements into 3U
+    for plus, minus, r in (("MM2-2", "MM2-24", -6), ("MM2-10", "MM2-10", -16),
+                           ("MM2-12", "MM2-12", -4), ("MM2-21", "MM2-21", -4),
+                           ("MM2-6", "MM2-12", -4), ("MM2-6", "MM2-21", -4),
+                           ("MM2-12", "MM2-21", -4)):
+        out.append(["match", "--plus", plus, "--minus", minus, "--mode", "orth",
+                    "--r", f"[[{r}]]", "--assert-ample"])
     return out
 
 
