@@ -251,6 +251,31 @@ def _block_pool(block_gram, bound):
     return _POOLS[key]
 
 
+def _pool_key(piece):
+    """A piece's place in its pool: its shell max |x_k|, then each coordinate's
+    place in lattice._coordinate_order (1, 0, -1, 2, -2, ... for the first
+    coordinate, 0, 1, -1, 2, -2, ... for the others)."""
+    places = [2 * c - 1 if c > 0 else -2 * c for c in piece]
+    places[0] = 1 - places[0] if places[0] < 2 else places[0]
+    return (max(map(abs, piece)), *places)
+
+
+def _first_in_orbit(pieces, is_u):
+    """True iff the row made of these block pieces comes first in DFS order in
+    its orbit under +-1 and the swap (e, f) -> (f, e) on each U, the
+    permutations of the U summands and +-1 on each other block: each U piece
+    is the least of its four images, the U pieces never decrease, and each
+    other piece is no later than its negation."""
+    u_keys = []
+    for piece, u in zip(pieces, is_u):
+        key, neg = _pool_key(piece), [-c for c in piece]
+        if any(key > _pool_key(im) for im in ([neg, piece[::-1], neg[::-1]] if u else [neg])):
+            return False
+        if u:
+            u_keys.append(key)
+    return u_keys == sorted(u_keys)
+
+
 def _backtracking_strategy(W, ambient, bound, prefix):
     """Blockwise DFS with interval pruning for a primitive image of W;
     deterministic; honest None on failure.
@@ -259,7 +284,14 @@ def _backtracking_strategy(W, ambient, bound, prefix):
     remaining rows of W's Gram are searched.  A placed row p pairs with a
     vector x of a block with Gram G by the dot product of x and the linear
     form G p, and a pool is the whole box [-b, b]^n, so the later blocks
-    add at most the sum of b |G p|_1 over those blocks to that pairing."""
+    add at most the sum of b |G p|_1 over those blocks to that pairing.
+
+    With no prefix and rk W >= 2, a first row x is searched only when it
+    comes first in its orbit (McKay's isomorph rejection).  An earlier image
+    g x passed the norm window and the caps, which only drop what cannot
+    reach the target, and its subtree failed; g keeps the Gram, the box, rank
+    and primitivity, so the subtree under x, its image under g^-1, fails too:
+    the first hit and every None are those of the unpruned search."""
     blocks = []  # (coordinates, Gram, pool, min norm, max norm, capped bound)
     for comp in lat.gram_blocks(ambient.gram):
         bg = [[ambient.gram[i][j] for j in comp] for i in comp]
@@ -267,6 +299,7 @@ def _backtracking_strategy(W, ambient, bound, prefix):
     # the norm window of the blocks after each block
     lo_rest = [sum(blk[3] for blk in blocks[bi + 1:]) for bi in range(len(blocks))]
     hi_rest = [sum(blk[4] for blk in blocks[bi + 1:]) for bi in range(len(blocks))]
+    is_u = [bg == lat.U().gram for _, bg, *_ in blocks]
     target = W.gram
     n = ambient.rank
     placed = [list(map(int, row)) for row in prefix]
@@ -281,10 +314,12 @@ def _backtracking_strategy(W, ambient, bound, prefix):
         reach = [[blk[5] * sum(map(abs, f)) for blk, f in zip(blocks, form)] for form in forms]
         caps = [[sum(r[bi + 1:]) for r in reach] for bi in range(len(blocks))]
         goal = target[i][:i]
+        root = i == 0 and W.rank > 1
 
         def extend(bi, chosen, norm_acc, pair_acc):
             if bi == len(blocks):
-                if norm_acc != target[i][i] or pair_acc != goal:
+                if (norm_acc != target[i][i] or pair_acc != goal
+                        or root and not _first_in_orbit(chosen, is_u)):
                     return False
                 full = [0] * n
                 for (comp, *_), piece in zip(blocks, chosen):

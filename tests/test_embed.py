@@ -1,3 +1,4 @@
+from itertools import permutations, product
 from operator import mul
 
 import pytest
@@ -265,11 +266,12 @@ def _parent_backtracking_strategy(W, ambient, bound, prefix):
     return None
 
 
-def _parent_place(W, summands, bound):
+def _parent_place(W, summands, bound, prefix=()):
     coords = [i for name in summands for i in embed.SUMMANDS[name]]
     gram = embed.k3_lattice().gram
     ambient = lat.Lattice([[gram[i][j] for j in coords] for i in coords])
-    rows = _parent_backtracking_strategy(W, ambient, bound, [])
+    rows = _parent_backtracking_strategy(W, ambient, bound,
+                                         [[row[i] for i in coords] for row in prefix])
     if rows is None or not embed.verify_embedding(W, ambient, rows):
         return None
     return embed.scatter(rows, summands)
@@ -293,9 +295,14 @@ def _small_placements(draw):
 PINNED_HIT = ([[0, 2], [2, 0]], ("U1", "U2"), 2)
 
 
+# hits after root candidates that come later than an image in their orbit
+PRUNED_HIT = ([[-6, 0], [0, -2]], ("U1", "U2"), 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_small_placements())
 @example(case=PINNED_HIT)
+@example(case=PRUNED_HIT)
 @example(case=([[2, 1], [1, -4]], ("U1", "U2", "U3"), 2))
 def test_place_returns_what_the_parent_search_returns(case):
     gram, summands, bound = case
@@ -307,6 +314,128 @@ def test_the_pinned_oracle_example_hits():
     gram, summands, bound = PINNED_HIT
     rows = embed.place(lat.Lattice(gram), summands, bound)
     assert rows is not None and rows == _parent_place(lat.Lattice(gram), summands, bound)
+
+
+@st.composite
+def _bound1_placements(draw, summands, max_rank):
+    """(Gram, summands, prefix): an even Gram of rank at most max_rank, many of
+    which exhaust at bound 1, and for rank >= 2 sometimes the first hit of its
+    first row as a prefix, which turns the root test off."""
+    k = draw(st.integers(1, max_rank))
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    prefix = ()
+    if k > 1 and draw(st.booleans()):
+        prefix = embed.place(lat.Lattice([g[0][:1]]), summands, 1) or ()
+    return g, summands, prefix
+
+
+# perfbench/grams/exhaust_sig22.gram: signature (2, 2), det 305, exhausts 3U at bound 1
+EXHAUST_SIG22 = [[4, 1, 0, 0], [1, -4, 1, 0], [0, 1, 4, 1], [0, 0, 1, -4]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_bound1_placements(("U1", "U2", "U3"), 3))
+@example(case=(EXHAUST_SIG22, ("U1", "U2", "U3"), ()))
+# the root test would prune the first searched row after this prefix
+@example(case=([[-6, 0], [0, -2]], ("U1", "U2", "U3"), embed.scatter([[1, -1, 1, -1, 1, -1]],
+                                                                       ("U1", "U2", "U3"))))
+def test_place_returns_what_the_parent_search_returns_at_bound_1(case):
+    gram, summands, prefix = case
+    W = lat.Lattice(gram)
+    assert embed.place(W, summands, 1, prefix) == _parent_place(W, summands, 1, prefix)
+
+
+# the parent search above takes seconds to a minute to exhaust U3 + E8a, so
+# there the oracle is this search with every root candidate searched
+@settings(max_examples=25, deadline=None)
+@given(case=_bound1_placements(("U3", "E8a"), 2))
+@example(case=([[-2, 1], [1, 4]], ("U3", "E8a"), ()))
+@example(case=([[-4, -1], [-1, 2]], ("U3", "E8a"), ()))
+def test_place_returns_what_the_unpruned_search_returns_in_u3_e8a(case):
+    gram, summands, prefix = case
+    W = lat.Lattice(gram)
+    got = embed.place(W, summands, 1, prefix)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embed, "_first_in_orbit", lambda *args: True)
+        assert got == embed.place(W, summands, 1, prefix)
+
+
+def test_the_pruned_oracle_example_hits_after_pruned_roots(monkeypatch):
+    gram, summands, bound = PRUNED_HIT
+    verdicts = []
+    first_in_orbit = embed._first_in_orbit
+
+    def recorded(*args):
+        verdicts.append(first_in_orbit(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(embed, "_first_in_orbit", recorded)
+    rows = embed.place(lat.Lattice(gram), summands, bound)
+    assert rows is not None and rows == _parent_place(lat.Lattice(gram), summands, bound)
+    assert False in verdicts and verdicts[-1] is True
+
+
+def test_exhaust_sig22_makes_few_rank_checks(monkeypatch):
+    calls = []
+    rank = xa.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(xa, "rank", counted)
+    assert embed.place(lat.Lattice(EXHAUST_SIG22), ("U1", "U2", "U3"), 1) is None
+    # the unpruned search makes 1980 rank checks here
+    assert 0 < len(calls) <= 100
+
+
+@pytest.mark.parametrize("gram, bound", [(lat.U().gram, 3), (lat.E8(-1).gram, 4)])
+def test_pool_key_sorts_into_pool_order(gram, bound):
+    pool = embed._block_pool(gram, bound)[0]
+    assert sorted(pool, key=lambda v: embed._pool_key(v[0])) == list(pool)
+    assert len({embed._pool_key(x) for x, _ in pool}) == len(pool)
+
+
+def _orbit(pieces, is_u):
+    """Every image of a row under +-1 and the swap on each U, the permutations
+    of the U summands and +-1 on each other block, listed map by map."""
+    images = []
+    for piece, u in zip(pieces, is_u):
+        piece, neg = tuple(piece), tuple(-c for c in piece)
+        images.append([piece, neg, piece[::-1], neg[::-1]] if u else [piece, neg])
+    u_at = [bi for bi, u in enumerate(is_u) if u]
+    for perm in permutations(u_at):
+        source = dict(zip(u_at, perm))
+        yield from product(*(images[source.get(bi, bi)] for bi in range(len(pieces))))
+
+
+def _dfs_place(row):
+    return [embed._pool_key(piece) for piece in row]
+
+
+_U_PIECE = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_E8_PIECE = st.tuples(*[st.integers(-1, 1)] * 8)
+
+
+# after two zero pieces, (-1, 2) comes after its negation only and (0, 1)
+# after its swap only; no U piece comes after its negated swap alone
+@settings(max_examples=150, deadline=None)
+@given(pieces=st.one_of(st.tuples(_U_PIECE, _U_PIECE, _U_PIECE), st.tuples(_U_PIECE, _E8_PIECE)))
+@example(pieces=((0, 0), (0, 0), (-1, 2)))
+@example(pieces=((0, 0), (0, 0), (0, 1)))
+@example(pieces=((1, 0), (0, 0), (0, 0)))
+@example(pieces=((0, 0), (0, 0), (0, 0)))
+@example(pieces=((1, 1), (-1, 0, 0, 0, 0, 0, 0, 0)))
+@example(pieces=((1, 1), (1, 0, 0, 0, 0, 0, 0, -1)))
+@example(pieces=((1, 1), (0, 0, 0, 0, 0, 0, 0, 1)))
+def test_first_in_orbit_is_the_least_image(pieces):
+    is_u = [len(piece) == 2 for piece in pieces]
+    least = min(map(_dfs_place, _orbit(pieces, is_u)))
+    assert embed._first_in_orbit(pieces, is_u) == (_dfs_place(pieces) == least)
 
 
 # every pool is the whole box [-b, b]^n, so its largest pairing with a fixed p

@@ -4,9 +4,15 @@
 Each configuration is constructed from the catalog plus an explicit embedding
 of the glued lattice into the fixed rank-22 ambient basis, verified against
 its expected invariants, and then frozen as a text file.  Re-running must be
-deterministic and reproduce the files byte-for-byte.
+deterministic and reproduce the files byte-for-byte.  ``--check`` recomputes
+every configuration in memory and writes nothing: it exits 1 naming the first
+file that differs from configs/, and 0 when every file would be rewritten byte
+for byte.
+
+    python3 tools/make_configs.py [--check]
 """
 
+import argparse
 import os
 import sys
 
@@ -20,6 +26,10 @@ from tcslat import tcs
 OUT = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 CAT = blocks.full_catalog()
+
+# set by --check: compare each configuration with its file instead of writing it
+CHECK = False
+WRITTEN = []
 
 
 def write_config(name, block_plus, block_minus, emb_plus, emb_minus, extra=None, comment=""):
@@ -39,8 +49,20 @@ def write_config(name, block_plus, block_minus, emb_plus, emb_minus, extra=None,
             v = "true" if v else "false"
         lines.append(f"{k} = {v}")
     path = os.path.join(OUT, f"{name}.cfg")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    WRITTEN.append(f"{name}.cfg")
+    if CHECK:
+        # unchanged, the file holds exactly this text, so loading it checks the text
+        try:
+            with open(path, encoding="utf-8") as fh:
+                same = fh.read() == text
+        except FileNotFoundError:
+            same = False
+        if not same:
+            raise SystemExit(f"configs/{name}.cfg differs")
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     cfg = tcs.load_config(path, CAT)
     inv = tcs.compute_invariants(cfg)
     return cfg, inv
@@ -74,8 +96,14 @@ def embed_pair_disjoint(gram_plus, gram_minus):
     return ep, em
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
+def main(argv=None):
+    global CHECK
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="recompute in memory, write nothing, exit 1 at the first file that differs")
+    CHECK = parser.parse_args(argv).check
+    if not CHECK:
+        os.makedirs(OUT, exist_ok=True)
 
     # --- No 1: quartic x quartic through the index-2 overlattice of <2> + <2>
     # u + v and u - v for u = (1, 1) in U1 and v = (1, 1) in U2
@@ -256,7 +284,13 @@ def main():
     check("no11", inv, 0, 93, [], [], 32, 48)
     assert not inv.betti_sum_orthogonal
 
-    print("all configs written")
+    if CHECK:
+        extra = sorted(set(os.listdir(OUT)) - set(WRITTEN))
+        if extra:
+            raise SystemExit(f"configs/{extra[0]} is not generated")
+        print(f"{len(WRITTEN)} configs match configs")
+    else:
+        print("all configs written")
 
 
 if __name__ == "__main__":

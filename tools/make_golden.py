@@ -10,7 +10,8 @@ root as the working directory, so file arguments are repository-relative.
 Re-running must reproduce the corpus byte-for-byte; regenerate it only when a
 change to the output is intended.  ``--check`` recomputes everything in memory
 and writes nothing: it exits 1 naming the first case that differs from its
-golden file, and 0 when every file would be rewritten byte for byte.
+golden file, and 0 when every file would be rewritten byte for byte.  It then
+runs ``tools/make_configs.py --check``, so configs/ is guarded as well.
 
     python3 tools/make_golden.py [--check]
 """
@@ -329,6 +330,11 @@ def main(argv=None):
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(text)
         print(f"{count} {what} {'match' if args.check else 'written to'} {where}")
+    if args.check:
+        proc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "make_configs.py"),
+                               "--check"], capture_output=True, text=True)
+        print((proc.stdout + proc.stderr).strip().splitlines()[-1])
+        return 1 if proc.returncode else 0
     return 0
 
 
