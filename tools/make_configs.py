@@ -27,45 +27,49 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 CAT = blocks.full_catalog()
 
-# set by --check: compare each configuration with its file instead of writing it
-CHECK = False
-WRITTEN = []
 
+class ConfigWriter:
+    """Writes each configuration to configs/ or, with check set, compares it
+    with the file there and writes nothing; keeps the file names it made."""
 
-def write_config(name, block_plus, block_minus, emb_plus, emb_minus, extra=None, comment=""):
-    lines = []
-    if comment:
-        for c in comment.splitlines():
-            lines.append(f"# {c}")
-    lines.append("schema = 1")
-    lines.append(f"config = {name}")
-    lines.append("")
-    lines.append(f"block_plus = {block_plus}")
-    lines.append(f"block_minus = {block_minus}")
-    lines.append(f"emb_plus = {xa.mat(emb_plus)}")
-    lines.append(f"emb_minus = {xa.mat(emb_minus)}")
-    for k, v in (extra or {}).items():
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{k} = {v}")
-    path = os.path.join(OUT, f"{name}.cfg")
-    text = "\n".join(lines) + "\n"
-    WRITTEN.append(f"{name}.cfg")
-    if CHECK:
-        # unchanged, the file holds exactly this text, so loading it checks the text
-        try:
-            with open(path, encoding="utf-8") as fh:
-                same = fh.read() == text
-        except FileNotFoundError:
-            same = False
-        if not same:
-            raise SystemExit(f"configs/{name}.cfg differs")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    cfg = tcs.load_config(path, CAT)
-    inv = tcs.compute_invariants(cfg)
-    return cfg, inv
+    def __init__(self, check):
+        self.check = check
+        self.names = []
+
+    def write(self, name, block_plus, block_minus, emb_plus, emb_minus, extra=None, comment=""):
+        lines = []
+        if comment:
+            for c in comment.splitlines():
+                lines.append(f"# {c}")
+        lines.append("schema = 1")
+        lines.append(f"config = {name}")
+        lines.append("")
+        lines.append(f"block_plus = {block_plus}")
+        lines.append(f"block_minus = {block_minus}")
+        lines.append(f"emb_plus = {xa.mat(emb_plus)}")
+        lines.append(f"emb_minus = {xa.mat(emb_minus)}")
+        for k, v in (extra or {}).items():
+            if isinstance(v, bool):
+                v = "true" if v else "false"
+            lines.append(f"{k} = {v}")
+        path = os.path.join(OUT, f"{name}.cfg")
+        text = "\n".join(lines) + "\n"
+        self.names.append(f"{name}.cfg")
+        if self.check:
+            # unchanged, the file holds exactly this text, so loading it checks the text
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    same = fh.read() == text
+            except FileNotFoundError:
+                same = False
+            if not same:
+                raise SystemExit(f"configs/{name}.cfg differs")
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        cfg = tcs.load_config(path, CAT)
+        inv = tcs.compute_invariants(cfg)
+        return cfg, inv
 
 
 def check(name, inv, b2, b3, th3, th4, a0, p1=None):
@@ -97,19 +101,18 @@ def embed_pair_disjoint(gram_plus, gram_minus):
 
 
 def main(argv=None):
-    global CHECK
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="recompute in memory, write nothing, exit 1 at the first file that differs")
-    CHECK = parser.parse_args(argv).check
-    if not CHECK:
+    writer = ConfigWriter(parser.parse_args(argv).check)
+    if not writer.check:
         os.makedirs(OUT, exist_ok=True)
 
     # --- No 1: quartic x quartic through the index-2 overlattice of <2> + <2>
     # u + v and u - v for u = (1, 1) in U1 and v = (1, 1) in U2
     ep = embed.scatter([[1, 1, 1, 1]], ("U1", "U2"))
     em = embed.scatter([[1, 1, -1, -1]], ("U1", "U2"))
-    _, inv = write_config(
+    _, inv = writer.write(
         "no1", "7.1_4^1", "7.1_4^1", ep, em,
         comment="both blocks from the smooth quartic; glued through the index-2\n"
         "overlattice of <2> + <2>, so H3 picks up 2-torsion",
@@ -119,7 +122,7 @@ def main(argv=None):
     # primitive variant of the same pair (the rank-1 census entry b = 132):
     # <4> as (1, 2) in U1 and in U2
     q1, q2 = embed.scatter([[1, 2]], ("U1",)), embed.scatter([[1, 2]], ("U2",))
-    _, inv = write_config(
+    _, inv = writer.write(
         "no1-primitive", "7.1_4^1", "7.1_4^1", q1, q2,
         comment="same pair of blocks, primitive perpendicular gluing",
     )
@@ -132,12 +135,12 @@ def main(argv=None):
     for name, (bp, bm) in no2.items():
         ep, em = embed_pair_disjoint(CAT[bp].n_gram, CAT[bm].n_gram)
         extra = {"resolution_plus": max(CAT[bp].div_c2), "resolution_minus": max(CAT[bm].div_c2)}
-        _, inv = write_config(name, bp, bm, ep, em, extra=extra)
+        _, inv = writer.write(name, bp, bm, ep, em, extra=extra)
         b3, a0 = expected2[name]
         check(name, inv, 0, b3, [], [], a0)
 
     # --- No 3: quartic x the P3 block with rk K = 3
-    _, inv = write_config("no3", "7.1_4^1", "Ex7.8", q1, q2)
+    _, inv = writer.write("no3", "7.1_4^1", "Ex7.8", q1, q2)
     check("no3", inv, 3, 116, [], [], 24, 4)
 
     # --- No 4: Ex7.12 x Ex7.10, perpendicular primitive (criterion (ii) territory)
@@ -148,7 +151,7 @@ def main(argv=None):
     assert x16 is not None
     em = (embed.scatter(xa.eye(8), ("E8a",)) + embed.scatter([[1, 4]], ("U3",))
           + embed.scatter([x16], ("E8b",)))
-    _, inv = write_config("no4", "Ex7.12", "Ex7.10", ep, em)
+    _, inv = writer.write("no4", "Ex7.12", "Ex7.10", ep, em)
     check("no4", inv, 0, 93, [], [], 21, 4)
 
     # --- No 5a-5g / 6a-6e: the rank-16 block against rank-1 partners
@@ -166,7 +169,7 @@ def main(argv=None):
         x = lat.find_primitive_vector(T, m, 4)
         assert x is not None, (name, m)
         x_in_L = xa.matmul([x], bs.t_rows)[0]
-        _, inv = write_config(
+        _, inv = writer.write(
             name, "Ex7.7", partner, bs.n_basis, [x_in_L],
             comment=f"rank-16 block against {partner}: rank-1 image is a primitive\n"
             f"norm-{m} vector of the complement A2(-1) + 2U(3)",
@@ -183,7 +186,7 @@ def main(argv=None):
     ]
     ep = embed.scatter(xa.eye(8), ("E8a",)) + embed.scatter(n0_rows[:2], ("U1", "U2", "U3"))
     em = embed.scatter(xa.eye(8), ("E8b",)) + embed.scatter(n0_rows[2:], ("U1", "U2", "U3"))
-    _, inv = write_config(
+    _, inv = writer.write(
         "no7", "Ex7.11", "Ex7.11", ep, em,
         comment="each polarising lattice is E8(-1) + <8> + <-16>; the two\n"
         "rank-2 parts share the 3U factor via the explicit matrix",
@@ -200,7 +203,7 @@ def main(argv=None):
     # the paper's factor basis has Gram [[4,4],[4,0]]; the catalog basis is reversed
     ep = embed.scatter([w_rows[1], w_rows[0]], ("U1", "U2"))
     em = embed.scatter([w_rows[3], w_rows[2]], ("U1", "U2"))
-    _, inv = write_config(
+    _, inv = writer.write(
         "no8", "Ex7.6", "Ex7.6", ep, em,
         comment="cotorsion (Z/4)^2: the largest gluing keeping both factors primitive",
     )
@@ -239,7 +242,7 @@ def main(argv=None):
         assert B is not None, name
         ep = xa.matmul(res.n_plus_in_w.basis, B)
         em = xa.matmul(res.n_minus_in_w.basis, B)
-        _, inv = write_config(name, bp, bm, ep, em, extra={"ample_cone_asserted": True},
+        _, inv = writer.write(name, bp, bm, ep, em, extra={"ample_cone_asserted": True},
                               comment=comment9a if name == "no9a" else "")
         b3, p1 = expect9[name]
         check(name, inv, 1, b3, [], [], 0, p1)
@@ -259,7 +262,7 @@ def main(argv=None):
     assert B is not None, "no primitive placement for the rank-5 pushout"
     ep = xa.matmul(res.n_plus_in_w.basis, B)
     em = xa.matmul(res.n_minus_in_w.basis, B)
-    _, inv = write_config(
+    _, inv = writer.write(
         "no10", "Ex7.9", "Ex7.9", ep, em,
         extra={"div_c2_mod_image": [4, 4], "ample_cone_asserted": True},
         comment="rank-1 intersection <-8> with halved images on both sides,\n"
@@ -275,7 +278,7 @@ def main(argv=None):
     # factor basis (H, E) with H = A + E; catalog basis is (E, A) = (E, H - E)
     ep = [rows[1], [a - b for a, b in zip(rows[0], rows[1])]]
     em = [rows[3], [a - b for a, b in zip(rows[2], rows[3])]]
-    _, inv = write_config(
+    _, inv = writer.write(
         "no11", "Ex7.6", "Ex7.6", ep, em,
         extra={"div_c2_mod_image": [24, 24], "ample_cone_asserted": True},
         comment="non-orthogonal: the two images pair with a single unit cross term;\n"
@@ -284,11 +287,11 @@ def main(argv=None):
     check("no11", inv, 0, 93, [], [], 32, 48)
     assert not inv.betti_sum_orthogonal
 
-    if CHECK:
-        extra = sorted(set(os.listdir(OUT)) - set(WRITTEN))
+    if writer.check:
+        extra = sorted(set(os.listdir(OUT)) - set(writer.names))
         if extra:
             raise SystemExit(f"configs/{extra[0]} is not generated")
-        print(f"{len(WRITTEN)} configs match configs")
+        print(f"{len(writer.names)} configs match configs")
     else:
         print("all configs written")
 
