@@ -103,6 +103,11 @@ def cases():
                            ("MM2-12", "MM2-21", -4)):
         out.append(["match", "--plus", plus, "--minus", minus, "--mode", "orth",
                     "--r", f"[[{r}]]", "--assert-ample"])
+    # overlattices of Ex7.6 x Ex7.6 with several candidates of one index (18,
+    # 12 and 4): the first one printed pins the enumeration order
+    for index in (4, 8, 16):
+        out.append(["match", "--plus", "Ex7.6", "--minus", "Ex7.6", "--mode", "perp-over",
+                    "--glue-index", str(index)])
     return out
 
 
