@@ -15,7 +15,7 @@ print("|det U| =", abs(xa.det(res.U)), " |det V| =", abs(xa.det(res.V)))
 
 # --- the ambient lattice: even, unimodular, signature (3, 19)
 L = k3_lattice()
-print("\nambient rank:", L.rank, " det:", L.det(), " signature:", lat.signature(L).as_pair())
+print("\nambient rank:", L.rank, " det:", L.det(), " signature:", lat.signature(L))
 
 # --- discriminant groups carry a Q/2Z quadratic form on their generators
 N = lat.diag_lattice(4)

@@ -13,7 +13,7 @@ spec = glue.PushoutSpec(N, N, lat.diag_lattice(-4), [[1, -1]], [[1, -1]])
 res = glue.orthogonal_pushout(spec)
 print("pushout of [[2,4],[4,2]] with itself along <-4>:")
 print("  gram =", res.w.gram)
-print("  signature =", lat.signature(res.w).as_pair(), " det =", res.w.det())
+print("  signature =", lat.signature(res.w), " det =", res.w.det())
 
 # --- a pushout that does not exist: the quartic-with-a-line lattice along <-36>
 N2 = lat.Lattice([[4, 1], [1, -2]])

@@ -250,7 +250,7 @@ def _validate_record(fields, path, lineno):
     if not L.is_even():
         raise CatalogError(f"{path}:{lineno}: {rid}: violates evenness (K3 Picard sublattice)")
     try:
-        sig = lat.signature(L).as_pair()
+        sig = lat.signature(L)
     except lat.DegenerateLattice:
         sig = "degenerate"
     if sig != (1, L.rank - 1):
@@ -351,16 +351,6 @@ def validate_rank1(rec):
     if rec.b3_Z != b3_Y + 2 * g:
         return False, f"b3_Z = {rec.b3_Z} != b3_Y + 2g = {b3_Y + 2 * g}"
     return True, ""
-
-
-def block_lattice(rec):
-    """Defensive copy of the polarising lattice."""
-    return lat.Lattice([row[:] for row in rec.n_gram])
-
-
-def block_A(rec):
-    """Defensive copy of the anticanonical class (coordinates in N's basis)."""
-    return list(rec.anticanonical_class)
 
 
 class BurkhardtStructure:

@@ -101,7 +101,7 @@ def cmd_pushout(args):
     W = res.w
     print(f"rank = {W.rank}")
     print(f"gram = {W.gram}")
-    print(f"signature = {lat.signature(W).as_pair()}")
+    print(f"signature = {lat.signature(W)}")
     print(f"det = {W.det()}")
     return 0
 
@@ -120,8 +120,7 @@ def cmd_embed(args):
         print(f"status = {verdict.status}")
         print(f"primitive = {verdict.primitive}")
         print(f"basis = {verdict.basis}")
-        cot = embed.cotorsion(embed.k3_lattice(), verdict.basis)
-        print(f"cotorsion = {cot.invariant_factors if not cot.is_trivial() else []}")
+        print(f"cotorsion = {embed.cotorsion(embed.k3_lattice(), verdict.basis)}")
         return 0
     criterion = embed.nikulin_sufficient(W)
     if criterion:

@@ -52,8 +52,8 @@ K3_RANK = 22
 def nikulin_sufficient(W):
     """True with criterion tag when the sufficient conditions apply; False
     means the criterion is silent, not that embedding is impossible."""
-    sig = lat.signature(W)
-    if not (sig.positives <= K3_SIGNATURE[0] and sig.negatives <= K3_SIGNATURE[1]):
+    pos, neg = lat.signature(W)
+    if not (pos <= K3_SIGNATURE[0] and neg <= K3_SIGNATURE[1]):
         return None
     if 2 * W.rank <= K3_RANK:
         return "i"
@@ -67,16 +67,16 @@ def necessary_condition(W):
     1979, Thm 1.12.2); False rules out any primitive embedding into K3."""
     if not W.is_even() or W.rank + lat.ell(W) > K3_RANK:
         return False
-    sig = lat.signature(W)
-    return sig.positives <= K3_SIGNATURE[0] and sig.negatives <= K3_SIGNATURE[1]
+    pos, neg = lat.signature(W)
+    return pos <= K3_SIGNATURE[0] and neg <= K3_SIGNATURE[1]
 
 
 def uniqueness(W):
     """True: a primitive embedding of W into K3, given one exists, is unique up
     to automorphisms of K3, since its complement is indefinite and
     rk W + l(W) + 2 <= 22 (Nikulin 1979, Thm 1.14.4); False: undetermined."""
-    sig = lat.signature(W)
-    return (sig.positives < K3_SIGNATURE[0] and sig.negatives < K3_SIGNATURE[1]
+    pos, neg = lat.signature(W)
+    return (pos < K3_SIGNATURE[0] and neg < K3_SIGNATURE[1]
             and W.rank + lat.ell(W) + 2 <= K3_RANK)
 
 
@@ -385,9 +385,9 @@ def place(W, summands, bound, prefix=()):
     if any(x for row in prefix for i, x in enumerate(row) if i not in coords):
         raise ValueError("prefix rows must lie in the named summands")
     if W.is_nondegenerate():
-        sig, u = lat.signature(W), sum(name.startswith("U") for name in summands)
+        (pos, neg), u = lat.signature(W), sum(name.startswith("U") for name in summands)
         # U has signature (1, 1) and E8(-1) has (0, 8)
-        if (sig.positives > u or sig.negatives > len(coords) - u
+        if (pos > u or neg > len(coords) - u
                 or W.rank + lat.ell(W) > len(coords)):
             return None
     gram = k3_lattice().gram

@@ -173,11 +173,10 @@ def snf(A):
     return SnfResult(U, D, V, Vinv)
 
 
-def hnf(A, prune=False):
-    """Row Hermite normal form: pivots positive, entries above a pivot in [0, pivot).
-
-    The row space over Z is preserved.  With prune=True zero rows are dropped.
-    """
+def hnf(A):
+    """Row Hermite normal form of A with its zero rows dropped: a list of
+    nonzero integer rows spanning the same module over Z, pivots positive and
+    strictly moving right, entries above a pivot in [0, pivot)."""
     H = mat(A)
     if not H or not H[0]:
         raise ValueError("hnf: empty matrix")
@@ -217,9 +216,7 @@ def hnf(A, prune=False):
         r += 1
         if r == rows:
             break
-    if prune:
-        H = [row for row in H if any(row)]
-    return H
+    return H[:r]  # every column is zero below row r
 
 
 def kernel_basis(A):
@@ -229,7 +226,7 @@ def kernel_basis(A):
     free = [i for i in range(rows) if i >= len(res.V) or res.D[i][i] == 0]
     if not free:
         return []
-    return hnf([res.U[i] for i in free], prune=False)
+    return hnf([res.U[i] for i in free])
 
 
 def solve_integer(A, b):

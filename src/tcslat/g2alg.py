@@ -206,7 +206,7 @@ class Metric:
 
     def signature(self):
         _, scaled = xa.clear_denominators(self.matrix)  # stays symmetric
-        return lat.signature(lat.Lattice(scaled)).as_pair()
+        return lat.signature(lat.Lattice(scaled))
 
     def solve(self, rhs):
         """The unique w with matrix . w = rhs (column convention irrelevant: symmetric)."""

@@ -3,7 +3,9 @@ negative definite sublattice, and finite-index even overlattices from
 anti-isometric discriminant subgroups."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from itertools import combinations, product
+from math import gcd, isqrt, lcm, prod
 
 from . import exactalg as xa
 from . import lattice as lat
@@ -32,7 +34,7 @@ class PushoutSpec:
                 raise ValueError(f"{name} is not isometric to R")
             if not lat.is_primitive(emb):
                 raise NonPrimitiveEmbedding(f"{name} is not primitive")
-        if r.rank and lat.signature(r).positives != 0:
+        if r.rank and lat.signature(r)[0] != 0:
             raise ValueError("R must be negative definite")
 
 
@@ -143,7 +145,7 @@ def _verify_pushout(w, n_plus_in_w, n_minus_in_w, r_in_w, np_, nm):
 
 
 def pushout_signature_check(w, r_plus, r_minus, rho):
-    return lat.signature(w).as_pair() == (2, r_plus + r_minus - rho - 2)
+    return lat.signature(w) == (2, r_plus + r_minus - rho - 2)
 
 
 class OverlatticeSpec:
@@ -225,81 +227,54 @@ def _elem_order(e, orders):
 
 def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     """All even overlattices of N+ (+) N- of index <= max_index with both
-    factors still primitive, via isotropic anti-isometric graph subgroups."""
+    factors still primitive, via isotropic anti-isometric graph subgroups.
+
+    A glue group G in A+ x A- keeps both factors primitive exactly when it
+    meets neither A+ nor A- (Nikulin 1980, 1.5), that is when both of its
+    projections are injective.  The graph of a generator-wise map of a
+    subgroup H is such a G exactly when it and its image have |H| elements."""
     for L in (n_plus, n_minus):
         if not (L.is_even() and L.is_nondegenerate()):
             raise ValueError("overlattices need even nondegenerate factors")
     snf_p, snf_m = xa.snf(n_plus.gram), xa.snf(n_minus.gram)
     orders_p, orders_m = snf_p.invariant_factors(), snf_m.invariant_factors()
-    size_p = 1
-    for d in orders_p:
-        size_p *= d
-    size_m = 1
-    for d in orders_m:
-        size_m *= d
+    size_p, size_m = prod(orders_p), prod(orders_m)
     if size_p * size_m > budget:
         raise lat.EnumerationBudgetExceeded(f"{size_p * size_m} exceeds budget {budget}")
-    # coset vectors of the Smith generators in lattice coordinates (rational rows)
-    gens_p, gens_m = snf_p.torsion_cosets(), snf_m.torsion_cosets()
-    base = perpendicular_sum(n_plus, n_minus)
-
-    def q_of(v, gram):
-        return xa.pair(v, gram, v) % 2
-
-    def b_of(v, w_, gram):
-        return xa.pair(v, gram, w_) % 1
-
-    elems_m = _group_elements(orders_m)
     out = []
     seen = set()
     if min(size_p, size_m) == 1:
         return out
+    base = perpendicular_sum(n_plus, n_minus)
+    # coset vectors of the Smith generators in lattice coordinates (rational
+    # rows): an element's coset vector combines them; its norm is taken once
+    cosets_p, cosets_m = snf_p.torsion_cosets(), snf_m.torsion_cosets()
+    q_p = cache(lambda e: n_plus.norm(xa.matmul([e], cosets_p)[0]))
+    q_m = cache(lambda e: n_minus.norm(xa.matmul([e], cosets_m)[0]))
     smaller_on_plus = size_p <= size_m
-    orders_small = orders_p if smaller_on_plus else orders_m
+    orders_small, other_orders = (orders_p, orders_m) if smaller_on_plus else (orders_m, orders_p)
+    other_by_order = {}
+    for e in _group_elements(other_orders):
+        other_by_order.setdefault(_elem_order(e, other_orders), []).append(e)
     for H in _subgroups(orders_small, max_index):
-        if len(H) < 2 or len(H) > max_index:
+        if len(H) < 2:
             continue
         gens = _min_generators(H, orders_small)
-        gen_orders = [_elem_order(g, orders_small) for g in gens]
-        # enumerate injections of H into the other discriminant group, generator-wise
-        other_orders = orders_m if smaller_on_plus else orders_p
-        other_elems = _group_elements(other_orders)
-
-        def images(k, chosen):
-            if k == len(gens):
-                yield list(chosen)
-                return
-            for e in other_elems:
-                if _elem_order(e, other_orders) == gen_orders[k]:
-                    yield from images(k + 1, chosen + [e])
-
-        for img in images(0, []):
-            glue_gens = []
-            ok = True
-            for g, im in zip(gens, img):
-                ep, em = (g, im) if smaller_on_plus else (im, g)
-                # coset vectors: elementwise combinations of the generators
-                vp, vm = xa.matmul([ep], gens_p)[0], xa.matmul([em], gens_m)[0]
-                if (q_of(vp, n_plus.gram) + q_of(vm, n_minus.gram)) % 2 != 0:
-                    ok = False
-                    break
-                glue_gens.append((vp, vm))
-            if not ok:
+        # maps of H into the other discriminant group, generator-wise and order-preserving
+        for img in product(*(other_by_order.get(_elem_order(g, orders_small), []) for g in gens)):
+            pairs = list(zip(gens, img) if smaller_on_plus else zip(img, gens))
+            # the graph is isotropic: q+ + q- in 2Z on each generator (so b+ + b- in Z on
+            # each generator with itself) and b+ + b- in Z on each pair of generators
+            if any((q_p(ep) + q_m(em)) % 2 for ep, em in pairs):
                 continue
-            # pairwise: b+ + b- integral (graph isotropic for the bilinear form too)
-            for i in range(len(glue_gens)):
-                for j in range(len(glue_gens)):
-                    bsum = b_of(glue_gens[i][0], glue_gens[j][0], n_plus.gram) + b_of(
-                        glue_gens[i][1], glue_gens[j][1], n_minus.gram
-                    )
-                    if bsum % 1 != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            glue_gens = [(xa.matmul([ep], cosets_p)[0], xa.matmul([em], cosets_m)[0]) for ep, em in pairs]
+            if any((n_plus.pair(vp, wp) + n_minus.pair(vm, wm)) % 1
+                   for (vp, vm), (wp, wm) in combinations(glue_gens, 2)):
                 continue
-            spec = _overlattice_from_glue(base, n_plus, n_minus, glue_gens)
+            graph = _closure([g + e for g, e in zip(gens, img)], orders_small + other_orders)
+            if len(graph) != len(H) or len(_closure(img, other_orders)) != len(H):
+                continue
+            spec = _overlattice_from_glue(base, glue_gens)
             if spec is None:
                 continue
             key = tuple(tuple(str(x) for x in row) for row in spec.basis_rational)
@@ -309,14 +284,9 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     return out
 
 
-def _overlattice_from_glue(base, n_plus, n_minus, glue_gens):
-    rp, rm = n_plus.rank, n_minus.rank
-    n = rp + rm
-    D, scaled = xa.clear_denominators(xa.eye(n) + [vp + vm for vp, vm in glue_gens])
-    H = xa.hnf(scaled, prune=True)
-    if len(H) != n:
-        return None
-    basis = [[Fraction(x, D) for x in row] for row in H]
+def _overlattice_from_glue(base, glue_gens):
+    D, scaled = xa.clear_denominators(xa.eye(base.rank) + [vp + vm for vp, vm in glue_gens])
+    basis = [[Fraction(x, D) for x in row] for row in xa.hnf(scaled)]
     gram = xa.pairings(basis, base.gram)
     if any(x.denominator != 1 for row in gram for x in row):
         return None
@@ -325,31 +295,7 @@ def _overlattice_from_glue(base, n_plus, n_minus, glue_gens):
         return None
     # index bookkeeping
     index_sq = abs(xa.det(base.gram)) // abs(w.det())
-    index = 1
-    while index * index < index_sq:
-        index += 1
+    index = isqrt(index_sq)
     if index * index != index_sq:
         return None
-    # N+- must stay primitive: their Q-span intersected with W' is N+-
-    for start, size in ((0, rp), (rp, rm)):
-        if _span_intersection(basis, start, size, n) is None:
-            return None
     return OverlatticeSpec(base, glue_gens, basis, w, index)
-
-
-def _span_intersection(basis, start, size, n):
-    """Check W' cap (factor tensor Q) = factor; None when primitivity fails."""
-    D, scaled = xa.clear_denominators(basis)
-    # solve y . scaled = vector supported in the factor, y integer; the image
-    # must be exactly D * (unit vectors of the factor block)
-    block = []
-    for i in range(n):
-        if start <= i < start + size:
-            continue
-        block.append(i)
-    ker = xa.kernel_basis([[row[i] for i in block] for row in scaled]) if block else xa.eye(n)
-    sub = [row[start : start + size] for row in xa.matmul(ker, scaled)]
-    invf = xa.snf(sub).diagonal if sub else []
-    if any(d != D for d in invf if d != 0) or sum(1 for d in invf if d != 0) != size:
-        return None
-    return True

@@ -7,7 +7,7 @@ A Lattice is a symmetric integer Gram matrix; a Sublattice is a basis matrix
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import exactalg as xa
 
@@ -18,25 +18,6 @@ class DegenerateLattice(ValueError):
 
 class EnumerationBudgetExceeded(RuntimeError):
     pass
-
-
-class Signature:
-    __slots__ = ("positives", "negatives")
-
-    def __init__(self, positives, negatives):
-        self.positives = positives
-        self.negatives = negatives
-
-    def as_pair(self):
-        return (self.positives, self.negatives)
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return self.as_pair() == other
-        return isinstance(other, Signature) and self.as_pair() == other.as_pair()
-
-    def __repr__(self):
-        return f"Signature({self.positives}, {self.negatives})"
 
 
 class Lattice:
@@ -165,7 +146,7 @@ class Sublattice:
         return Lattice(self.induced_gram())
 
     def hnf_basis(self):
-        return xa.hnf(self.basis, prune=True) if self.rank else self.basis
+        return xa.hnf(self.basis) if self.rank else self.basis
 
     def same_module(self, other):
         return self.hnf_basis() == other.hnf_basis()
@@ -187,17 +168,12 @@ class DiscGroup:
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     def is_trivial(self):
         return not self.invariant_factors
 
     def __eq__(self, other):
-        if isinstance(other, (list, tuple)):
-            return self.invariant_factors == list(other)
         return isinstance(other, DiscGroup) and self.invariant_factors == other.invariant_factors
 
     def __repr__(self):
@@ -205,8 +181,9 @@ class DiscGroup:
 
 
 def signature(L):
-    """Sylvester signature via exact congruence diagonalisation, computed once per lattice."""
-    return Signature(*L._signature)
+    """The Sylvester signature as a tuple (positives, negatives), via exact
+    congruence diagonalisation, computed once per lattice."""
+    return L._signature
 
 
 def positive_norm_vector(L):
@@ -266,8 +243,7 @@ def orthogonal_complement(S):
     if S.rank == 0:
         return Sublattice(amb, xa.eye(amb.rank))
     pairing = xa.transpose(xa.matmul(S.basis, amb.gram))  # n x k; complement = left kernel
-    ker = xa.kernel_basis(pairing)
-    return Sublattice(amb, xa.hnf(ker, prune=True) if ker else ker)
+    return Sublattice(amb, xa.kernel_basis(pairing))
 
 
 def saturation(S):
@@ -275,7 +251,7 @@ def saturation(S):
     if S.rank == 0:
         return S
     res = xa.snf(S.basis)
-    return Sublattice(S.ambient, xa.hnf(res.Vinv[: res.rank], prune=True))
+    return Sublattice(S.ambient, xa.hnf(res.Vinv[: res.rank]))
 
 
 def is_primitive(S):
@@ -295,35 +271,36 @@ def intersect(S1, S2):
     if not ker:
         return Sublattice(S1.ambient, [])
     rows = xa.matmul([row[: S1.rank] for row in ker], S1.basis)
-    return Sublattice(S1.ambient, xa.hnf(rows, prune=True))
+    return Sublattice(S1.ambient, xa.hnf(rows))
 
 
 def sum_sublattices(S1, S2):
-    """The (possibly non-primitive) sum, basis in pruned HNF."""
+    """The (possibly non-primitive) sum, basis in HNF."""
     if S1.ambient.rank != S2.ambient.rank:
         raise ValueError("sublattices must share the ambient lattice")
     if S1.rank == 0:
         return S2
     if S2.rank == 0:
         return S1
-    return Sublattice(S1.ambient, xa.hnf(S1.basis + S2.basis, prune=True))
+    return Sublattice(S1.ambient, xa.hnf(S1.basis + S2.basis))
 
 
 def quotient_torsion(amb, S):
-    """Invariant factors > 1 of the torsion of amb / S."""
+    """Invariant factors > 1 of the torsion of amb / S, as a list."""
     if S.rank == 0:
-        return DiscGroup([])
-    return DiscGroup(xa.snf(S.basis).invariant_factors())
+        return []
+    return xa.snf(S.basis).invariant_factors()
 
 
 def coker_map(S, T_dual_target):
-    """Torsion of coker(S -> T*), T* in the dual basis of T_dual_target's basis."""
+    """Invariant factors > 1 of the torsion of coker(S -> T*), T* in the dual
+    basis of T_dual_target's basis, as a list."""
     if S.ambient.rank != T_dual_target.ambient.rank:
         raise ValueError("sublattices must share the ambient lattice")
     if S.rank == 0 or T_dual_target.rank == 0:
-        return DiscGroup([])
+        return []
     M = xa.pairings(S.basis, S.ambient.gram, T_dual_target.basis)
-    return DiscGroup(xa.snf(M).invariant_factors())
+    return xa.snf(M).invariant_factors()
 
 
 def gram_blocks(gram):
@@ -385,17 +362,9 @@ def candidate_vectors(n, bound):
     within a shell, position-major with the first coordinate cycling
     1, 0, -1, 2, -2, ... and later coordinates 0, 1, -1, 2, -2, ...."""
     for shell in range(1, bound + 1):
-        orders = [_coordinate_order(shell, i == 0) for i in range(n)]
-        stack = [[]]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == n:
-                if max(abs(c) for c in prefix) == shell:
-                    yield tuple(prefix)
-                continue
-            pos = len(prefix)
-            for c in reversed(orders[pos]):
-                stack.append(prefix + [c])
+        for x in product(*(_coordinate_order(shell, i == 0) for i in range(n))):
+            if max(map(abs, x)) == shell:
+                yield x
 
 
 def find_primitive_vector(L, norm, bound):
@@ -435,8 +404,7 @@ def _floor_sqrt_fraction(f):
 
 def definite_form_represents(L, m):
     """Exact decision: does some integer vector have norm exactly m?  Positive definite only."""
-    sig = signature(L)
-    if sig.negatives != 0:
+    if signature(L)[1] != 0:
         raise ValueError("indefinite: use find_primitive_vector")
     if m == 0:
         return True

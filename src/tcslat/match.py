@@ -161,9 +161,9 @@ def _perpendicular_certificate(plus, minus, explicit):
     Nm_gram = lat.Lattice(minus.n_gram)
     W = glue.perpendicular_sum(Np_gram, Nm_gram)
     r = W.rank
-    sig_ok = lat.signature(W).as_pair() == (2, r - 2)
+    sig_ok = lat.signature(W) == (2, r - 2)
     if not sig_ok:
-        return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W).as_pair()}")
+        return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W)}")
     if not embed.necessary_condition(W):
         # a primitive W is ruled out; explicit construction may still succeed
         if explicit is None:
@@ -220,9 +220,9 @@ def _attach_geometry(cert, ep, em, check_rank_formula=True):
         if expect_ranks != got_ranks:
             raise AssertionError(f"rank mismatch: expected {expect_ranks}, got {got_ranks}")
     got = {
-        "w_plus": lat.signature(cert.w_plus.lattice()).as_pair(),
-        "w_minus": lat.signature(cert.w_minus.lattice()).as_pair(),
-        "t": lat.signature(cert.t.lattice()).as_pair(),
+        "w_plus": lat.signature(cert.w_plus.lattice()),
+        "w_minus": lat.signature(cert.w_minus.lattice()),
+        "t": lat.signature(cert.t.lattice()),
     }
     cert.positivity = got
     # each piece must carry exactly one positive direction
@@ -252,7 +252,7 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         spec = specs[0]
         Wp = spec.w_gram
         r = Wp.rank
-        if lat.signature(Wp).as_pair() != (2, r - 2):
+        if lat.signature(Wp) != (2, r - 2):
             return MatchFailure(SIGNATURE_MISMATCH, "overlattice signature")
         B = embed.place(Wp, ("U1", "U2", "U3"), 3)
         if B is None:
@@ -264,7 +264,7 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         W = lat.Sublattice(L, ep + em).lattice()
         verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=ep + em, primitive=False)
         cert = MatchCertificate(plus, minus, mode, W, verdict,
-                                lat.signature(W).as_pair() == (2, W.rank - 2),
+                                lat.signature(W) == (2, W.rank - 2),
                                 ample_auto=True, rho=0)
         _attach_geometry(cert, ep, em)
         return cert
@@ -301,8 +301,8 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
                 return MatchFailure(AMPLE_CONE_UNASSERTED, "handcrafted gluing needs the positive-cone assertion")
             ample_ok = True
         r = W.rank
-        if lat.signature(W).as_pair() != (2, r - 2):
-            return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W).as_pair()}")
+        if lat.signature(W) != (2, r - 2):
+            return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W)}")
         for bound in (2, 3, 4):  # the smallest bound that places W picks the rows
             rows = embed.place(W, ("U1", "U2", "U3"), bound)
             if rows is not None:

@@ -133,12 +133,10 @@ def _div_p1(cfg, tor_h4_nontrivial):
 
 
 def _tor_with_routes(L, direct_sum, routes, context):
-    direct = lat.quotient_torsion(L, direct_sum).invariant_factors
+    direct = lat.quotient_torsion(L, direct_sum)
     for label, value in routes:
-        if value.invariant_factors != direct:
-            raise AssertionError(
-                f"{context}: torsion route disagreement: direct {direct} vs {label} {value.invariant_factors}"
-            )
+        if value != direct:
+            raise AssertionError(f"{context}: torsion route disagreement: direct {direct} vs {label} {value}")
     return direct
 
 
@@ -189,8 +187,8 @@ def compute_invariants(cfg):
         two_connected=two_connected,
         h4_torsion_free=h4_torsion_free,
         betti_sum_orthogonal=betti_sum_orthogonal,
-        n_prime_plus_cotorsion=coker_nn.invariant_factors,
-        n_prime_minus_cotorsion=coker_nn.invariant_factors,
+        n_prime_plus_cotorsion=coker_nn,
+        n_prime_minus_cotorsion=coker_nn,
     )
     inv.classification = classify_2connected(inv)
     return inv

@@ -1,0 +1,54 @@
+"""The benchmark's output gate, replayed under its tracer.
+
+Every op that any seed of a perfbench workload can run must give the (exit
+code, output digest) recorded in perfbench/expected.json, with the span
+tracer of perfbench/tracer.py installed on every tcslat layer, and the
+tracer must put every original function back afterwards.  This reads
+perfbench/ and writes nothing there; the tracer's self-check on op times
+still needs ``python3 perfbench/run.py --trace 1``."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+import tcslat
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+tracer_mod = _load("tracer")
+
+with open(os.path.join(PERFBENCH, "expected.json"), encoding="utf-8") as fh:
+    EXPECTED = json.load(fh)
+
+
+@pytest.mark.parametrize("workload", ["census", "invariants", "certify", "forms"])
+def test_traced_ops_give_their_recorded_outputs(workload, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("TCS_TABLES_DIR", raising=False)
+    ops = workloads.universe(workload)
+    tracer = tracer_mod.Tracer(tcslat)
+    tracer.install()
+    try:
+        got = {op.name: list(op.run()[:2]) for op in ops}
+    finally:
+        tracer.uninstall()
+    assert tracer_mod.leftover_wrappers(tracer.modules.values()) == []
+    assert {name: out for name, out in got.items() if EXPECTED.get(name) != out} == {}
+    assert tracer.stats  # the wrappers saw the calls
+
+
+def test_the_replay_covers_every_recorded_op():
+    names = [op.name for w in workloads.WORKLOADS for op in workloads.universe(w)]
+    assert sorted(names) == sorted(EXPECTED)

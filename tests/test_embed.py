@@ -171,8 +171,8 @@ def test_place_refuses_w_whose_discriminant_outgrows_the_complement(block, summa
     W = blocks.full_catalog()[block].lattice()
     rank = sum(len(embed.SUMMANDS[name]) for name in summands)
     assert W.rank + lat.ell(W) > rank
-    sig, u = lat.signature(W), sum(name.startswith("U") for name in summands)
-    assert sig.positives <= u and sig.negatives <= rank - u
+    (pos, neg), u = lat.signature(W), sum(name.startswith("U") for name in summands)
+    assert pos <= u and neg <= rank - u
     monkeypatch.setattr(embed, "_block_pool", _no_search)
     for bound in (1, 3, 9):
         assert embed.place(W, summands, bound) is None
@@ -192,8 +192,8 @@ def _parent_backtracking_strategy(W, ambient, bound, prefix):
     every pairing through xa.pair and every cap by a scan of the later pools.
     Test-only oracle for the search order."""
     if W.is_nondegenerate():
-        sig, amb = lat.signature(W), lat.signature(ambient)
-        if sig.positives > amb.positives or sig.negatives > amb.negatives:
+        (pos, neg), (amb_pos, amb_neg) = lat.signature(W), lat.signature(ambient)
+        if pos > amb_pos or neg > amb_neg:
             return None
     blocks_ = []
     norm_ranges = []

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tcslat import exactalg as xa
 from tcslat import glue
@@ -116,7 +118,7 @@ def test_overlattices_ex76_six_subgroup_types():
                 _base_in_overlattice_coords(s),
             ),
         )
-        types.add(tuple(quotient.invariant_factors))
+        types.add(tuple(quotient))
         # determinant bookkeeping for overlattices
         assert s.w_gram.det() * s.index**2 == s.base.det()
         assert s.w_gram.is_even()
@@ -151,3 +153,191 @@ def test_glue_group_isotropic():
             qp = N.pair(vp, vp) % 2
             qm = N.pair(vm, vm) % 2
             assert (qp + qm) % 2 == 0
+
+
+# -- oracle: the enumeration as it was when primitivity was checked on W' ----
+
+def _former_enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
+    """Test-only copy of the former enumeration: primitivity of both factors
+    checked on the lattice W' itself, by a kernel and a Smith form."""
+    for L in (n_plus, n_minus):
+        if not (L.is_even() and L.is_nondegenerate()):
+            raise ValueError("overlattices need even nondegenerate factors")
+    snf_p, snf_m = xa.snf(n_plus.gram), xa.snf(n_minus.gram)
+    orders_p, orders_m = snf_p.invariant_factors(), snf_m.invariant_factors()
+    size_p = 1
+    for d in orders_p:
+        size_p *= d
+    size_m = 1
+    for d in orders_m:
+        size_m *= d
+    if size_p * size_m > budget:
+        raise lat.EnumerationBudgetExceeded(f"{size_p * size_m} exceeds budget {budget}")
+    gens_p, gens_m = snf_p.torsion_cosets(), snf_m.torsion_cosets()
+    base = glue.perpendicular_sum(n_plus, n_minus)
+
+    def q_of(v, gram):
+        return xa.pair(v, gram, v) % 2
+
+    def b_of(v, w_, gram):
+        return xa.pair(v, gram, w_) % 1
+
+    out = []
+    seen = set()
+    if min(size_p, size_m) == 1:
+        return out
+    smaller_on_plus = size_p <= size_m
+    orders_small = orders_p if smaller_on_plus else orders_m
+    for H in glue._subgroups(orders_small, max_index):
+        if len(H) < 2 or len(H) > max_index:
+            continue
+        gens = glue._min_generators(H, orders_small)
+        gen_orders = [glue._elem_order(g, orders_small) for g in gens]
+        other_orders = orders_m if smaller_on_plus else orders_p
+        other_elems = glue._group_elements(other_orders)
+
+        def images(k, chosen):
+            if k == len(gens):
+                yield list(chosen)
+                return
+            for e in other_elems:
+                if glue._elem_order(e, other_orders) == gen_orders[k]:
+                    yield from images(k + 1, chosen + [e])
+
+        for img in images(0, []):
+            glue_gens = []
+            ok = True
+            for g, im in zip(gens, img):
+                ep, em = (g, im) if smaller_on_plus else (im, g)
+                vp, vm = xa.matmul([ep], gens_p)[0], xa.matmul([em], gens_m)[0]
+                if (q_of(vp, n_plus.gram) + q_of(vm, n_minus.gram)) % 2 != 0:
+                    ok = False
+                    break
+                glue_gens.append((vp, vm))
+            if not ok:
+                continue
+            for i in range(len(glue_gens)):
+                for j in range(len(glue_gens)):
+                    bsum = b_of(glue_gens[i][0], glue_gens[j][0], n_plus.gram) + b_of(
+                        glue_gens[i][1], glue_gens[j][1], n_minus.gram
+                    )
+                    if bsum % 1 != 0:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            spec = _former_overlattice_from_glue(base, n_plus, n_minus, glue_gens)
+            if spec is None:
+                continue
+            key = tuple(tuple(str(x) for x in row) for row in spec.basis_rational)
+            if key not in seen:
+                seen.add(key)
+                out.append(spec)
+    return out
+
+
+def _former_overlattice_from_glue(base, n_plus, n_minus, glue_gens):
+    rp, rm = n_plus.rank, n_minus.rank
+    n = rp + rm
+    D, scaled = xa.clear_denominators(xa.eye(n) + [vp + vm for vp, vm in glue_gens])
+    H = xa.hnf(scaled)
+    if len(H) != n:
+        return None
+    basis = [[Fraction(x, D) for x in row] for row in H]
+    gram = xa.pairings(basis, base.gram)
+    if any(x.denominator != 1 for row in gram for x in row):
+        return None
+    w = lat.Lattice([[int(x) for x in row] for row in gram])
+    if not w.is_even():
+        return None
+    index_sq = abs(xa.det(base.gram)) // abs(w.det())
+    index = 1
+    while index * index < index_sq:
+        index += 1
+    if index * index != index_sq:
+        return None
+    for start, size in ((0, rp), (rp, rm)):
+        if _former_span_intersection(basis, start, size, n) is None:
+            return None
+    return glue.OverlatticeSpec(base, glue_gens, basis, w, index)
+
+
+def _former_span_intersection(basis, start, size, n):
+    """W' cap (factor tensor Q) = factor; None when primitivity fails."""
+    D, scaled = xa.clear_denominators(basis)
+    block = [i for i in range(n) if not start <= i < start + size]
+    ker = xa.kernel_basis([[row[i] for i in block] for row in scaled]) if block else xa.eye(n)
+    sub = [row[start : start + size] for row in xa.matmul(ker, scaled)]
+    invf = xa.snf(sub).diagonal if sub else []
+    if any(d != D for d in invf if d != 0) or sum(1 for d in invf if d != 0) != size:
+        return None
+    return True
+
+
+def _as_data(specs):
+    return [(s.index, s.basis_rational, s.glue_gens, s.w_gram.gram) for s in specs]
+
+
+def _assert_same_overlattices(n_plus, n_minus, max_index, budget=10**6):
+    try:
+        expected = _former_enumerate_overlattices(n_plus, n_minus, max_index, budget)
+    except lat.EnumerationBudgetExceeded:
+        with pytest.raises(lat.EnumerationBudgetExceeded):
+            glue.enumerate_overlattices(n_plus, n_minus, max_index, budget)
+        return
+    assert _as_data(glue.enumerate_overlattices(n_plus, n_minus, max_index, budget)) == _as_data(expected)
+
+
+@pytest.mark.parametrize("plus, minus, max_index", [
+    ([[4]], [[4]], 4),
+    ([[4]], [[8]], 8),
+    ([[4, 4], [4, 0]], [[4, 4], [4, 0]], 16),
+    ([[2, 1], [1, 2]], [[2, 1], [1, 2]], 9),
+    # (Z/16 + Z/4) x (Z/4 + Z/16): some generator-wise maps have an image of
+    # |H| elements but a graph of 2|H|, an isotropic glue that is no graph
+    ([[-16, 0], [0, -4]], [[4, 0], [0, 16]], 16),
+])
+def test_overlattices_match_the_former_enumeration(plus, minus, max_index):
+    _assert_same_overlattices(lat.Lattice(plus), lat.Lattice(minus), max_index)
+
+
+@st.composite
+def even_grams_of_rank_at_most_2(draw):
+    n = draw(st.integers(1, 2))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = draw(st.integers(-8, 8))
+    assume(xa.det(G) != 0)
+    return G
+
+
+@settings(max_examples=100, deadline=None)
+@given(even_grams_of_rank_at_most_2(), even_grams_of_rank_at_most_2(), st.integers(1, 16))
+def test_overlattices_match_the_former_enumeration_on_random_pairs(plus, minus, max_index):
+    _assert_same_overlattices(lat.Lattice(plus), lat.Lattice(minus), max_index, budget=5000)
+
+
+def test_only_isotropic_glue_reaches_the_lattice_build(monkeypatch):
+    """The isotropy filter rejects every non-isotropic glue before any HNF,
+    although the evenness and integrality checks would reject it later."""
+    N = lat.Lattice([[4, 4], [4, 0]])
+    build = glue._overlattice_from_glue
+    built = []
+
+    def spy(base, glue_gens):
+        built.append(glue_gens)
+        return build(base, glue_gens)
+
+    monkeypatch.setattr(glue, "_overlattice_from_glue", spy)
+    assert len(glue.enumerate_overlattices(N, N, 16)) == 39
+    assert built
+    for glue_gens in built:
+        for vp, vm in glue_gens:
+            assert (N.norm(vp) + N.norm(vm)) % 2 == 0
+        for vp, vm in glue_gens:
+            for wp, wm in glue_gens:
+                assert (N.pair(vp, wp) + N.pair(vm, wm)) % 1 == 0

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -45,7 +46,7 @@ def test_signature_matches_float_eigen_sign_count():
             continue
         eig = np.linalg.eigvalsh(np.array(A, dtype=float))
         expected = (int((eig > 1e-9).sum()), int((eig < -1e-9).sum()))
-        assert lat.signature(L).as_pair() == expected
+        assert lat.signature(L) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -74,7 +75,7 @@ def test_signature_sylvester_law_of_inertia(d, seed):
 def test_discriminant_group_examples():
     assert lat.discriminant_group(lat.E8(-1)).is_trivial()
     dg = lat.discriminant_group(lat.diag_lattice(4))
-    assert dg == [4]
+    assert dg.invariant_factors == [4]
     assert dg.q_values == [Fraction(1, 4)]
     # |det| = product of invariant factors
     for gram in ([[2, 1], [1, 4]], [[4, 4], [4, 0]], [[-2, 1], [1, 4]]):
@@ -189,7 +190,7 @@ def test_intersect_and_sum():
 def test_quotient_torsion():
     amb = lat.diag_lattice(2, 2)
     prim = lat.Sublattice(amb, [[1, 0]])
-    assert lat.quotient_torsion(amb, prim).is_trivial()
+    assert lat.quotient_torsion(amb, prim) == []
     W = lat.Sublattice(amb, [[1, 1], [1, -1]])
     assert lat.quotient_torsion(amb, W) == [2]
 
@@ -267,6 +268,35 @@ def test_find_primitive_vector():
     assert list(lat.find_primitive_vector(lat.diag_lattice(4), 4, 2)) == [1]
     assert list(lat.find_primitive_vector(lat.U(3), 12, 3)) == [1, 2]
     assert lat.find_primitive_vector(lat.A2(-1), 2, 4) is None
+
+
+def _stack_candidate_vectors(n, bound):
+    """Test-only copy of the former hand-rolled depth-first candidate order."""
+    for shell in range(1, bound + 1):
+        orders = [lat._coordinate_order(shell, i == 0) for i in range(n)]
+        stack = [[]]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) == n:
+                if max(abs(c) for c in prefix) == shell:
+                    yield tuple(prefix)
+                continue
+            for c in reversed(orders[len(prefix)]):
+                stack.append(prefix + [c])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("bound", range(1, 4))
+def test_candidate_vectors_keep_the_depth_first_order(n, bound):
+    assert list(lat.candidate_vectors(n, bound)) == list(_stack_candidate_vectors(n, bound))
+
+
+def test_candidate_vectors_stay_lazy():
+    # callers stop early inside boxes of up to 7^8 vectors
+    vectors = lat.candidate_vectors(8, 3)
+    assert inspect.isgenerator(vectors)
+    assert [next(vectors) for _ in range(3)] == [
+        (1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0, -1)]
 
 
 def test_definite_form_represents():
