@@ -20,7 +20,7 @@ def mat(rows):
 
 
 def eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
 def transpose(A):
@@ -61,7 +61,7 @@ def clear_denominators(rows):
 
 class SnfResult:
     """U, D, V with U @ A @ V = D, |det U| = |det V| = 1, d1 | d2 | ..., di >= 0,
-    and Vinv = V^-1, tracked alongside V."""
+    and Vinv = V^-1, tracked alongside V; a field that `snf` did not track is None."""
 
     __slots__ = ("U", "D", "V", "Vinv")
 
@@ -85,13 +85,13 @@ class SnfResult:
 
     def torsion_generators(self):
         """Generators of the torsion of coker(A) with their orders (> 1): rowspace(A)
-        is spanned by the d_i Vinv[i], so the rows Vinv[i] with d_i > 1 generate it."""
+        is spanned by the d_i Vinv[i], so the rows Vinv[i] with d_i > 1 generate it (needs Vinv)."""
         return [(self.Vinv[i], d) for i, d in enumerate(self.diagonal) if d > 1]
 
     def torsion_cosets(self):
         """For each d_i > 1, the rational row x = U[i] / d_i, which has x . A = Vinv[i]
         (row i of U . A . V = D): for a Gram matrix A, the coset vector in lattice
-        coordinates of the torsion generator Vinv[i]."""
+        coordinates of the torsion generator Vinv[i] (needs U)."""
         return [[Fraction(x, d) for x in self.U[i]] for i, d in enumerate(self.diagonal) if d > 1]
 
 
@@ -111,15 +111,17 @@ def _pivot_smallest(A, s):
     return best
 
 
-def snf(A):
-    """Smith normal form of a nonempty integer matrix."""
+def snf(A, left=True, right=True):
+    """Smith normal form of a nonempty integer matrix.  U is tracked only if `left`, V and
+    Vinv only if `right`; no pivot depends on the flags, so neither do D and what is tracked."""
     D = mat(A)
     if not D or not D[0]:
         raise ValueError("snf: empty matrix")
     rows, cols = len(D), len(D[0])
-    U = eye(rows)
-    V = eye(cols)
-    Vinv = eye(cols)  # each column operation on V is undone by a row operation here
+    U = eye(rows) if left else None
+    V = eye(cols) if right else None
+    Vinv = eye(cols) if right else None  # each column operation on V is undone by a row operation here
+    row_mats = (D, U) if left else (D,)  # every row operation acts on these
     for s in range(min(rows, cols)):
         while True:
             pos = _pivot_smallest(D, s)
@@ -127,13 +129,13 @@ def snf(A):
                 break
             i, j = pos
             if i != s:
-                D[s], D[i] = D[i], D[s]
-                U[s], U[i] = U[i], U[s]
+                for M in row_mats:
+                    M[s], M[i] = M[i], M[s]
             if j != s:
-                for M in (D, V):
-                    for row in M:
-                        row[s], row[j] = row[j], row[s]
-                Vinv[s], Vinv[j] = Vinv[j], Vinv[s]
+                for row in D + V if right else D:
+                    row[s], row[j] = row[j], row[s]
+                if right:
+                    Vinv[s], Vinv[j] = Vinv[j], Vinv[s]
             top = D[s]
             p = top[s]
             dirty = False
@@ -142,18 +144,19 @@ def snf(A):
                 if row[s] != 0:
                     q = row[s] // p
                     if q != 0:
-                        D[i] = row = [x - q * y for x, y in zip(row, top)]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[s])]
+                        for M in row_mats:
+                            M[i] = [x - q * y for x, y in zip(M[i], M[s])]
+                        row = D[i]
                     if row[s] != 0:
                         dirty = True
             for j in range(s + 1, cols):
                 if top[j] != 0:
                     q = top[j] // p
                     if q != 0:
-                        for M in (D, V):
-                            for row in M:
-                                row[j] -= q * row[s]
-                        Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
+                        for row in D + V if right else D:
+                            row[j] -= q * row[s]
+                        if right:
+                            Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
                     if top[j] != 0:
                         dirty = True
             if dirty:
@@ -165,11 +168,11 @@ def snf(A):
                              if any(x % p != 0 for x in D[i][s + 1:])), None)
             if stubborn is None:
                 break
-            D[s] = [x + y for x, y in zip(D[s], D[stubborn])]
-            U[s] = [x + y for x, y in zip(U[s], U[stubborn])]
+            for M in row_mats:
+                M[s] = [x + y for x, y in zip(M[s], M[stubborn])]
         if D[s][s] < 0:
-            D[s] = [-x for x in D[s]]
-            U[s] = [-x for x in U[s]]
+            for M in row_mats:
+                M[s] = [-x for x in M[s]]
     return SnfResult(U, D, V, Vinv)
 
 
@@ -221,9 +224,9 @@ def hnf(A):
 
 def kernel_basis(A):
     """Basis (rows) of the saturated integer kernel {x : x . A = 0}."""
-    res = snf(A)
-    rows = len(res.U)
-    free = [i for i in range(rows) if i >= len(res.V) or res.D[i][i] == 0]
+    res = snf(A, right=False)
+    cols = len(res.D[0])
+    free = [i for i in range(len(res.U)) if i >= cols or res.D[i][i] == 0]
     if not free:
         return []
     return hnf([res.U[i] for i in free])

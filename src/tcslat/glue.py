@@ -69,7 +69,7 @@ def _complete_to_basis(primitive_rows, n):
     """Rows completing a primitive k x n matrix to a basis of Z^n (the added rows)."""
     if not primitive_rows:
         return xa.eye(n)
-    return xa.snf(primitive_rows).Vinv[len(primitive_rows):]
+    return xa.snf(primitive_rows, left=False).Vinv[len(primitive_rows):]
 
 
 def _projection_coeffs(emb, r_gram_inv):
@@ -236,7 +236,7 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     for L in (n_plus, n_minus):
         if not (L.is_even() and L.is_nondegenerate()):
             raise ValueError("overlattices need even nondegenerate factors")
-    snf_p, snf_m = xa.snf(n_plus.gram), xa.snf(n_minus.gram)
+    snf_p, snf_m = xa.snf(n_plus.gram, right=False), xa.snf(n_minus.gram, right=False)
     orders_p, orders_m = snf_p.invariant_factors(), snf_m.invariant_factors()
     size_p, size_m = prod(orders_p), prod(orders_m)
     if size_p * size_m > budget:

@@ -52,7 +52,7 @@ class Lattice:
     def _ell(self):
         if not self.is_nondegenerate():
             raise DegenerateLattice("degenerate")
-        return len(xa.snf(self.gram).invariant_factors()) if self.rank else 0
+        return len(xa.snf(self.gram, left=False, right=False).invariant_factors()) if self.rank else 0
 
     def is_nondegenerate(self):
         return self.rank == 0 or self.det() != 0
@@ -250,14 +250,14 @@ def saturation(S):
     """Smallest primitive sublattice containing S."""
     if S.rank == 0:
         return S
-    res = xa.snf(S.basis)
+    res = xa.snf(S.basis, left=False)
     return Sublattice(S.ambient, xa.hnf(res.Vinv[: res.rank]))
 
 
 def is_primitive(S):
     if S.rank == 0:
         return True
-    return all(d == 1 for d in xa.snf(S.basis).diagonal[: S.rank])
+    return all(d == 1 for d in xa.snf(S.basis, left=False, right=False).diagonal[: S.rank])
 
 
 def intersect(S1, S2):
@@ -289,7 +289,7 @@ def quotient_torsion(amb, S):
     """Invariant factors > 1 of the torsion of amb / S, as a list."""
     if S.rank == 0:
         return []
-    return xa.snf(S.basis).invariant_factors()
+    return xa.snf(S.basis, left=False, right=False).invariant_factors()
 
 
 def coker_map(S, T_dual_target):
@@ -300,7 +300,7 @@ def coker_map(S, T_dual_target):
     if S.rank == 0 or T_dual_target.rank == 0:
         return []
     M = xa.pairings(S.basis, S.ambient.gram, T_dual_target.basis)
-    return xa.snf(M).invariant_factors()
+    return xa.snf(M, left=False, right=False).invariant_factors()
 
 
 def gram_blocks(gram):

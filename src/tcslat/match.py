@@ -370,6 +370,20 @@ def propose_triple(cert):
     return triple
 
 
+def _in_span(v, sub):
+    """Whether the rational vector v is in the Q-span of sub (never if sub has rank 0).  With v's
+    denominators cleared, v <- row[c] v - v[c] row clears column c for each row of an echelon basis
+    of sub with leading column c; v is in the span exactly when nothing is left."""
+    if sub.rank == 0:
+        return False
+    v = xa.clear_denominators([v])[1][0]
+    for row in sub.basis if lat._is_echelon(sub.basis) else xa.hnf(sub.basis):
+        c = next(j for j, x in enumerate(row) if x)
+        if v[c]:
+            v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def verify_triple(triple, emb_plus, emb_minus):
     """Membership, pairwise orthogonality and positivity, all exact over Q.
 
@@ -380,12 +394,6 @@ def verify_triple(triple, emb_plus, emb_minus):
     reasons = []
     Tp = lat.orthogonal_complement(emb_plus)
     Tm = lat.orthogonal_complement(emb_minus)
-
-    def in_span(v, sub):
-        if sub.rank == 0:
-            return False
-        return xa.rank(sub.basis + xa.clear_denominators([v])[1]) == sub.rank
-
     checks = (
         ("k_plus in span(N+)", triple.k_plus, emb_plus),
         ("k_plus in span(T-)", triple.k_plus, Tm),
@@ -395,7 +403,7 @@ def verify_triple(triple, emb_plus, emb_minus):
         ("k_0 in span(T-)", triple.k_0, Tm),
     )
     for label, v, sub in checks:
-        if not in_span(v, sub):
+        if not _in_span(v, sub):
             reasons.append(f"membership fails: {label}")
     vecs = (triple.k_plus, triple.k_minus, triple.k_0)
     names = ("k_plus", "k_minus", "k_0")

@@ -267,8 +267,8 @@ def torsion_linking(cfg):
 def torsion_linking_pair(L, Np, Nm):
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
-    gens_plus = xa.snf(Nm.basis + Tp.basis).torsion_generators()
-    gens_minus = xa.snf(Np.basis + Tm.basis).torsion_generators()
+    gens_plus = xa.snf(Nm.basis + Tp.basis, left=False).torsion_generators()
+    gens_minus = xa.snf(Np.basis + Tm.basis, left=False).torsion_generators()
     if not gens_plus and not gens_minus:
         return TorsionLinking([], [], [], [])
     cross = []

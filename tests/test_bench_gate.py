@@ -2,12 +2,13 @@
 
 Every op that any seed of a perfbench workload can run must give the (exit
 code, output digest) recorded in perfbench/expected.json, with the span
-tracer of perfbench/tracer.py installed on every tcslat layer, and the
-tracer must put every original function back afterwards.  This reads
-perfbench/ and writes nothing there; the tracer's self-check on op times
-still needs ``python3 perfbench/run.py --trace 1``."""
+tracer of perfbench/tracer.py installed on every tcslat layer; each op must
+open at least one span, and the tracer must put every original function back
+afterwards.  This reads perfbench/ and writes nothing there; the tracer's
+self-check on op times still needs ``python3 perfbench/run.py --trace 1``."""
 
 import importlib.util
+import inspect
 import json
 import os
 
@@ -39,14 +40,36 @@ def test_traced_ops_give_their_recorded_outputs(workload, monkeypatch):
     monkeypatch.delenv("TCS_TABLES_DIR", raising=False)
     ops = workloads.universe(workload)
     tracer = tracer_mod.Tracer(tcslat)
+    got, spanless = {}, []
     tracer.install()
     try:
-        got = {op.name: list(op.run()[:2]) for op in ops}
+        for op in ops:
+            before = sum(st.calls for st in tracer.stats.values())
+            got[op.name] = list(op.run()[:2])
+            if sum(st.calls for st in tracer.stats.values()) == before:
+                spanless.append(op.name)
     finally:
         tracer.uninstall()
     assert tracer_mod.leftover_wrappers(tracer.modules.values()) == []
     assert {name: out for name, out in got.items() if EXPECTED.get(name) != out} == {}
-    assert tracer.stats  # the wrappers saw the calls
+    assert spanless == []  # every op enters at least one traced layer function
+
+
+def test_the_tracer_wraps_every_layer_function():
+    # the tracer wraps only plain defs: a cache or partial object bound where
+    # a layer function belongs runs outside every span
+    tracer = tracer_mod.Tracer(tcslat)
+    tracer.install()
+    try:
+        unwrapped = [f"{mod.__name__}.{name}" for mod in tracer.modules.values()
+                     for name, obj in vars(mod).items()
+                     if not name.startswith("_") and callable(obj) and not inspect.isclass(obj)
+                     and getattr(getattr(obj, "func", obj), "__module__", None) == mod.__name__
+                     and not hasattr(obj, tracer_mod.WRAPPED_MARK)
+                     and not inspect.isgeneratorfunction(obj)]
+    finally:
+        tracer.uninstall()
+    assert unwrapped == []
 
 
 def test_the_replay_covers_every_recorded_op():

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcslat import exactalg as xa
+from tcslat import lattice as lat
 
 
 def arr(M):
@@ -114,6 +115,38 @@ def test_snf_tracks_v_inverse(rows):
         assert xa.solve_integer(A, [d * x for x in g]) is not None
         for p in prime_factors(d):
             assert xa.solve_integer(A, [(d // p) * x for x in g]) is None
+
+
+# up to 6 x 6, rectangular and rank-deficient ones included
+small_matrices = st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(st.integers(-12, 12), min_size=c, max_size=c), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_matrices, st.booleans(), st.booleans())
+@example([[2, 0], [0, 3]], True, False)  # coprime pivots: the stubborn-row step
+@example([[0, 4, 0], [6, 0, 0], [0, 0, 0]], False, True)  # swaps and a zero row
+def test_snf_tracks_only_the_requested_transforms(rows, left, right):
+    full = check_snf_contract(rows)
+    res = xa.snf(rows, left, right)
+    assert res.D == full.D
+    assert res.U == (full.U if left else None)
+    assert (res.V, res.Vinv) == ((full.V, full.Vinv) if right else (None, None))
+
+
+def test_diagonal_readers_build_no_transform(monkeypatch):
+    def no_eye(n):
+        raise AssertionError("a transform was built")
+
+    monkeypatch.setattr(xa, "eye", no_eye)
+    amb = lat.Lattice([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 4, 2], [0, 0, 2, 6]])
+    S = lat.Sublattice(amb, [[2, 0, 0, 0], [0, 1, 3, 0]])
+    T = lat.Sublattice(amb, [[1, 0, 0, 0], [0, 0, 1, 1]])
+    assert lat.ell(amb) == 2
+    assert not lat.is_primitive(S)
+    assert lat.quotient_torsion(amb, S) == [2]
+    assert lat.coker_map(S, T) == [72]  # the pairing matrix [[4, 0], [1, 18]]
 
 
 def prime_factors(n):

@@ -1,6 +1,9 @@
 import collections
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tcslat import blocks, cli, embed, match, tcs
 from tcslat import exactalg as xa
@@ -27,9 +30,9 @@ def test_perp_match_reduces_w_once(monkeypatch):
     calls = collections.Counter()
     snf = xa.snf
 
-    def counted(A):
+    def counted(A, *args, **kwargs):
         calls[tuple(map(tuple, A))] += 1
-        return snf(A)
+        return snf(A, *args, **kwargs)
 
     monkeypatch.setattr(xa, "snf", counted)
     plus, minus = CAT["Ex7.7"], CAT["7.1_4^1"]
@@ -164,6 +167,56 @@ def test_propose_and_verify_triple():
     ok2, reasons2 = match.verify_triple(swapped, cert.emb_plus, cert.emb_minus)
     assert not ok2
     assert any("membership" in r for r in reasons2)
+
+
+@st.composite
+def span_cases(draw):
+    """(sublattice of Z^n, v): v a rational combination of the basis rows, or
+    any rational vector, which is mostly outside the span."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, n))
+    entries = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    basis = draw(st.lists(entries, min_size=k, max_size=k))
+    assume(not basis or xa.rank(basis) == k)
+    if basis and draw(st.booleans()):
+        basis = xa.hnf(basis)  # an echelon basis is reduced against as it is
+    fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    if basis and draw(st.booleans()):
+        coeffs = draw(st.lists(fractions, min_size=k, max_size=k))
+        v = [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)]
+    else:
+        v = draw(st.lists(fractions, min_size=n, max_size=n))
+    return lat.Sublattice(lat.Lattice(xa.eye(n)), basis), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_cases())
+def test_in_span_agrees_with_the_rank_test(case):
+    sub, v = case
+    by_rank = sub.rank > 0 and xa.rank(sub.basis + xa.clear_denominators([v])[1]) == sub.rank
+    assert match._in_span(v, sub) == by_rank
+
+
+# N+ = <e1, e2> and N- = <e2, e3> in Z^5, so T+ = <e3, e4, e5> and T- = <e1, e4, e5>;
+# (e1, e3, e4 / 2) passes, and each other triple moves one vector off one span
+@pytest.mark.parametrize("label, triple", [
+    (None, ([1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, Fraction(1, 2), 0])),
+    ("k_plus in span(N+)", ([1, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0])),
+    ("k_plus in span(T-)", ([1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0])),
+    ("k_minus in span(N-)", ([1, 0, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0])),
+    ("k_minus in span(T+)", ([1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0])),
+    ("k_0 in span(T+)", ([1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 1, 0])),
+    ("k_0 in span(T-)", ([1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 1, 1, 0])),
+])
+def test_each_membership_check_fails_alone(label, triple):
+    e = xa.eye(5)
+    amb = lat.Lattice(e)
+    emb_plus, emb_minus = lat.Sublattice(amb, e[0:2]), lat.Sublattice(amb, e[1:3])
+    norms = tuple(amb.norm(v) for v in triple)
+    ok, reasons = match.verify_triple(match.MatchingTriple(*triple, norms), emb_plus, emb_minus)
+    assert [r for r in reasons if r.startswith("membership")] == (
+        [] if label is None else [f"membership fails: {label}"])
+    assert ok == (label is None)
 
 
 def test_triple_perturbation_fails():
