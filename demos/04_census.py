@@ -6,7 +6,7 @@
 from tcslat import blocks, match, tcs
 
 rank1 = blocks.rank1_catalog()
-report = match.geography_rank1(rank1)
+report = match.geography_general(rank1)
 print(report.to_tsv())
 print()
 print(report.summary_lines())

@@ -357,10 +357,9 @@ class BurkhardtStructure:
     """Explicit transcendental placement for the rank-16 quartic-resolution block:
     T = A2(-1) + U(3) + U(3) inside the K3 lattice, N its complement."""
 
-    def __init__(self, t_rows, n_basis, a_in_L):
+    def __init__(self, t_rows, n_basis):
         self.t_rows = t_rows
         self.n_basis = n_basis
-        self.a_in_L = a_in_L
 
     @property
     def n_lattice(self):
@@ -368,11 +367,6 @@ class BurkhardtStructure:
 
         sub = lat.Sublattice(embed.k3_lattice(), self.n_basis)
         return sub.lattice()
-
-    def t_lattice(self):
-        from . import embed
-
-        return lat.Sublattice(embed.k3_lattice(), self.t_rows).lattice()
 
 
 _BURKHARDT = None
@@ -393,6 +387,5 @@ def burkhardt_structure():
               + embed.scatter([[1, 0] + [0] * 8, [1, 3, 1, 0, 1, 0, 1, 0, 0, 0]], ("U3", "E8b")))
     T = lat.Sublattice(L, t_rows)
     N = lat.orthogonal_complement(T)
-    a_in_L = embed.scatter([[-2, 0, 3, 1, 0, 0, 0, 0, 0, 0, 1, 0]], ("U1", "U2", "E8b"))[0]
-    _BURKHARDT = BurkhardtStructure(t_rows, N.basis, a_in_L)
+    _BURKHARDT = BurkhardtStructure(t_rows, N.basis)
     return _BURKHARDT

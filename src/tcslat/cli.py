@@ -120,7 +120,8 @@ def cmd_embed(args):
         print(f"status = {verdict.status}")
         print(f"primitive = {verdict.primitive}")
         print(f"basis = {verdict.basis}")
-        print(f"cotorsion = {embed.cotorsion(embed.k3_lattice(), verdict.basis)}")
+        image = lat.Sublattice(embed.k3_lattice(), verdict.basis)
+        print(f"cotorsion = {lat.quotient_torsion(image)}")
         return 0
     criterion = embed.nikulin_sufficient(W)
     if criterion:
@@ -178,7 +179,7 @@ def cmd_invariants(args):
 
 def cmd_geography(args):
     if args.table == "table3":
-        rep = match.geography_rank1(blocks.rank1_catalog(), resolutions=args.resolutions)
+        rep = match.geography_general(blocks.rank1_catalog(), resolutions=args.resolutions)
     else:
         cat = _load_catalogs(args.catalog)
         pair_filter = {"rank11": "rank_11", "rankell22": "rank_ell_22", None: "none"}[args.filter]

@@ -22,12 +22,11 @@ SUMMANDS = {"U1": range(0, 2), "U2": range(2, 4), "U3": range(4, 6),
 
 
 class EmbeddingVerdict:
-    def __init__(self, status, basis=None, primitive=None, criterion=None, unique=None):
+    def __init__(self, status, basis=None, primitive=None, criterion=None):
         self.status = status
         self.basis = basis
         self.primitive = primitive
         self.criterion = criterion
-        self.unique = unique
 
     def __repr__(self):
         extra = f"({self.criterion})" if self.criterion else ""
@@ -88,15 +87,10 @@ def verify_embedding(W, ambient, basis):
     return lat.is_primitive(sub)
 
 
-def cotorsion(ambient, basis):
-    """Invariant factors > 1 of Tor(ambient / image)."""
-    return lat.quotient_torsion(ambient, lat.Sublattice(ambient, basis))
-
-
-def mod_obstruction(T, m, k, budget=10**7):
+def mod_obstruction(T, m, k):
     """True iff m mod k misses the norm residues of T, certifying that T
     represents no vector of norm m (hence no perpendicular rank-1 partner)."""
-    return (m % k) not in lat.norm_residues(T, k, budget=budget)
+    return (m % k) not in lat.norm_residues(T, k)
 
 
 def _e8_vector_of_norm(norm):
@@ -407,5 +401,4 @@ def construct_embedding(W):
     if got is None:
         return EmbeddingVerdict(UNKNOWN)
     rows, prim = got
-    return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim,
-                            unique=uniqueness(W) or None)
+    return EmbeddingVerdict(EXISTS_CONSTRUCTED, basis=rows, primitive=prim)

@@ -376,27 +376,3 @@ def congruence_steps(G):
             for b in touched:
                 Ma[b] -= (ri.get(a, 0) * rj.get(b, 0) + rj.get(a, 0) * ri.get(b, 0)) / s
 
-
-def invariant_factors_via_minors(A):
-    """Independent oracle: invariant factors from gcds of k x k minors.
-
-    d_k = gcd of all k-minors; the k-th invariant factor is d_k / d_{k-1}.
-    Exponential in size, fine for the small matrices it is used on.
-    """
-    from itertools import combinations
-    from math import gcd
-
-    A = mat(A)
-    rows, cols = len(A), len(A[0])
-    out = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for rsel in combinations(range(rows), k):
-            for csel in combinations(range(cols), k):
-                g = gcd(g, abs(det([[A[i][j] for j in csel] for i in rsel])))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out

@@ -61,10 +61,6 @@ class PushoutResult:
         self.r_in_w = r_in_w
 
 
-def perpendicular_sum(n_plus, n_minus):
-    return lat.direct_sum(n_plus, n_minus)
-
-
 def _complete_to_basis(primitive_rows, n):
     """Rows completing a primitive k x n matrix to a basis of Z^n (the added rows)."""
     if not primitive_rows:
@@ -85,7 +81,7 @@ def orthogonal_pushout(spec):
     np_, nm, r = spec.n_plus, spec.n_minus, spec.r
     rho = r.rank
     if rho == 0:
-        w = perpendicular_sum(np_, nm)
+        w = lat.direct_sum(np_, nm)
         bp = [row + [0] * nm.rank for row in xa.eye(np_.rank)]
         bm = [[0] * np_.rank + row for row in xa.eye(nm.rank)]
         return PushoutResult(w, lat.Sublattice(w, bp), lat.Sublattice(w, bm), lat.Sublattice(w, []))
@@ -142,10 +138,6 @@ def _verify_pushout(w, n_plus_in_w, n_minus_in_w, r_in_w, np_, nm):
         for row in perp.basis:
             if xa.solve_integer(inside.basis, row) is None:
                 raise ValueError("pushout: perp containment fails")
-
-
-def pushout_signature_check(w, r_plus, r_minus, rho):
-    return lat.signature(w) == (2, r_plus + r_minus - rho - 2)
 
 
 class OverlatticeSpec:
@@ -245,7 +237,7 @@ def enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     seen = set()
     if min(size_p, size_m) == 1:
         return out
-    base = perpendicular_sum(n_plus, n_minus)
+    base = lat.direct_sum(n_plus, n_minus)
     # coset vectors of the Smith generators in lattice coordinates (rational
     # rows): an element's coset vector combines them; its norm is taken once
     cosets_p, cosets_m = snf_p.torsion_cosets(), snf_m.torsion_cosets()

@@ -170,9 +170,6 @@ class DiscGroup:
     def order(self):
         return prod(self.invariant_factors)
 
-    def is_trivial(self):
-        return not self.invariant_factors
-
     def __eq__(self, other):
         return isinstance(other, DiscGroup) and self.invariant_factors == other.invariant_factors
 
@@ -285,8 +282,8 @@ def sum_sublattices(S1, S2):
     return Sublattice(S1.ambient, xa.hnf(S1.basis + S2.basis))
 
 
-def quotient_torsion(amb, S):
-    """Invariant factors > 1 of the torsion of amb / S, as a list."""
+def quotient_torsion(S):
+    """Invariant factors > 1 of the torsion of S.ambient / S, as a list."""
     if S.rank == 0:
         return []
     return xa.snf(S.basis, left=False, right=False).invariant_factors()

@@ -49,15 +49,6 @@ class Orthogonal:
         self.r_in_minus = r_in_minus
 
 
-class Handcrafted:
-    mode_name = "handcrafted"
-
-    def __init__(self, w_gram, n_plus_rows, n_minus_rows):
-        self.w_gram = w_gram
-        self.n_plus_rows = n_plus_rows  # N+ basis in W coordinates
-        self.n_minus_rows = n_minus_rows
-
-
 class MatchingTriple:
     def __init__(self, k_plus, k_minus, k_0, norms):
         self.k_plus = k_plus
@@ -68,21 +59,17 @@ class MatchingTriple:
 
 class MatchCertificate:
     def __init__(self, block_plus, block_minus, mode, w, embedding, sig_check,
-                 emb_plus=None, emb_minus=None, w_plus=None, w_minus=None, t=None,
-                 positivity=None, ample_auto=False, ample_cone_asserted=False,
-                 rho=0):
+                 ample_auto=False, ample_cone_asserted=False, rho=0):
         self.block_plus = block_plus
         self.block_minus = block_minus
         self.mode = mode
         self.w = w
         self.embedding = embedding
         self.sig_check = sig_check
-        self.emb_plus = emb_plus
-        self.emb_minus = emb_minus
-        self.w_plus = w_plus
-        self.w_minus = w_minus
-        self.t = t
-        self.positivity = positivity
+        # filled by _attach_geometry, or positivity alone for a by-criterion verdict
+        self.emb_plus = self.emb_minus = None
+        self.w_plus = self.w_minus = self.t = None
+        self.positivity = None
         self.ample_auto = ample_auto
         self.ample_cone_asserted = ample_cone_asserted
         self.rho = rho
@@ -91,8 +78,9 @@ class MatchCertificate:
     def is_explicit(self):
         return self.emb_plus is not None
 
-    def to_config(self, resolution_plus=None, resolution_minus=None, div_c2_mod_image=None,
-                  name=""):
+    def to_config(self, name=""):
+        """The gluing configuration of an explicit certificate, with the blocks'
+        own div c2 data (no resolution choice, no mod-image pair)."""
         if not self.is_explicit():
             raise ValueError("certificate has no explicit embedding")
         return tcs.GluingConfig(
@@ -100,9 +88,6 @@ class MatchCertificate:
             self.block_minus,
             self.emb_plus.basis,
             self.emb_minus.basis,
-            resolution_plus=resolution_plus,
-            resolution_minus=resolution_minus,
-            div_c2_mod_image=div_c2_mod_image,
             ample_cone_asserted=self.ample_cone_asserted or self.ample_auto,
             name=name or f"{self.block_plus.id}x{self.block_minus.id}",
         )
@@ -159,7 +144,7 @@ def _perpendicular_certificate(plus, minus, explicit):
     L = k3_lattice()
     Np_gram = lat.Lattice(plus.n_gram)
     Nm_gram = lat.Lattice(minus.n_gram)
-    W = glue.perpendicular_sum(Np_gram, Nm_gram)
+    W = lat.direct_sum(Np_gram, Nm_gram)
     r = W.rank
     sig_ok = lat.signature(W) == (2, r - 2)
     if not sig_ok:
@@ -181,11 +166,9 @@ def _perpendicular_certificate(plus, minus, explicit):
         prim = embed.verify_embedding(W, L, stacked)
         if prim is None:
             return MatchFailure(EMBEDDING_IMPOSSIBLE, "explicit rows are not isometric to W")
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=stacked, primitive=prim,
-                                         unique=embed.uniqueness(W) or None)
+        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=stacked, primitive=prim)
     elif criterion is not None:
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_BY_CRITERION, criterion=criterion,
-                                         unique=embed.uniqueness(W) or None)
+        verdict = embed.EmbeddingVerdict(embed.EXISTS_BY_CRITERION, criterion=criterion)
     else:
         return MatchFailure(EMBEDDING_UNKNOWN, "criterion silent and no construction found")
     cert = MatchCertificate(plus, minus, PerpendicularPrimitive(), W, verdict, sig_ok,
@@ -202,7 +185,7 @@ def _perpendicular_certificate(plus, minus, explicit):
     return cert
 
 
-def _attach_geometry(cert, ep, em, check_rank_formula=True):
+def _attach_geometry(cert, ep, em):
     L = k3_lattice()
     cert.emb_plus = lat.Sublattice(L, ep)
     cert.emb_minus = lat.Sublattice(L, em)
@@ -212,13 +195,11 @@ def _attach_geometry(cert, ep, em, check_rank_formula=True):
     cert.w_minus = lat.intersect(cert.emb_minus, Tp)
     w_image = lat.sum_sublattices(cert.emb_plus, cert.emb_minus)
     cert.t = lat.orthogonal_complement(w_image)
-    r = w_image.rank
-    if check_rank_formula:
-        # ranks as in the orthogonal-pushout matching argument
-        expect_ranks = (cert.emb_plus.rank - cert.rho, cert.emb_minus.rank - cert.rho, 22 - r)
-        got_ranks = (cert.w_plus.rank, cert.w_minus.rank, cert.t.rank)
-        if expect_ranks != got_ranks:
-            raise AssertionError(f"rank mismatch: expected {expect_ranks}, got {got_ranks}")
+    # ranks as in the orthogonal-pushout matching argument
+    expect_ranks = (cert.emb_plus.rank - cert.rho, cert.emb_minus.rank - cert.rho, 22 - w_image.rank)
+    got_ranks = (cert.w_plus.rank, cert.w_minus.rank, cert.t.rank)
+    if expect_ranks != got_ranks:
+        raise AssertionError(f"rank mismatch: expected {expect_ranks}, got {got_ranks}")
     got = {
         "w_plus": lat.signature(cert.w_plus.lattice()),
         "w_minus": lat.signature(cert.w_minus.lattice()),
@@ -268,40 +249,26 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
                                 ample_auto=True, rho=0)
         _attach_geometry(cert, ep, em)
         return cert
-    if isinstance(mode, (Orthogonal, Handcrafted)):
-        if isinstance(mode, Orthogonal):
-            spec = glue.PushoutSpec(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram),
-                                    lat.Lattice(mode.r_gram), mode.r_in_plus, mode.r_in_minus)
-            res = glue.orthogonal_pushout(spec)
-            if isinstance(res, glue.IntegralityFailure):
-                return MatchFailure(PUSHOUT_FAILURE, repr(res))
-            W = res.w
-            rho = spec.r.rank
-            n_plus_in_w = res.n_plus_in_w.basis
-            n_minus_in_w = res.n_minus_in_w.basis
-            # hypothesis on the positive cones
-            if plus.kind == "nonsymplectic" and minus.kind == "nonsymplectic":
-                neg_r = [[-x for x in row] for row in mode.r_gram]
-                if lat.definite_form_represents(lat.Lattice(neg_r), 2):
-                    return MatchFailure(AMPLE_CONE_UNASSERTED, "R contains a -2 class")
-                ample_ok = True
-            else:
-                if not ample_cone_asserted:
-                    return MatchFailure(
-                        AMPLE_CONE_UNASSERTED,
-                        "non-perpendicular gluing of these blocks needs the positive-cone assertion",
-                    )
-                ample_ok = True
-        else:
-            W = lat.Lattice(mode.w_gram)
-            rho = plus.rank + minus.rank - W.rank
-            n_plus_in_w = mode.n_plus_rows
-            n_minus_in_w = mode.n_minus_rows
-            if not ample_cone_asserted:
-                return MatchFailure(AMPLE_CONE_UNASSERTED, "handcrafted gluing needs the positive-cone assertion")
-            ample_ok = True
-        r = W.rank
-        if lat.signature(W) != (2, r - 2):
+    if isinstance(mode, Orthogonal):
+        spec = glue.PushoutSpec(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram),
+                                lat.Lattice(mode.r_gram), mode.r_in_plus, mode.r_in_minus)
+        res = glue.orthogonal_pushout(spec)
+        if isinstance(res, glue.IntegralityFailure):
+            return MatchFailure(PUSHOUT_FAILURE, repr(res))
+        W = res.w
+        # hypothesis on the positive cones: for two nonsymplectic blocks an R
+        # without -2 classes stands in for the assertion
+        ample_auto = plus.kind == "nonsymplectic" and minus.kind == "nonsymplectic"
+        if ample_auto:
+            neg_r = [[-x for x in row] for row in mode.r_gram]
+            if lat.definite_form_represents(lat.Lattice(neg_r), 2):
+                return MatchFailure(AMPLE_CONE_UNASSERTED, "R contains a -2 class")
+        elif not ample_cone_asserted:
+            return MatchFailure(
+                AMPLE_CONE_UNASSERTED,
+                "non-perpendicular gluing of these blocks needs the positive-cone assertion",
+            )
+        if lat.signature(W) != (2, W.rank - 2):
             return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W)}")
         for bound in (2, 3, 4):  # the smallest bound that places W picks the rows
             rows = embed.place(W, ("U1", "U2", "U3"), bound)
@@ -310,12 +277,11 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         else:
             return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of W found")
         verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=rows, primitive=True)
-        ep = xa.matmul(n_plus_in_w, rows)
-        em = xa.matmul(n_minus_in_w, rows)
-        cert = MatchCertificate(plus, minus, mode, W, verdict,
-                                True, ample_cone_asserted=ample_cone_asserted, rho=rho)
-        cert.ample_auto = ample_ok and isinstance(mode, Orthogonal) and plus.kind == "nonsymplectic"
-        _attach_geometry(cert, ep, em, check_rank_formula=isinstance(mode, Orthogonal))
+        ep = xa.matmul(res.n_plus_in_w.basis, rows)
+        em = xa.matmul(res.n_minus_in_w.basis, rows)
+        cert = MatchCertificate(plus, minus, mode, W, verdict, True, ample_auto=ample_auto,
+                                ample_cone_asserted=ample_cone_asserted, rho=spec.r.rank)
+        _attach_geometry(cert, ep, em)
         return cert
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -535,11 +501,6 @@ def _geography(pairs, resolutions):
     if skipped_gramless:
         summary["pairs_without_b3_data"] = skipped_gramless
     return GeographyReport(ordered, (total, col_totals), summary)
-
-
-def geography_rank1(cat, resolutions="best"):
-    """The census over the 17 rank-1 blocks: all 153 unordered pairs."""
-    return _geography(enumerate_pairs(cat, "none"), resolutions)
 
 
 def geography_general(cat, pair_filter="none", resolutions="best"):

@@ -58,17 +58,9 @@ class GluingConfig:
         cross = xa.pairings(self.emb_plus.basis, k3_lattice().gram, self.emb_minus.basis)
         return not any(any(row) for row in cross)
 
-    def n_prime_images(self):
-        """Derived data: the images of each polarising lattice in the other's
-        dual (rows: basis vectors, columns: dual coordinates of the other side)."""
-        G = k3_lattice().gram
-        return (xa.pairings(self.emb_plus.basis, G, self.emb_minus.basis),
-                xa.pairings(self.emb_minus.basis, G, self.emb_plus.basis))
-
 
 class TcsInvariants:
     def __init__(self, **kw):
-        self.pi1_trivial = True
         self.b2 = kw["b2"]
         self.b3 = kw["b3"]
         self.b4 = kw["b4"]
@@ -82,8 +74,6 @@ class TcsInvariants:
         self.two_connected = kw["two_connected"]
         self.h4_torsion_free = kw["h4_torsion_free"]
         self.betti_sum_orthogonal = kw["betti_sum_orthogonal"]
-        self.n_prime_plus_cotorsion = kw["n_prime_plus_cotorsion"]
-        self.n_prime_minus_cotorsion = kw["n_prime_minus_cotorsion"]
         self.classification = kw.get("classification")
 
     @property
@@ -132,8 +122,8 @@ def _div_p1(cfg, tor_h4_nontrivial):
     return 2 * gcd(int(pair[0]), int(pair[1])), "mod-image", tor_h4_nontrivial
 
 
-def _tor_with_routes(L, direct_sum, routes, context):
-    direct = lat.quotient_torsion(L, direct_sum)
+def _tor_with_routes(direct_sum, routes, context):
+    direct = lat.quotient_torsion(direct_sum)
     for label, value in routes:
         if value != direct:
             raise AssertionError(f"{context}: torsion route disagreement: direct {direct} vs {label} {value}")
@@ -142,7 +132,6 @@ def _tor_with_routes(L, direct_sum, routes, context):
 
 def compute_invariants(cfg):
     """Full invariant record of the glued 7-manifold."""
-    L = k3_lattice()
     Np, Nm = cfg.emb_plus, cfg.emb_minus
     Tp, Tm = cfg.complements
     rkKp, rkKm = cfg.block_plus.rk_K, cfg.block_minus.rk_K
@@ -157,16 +146,16 @@ def compute_invariants(cfg):
     b3 = 1 + (22 - sum_nn.rank) + lat.intersect(Nm, Tp).rank + lat.intersect(Np, Tm).rank + blocks_part
     b4 = 1 + lat.intersect(Tp, Tm).rank + (22 - sum_mp.rank) + (22 - sum_pm.rank) + blocks_part
     tor_h3 = _tor_with_routes(
-        L, sum_nn, [("coker(N+ -> T-*)", lat.coker_map(Np, Tm)), ("coker(N- -> T+*)", lat.coker_map(Nm, Tp))],
+        sum_nn, [("coker(N+ -> T-*)", lat.coker_map(Np, Tm)), ("coker(N- -> T+*)", lat.coker_map(Nm, Tp))],
         f"{cfg.name}: Tor H3",
     )
     # a map and its transpose have the same invariant factors, so one Smith form each of the N-N
-    # and T-T pairings serves both Tor H4 summands and both n_prime_*_cotorsion fields
+    # and T-T pairings serves both Tor H4 summands
     coker_nn = lat.coker_map(Nm, Np)
     coker_tt = lat.coker_map(Tp, Tm)
     h4_routes = [("coker(N- -> N+*)", coker_nn), ("coker(T+ -> T-*)", coker_tt)]
-    tor_h4_plus = _tor_with_routes(L, sum_mp, h4_routes, f"{cfg.name}: Tor H4 (+)")
-    tor_h4_minus = _tor_with_routes(L, sum_pm, h4_routes, f"{cfg.name}: Tor H4 (-)")
+    tor_h4_plus = _tor_with_routes(sum_mp, h4_routes, f"{cfg.name}: Tor H4 (+)")
+    tor_h4_minus = _tor_with_routes(sum_pm, h4_routes, f"{cfg.name}: Tor H4 (-)")
     h4_torsion_free = not tor_h4_plus and not tor_h4_minus
     div_p1, status, mod_torsion = _div_p1(cfg, not h4_torsion_free)
     a0 = cfg.block_plus.e_rigid + cfg.block_minus.e_rigid
@@ -187,8 +176,6 @@ def compute_invariants(cfg):
         two_connected=two_connected,
         h4_torsion_free=h4_torsion_free,
         betti_sum_orthogonal=betti_sum_orthogonal,
-        n_prime_plus_cotorsion=coker_nn,
-        n_prime_minus_cotorsion=coker_nn,
     )
     inv.classification = classify_2connected(inv)
     return inv

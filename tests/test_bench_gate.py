@@ -4,8 +4,10 @@ Every op that any seed of a perfbench workload can run must give the (exit
 code, output digest) recorded in perfbench/expected.json, with the span
 tracer of perfbench/tracer.py installed on every tcslat layer; each op must
 open at least one span, and the tracer must put every original function back
-afterwards.  This reads perfbench/ and writes nothing there; the tracer's
-self-check on op times still needs ``python3 perfbench/run.py --trace 1``."""
+afterwards.  Every per-layer metric that BENCHMARK.json names must be a value
+of the harness's layer snapshot.  This reads perfbench/ and BENCHMARK.json and
+writes nothing there; the tracer's self-check on op times still needs
+``python3 perfbench/run.py --trace 1``."""
 
 import importlib.util
 import inspect
@@ -15,6 +17,8 @@ import os
 import pytest
 
 import tcslat
+import tcslat.cli  # noqa: F401  (the tracer reads each layer as a package attribute)
+import tcslat.g2alg  # noqa: F401
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -29,6 +33,7 @@ def _load(name):
 
 workloads = _load("workloads")
 tracer_mod = _load("tracer")
+run_mod = _load("run")
 
 with open(os.path.join(PERFBENCH, "expected.json"), encoding="utf-8") as fh:
     EXPECTED = json.load(fh)
@@ -75,3 +80,13 @@ def test_the_tracer_wraps_every_layer_function():
 def test_the_replay_covers_every_recorded_op():
     names = [op.name for w in workloads.WORKLOADS for op in workloads.universe(w)]
     assert sorted(names) == sorted(EXPECTED)
+
+
+def test_every_per_layer_metric_is_a_layer_snapshot_value():
+    # a traced run reads values[name] for each per_layer name, so a layer
+    # function that is renamed or removed fails it with a KeyError;
+    # trace.overhead_frac is the one value the run adds after the snapshots
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["per_layer"]]
+    values = run_mod.layer_snapshot(tracer_mod.Tracer(tcslat))
+    assert [n for n in names if n != "trace.overhead_frac" and n not in values] == []

@@ -146,7 +146,7 @@ def test_burkhardt_structure_matches_catalog():
     assert NL.gram == rec.n_gram
     assert lat.signature(NL) == (1, 15)
     # T's own basis carries the block Gram A2(-1) + U(3) + U(3)
-    T = bs.t_lattice()
+    T = lat.Sublattice(embed.k3_lattice(), bs.t_rows).lattice()
     assert T.gram == lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3)).gram
     # complement of N is exactly the placed T
     L = embed.k3_lattice()

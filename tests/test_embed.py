@@ -92,7 +92,7 @@ def test_construct_embedding_no7_matrix():
     v = embed.construct_embedding(W)
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is False
-    cot = embed.cotorsion(embed.k3_lattice(), v.basis)
+    cot = lat.quotient_torsion(lat.Sublattice(embed.k3_lattice(), v.basis))
     assert cot == [8]
     # each N0 copy primitive
     amb = embed.k3_lattice()
@@ -108,7 +108,7 @@ def test_construct_embedding_no8_matrix():
     v = embed.construct_embedding(W)
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is False
-    assert embed.cotorsion(embed.k3_lattice(), v.basis) == [4, 4]
+    assert lat.quotient_torsion(lat.Sublattice(embed.k3_lattice(), v.basis)) == [4, 4]
     amb = embed.k3_lattice()
     for rows in (v.basis[:2], v.basis[2:]):
         assert lat.is_primitive(lat.Sublattice(amb, rows))
@@ -587,9 +587,9 @@ def test_dimension_mismatch():
 def test_uniqueness_needs_an_indefinite_complement():
     # 3U embeds in two ways, with complements E8(-1)^2 and D16+(-1): both definite
     W = lat.direct_sum(lat.U(), lat.U(), lat.U())
+    assert embed.construct_embedding(W).status == embed.EXISTS_CONSTRUCTED
     assert not embed.uniqueness(W)
-    assert embed.construct_embedding(W).unique is None
     # E8(-1)^2 has the indefinite complement 3U
     E = lat.direct_sum(lat.E8(-1), lat.E8(-1))
+    assert embed.construct_embedding(E).status == embed.EXISTS_CONSTRUCTED
     assert embed.uniqueness(E)
-    assert embed.construct_embedding(E).unique is True

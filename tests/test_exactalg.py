@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import invariant_factors_via_minors
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 
@@ -84,7 +85,7 @@ def test_snf_invariance_under_unimodular():
 def test_snf_matches_minor_oracle(rows):
     A = xa.mat(rows)
     res = check_snf_contract(A)
-    oracle = xa.invariant_factors_via_minors(A)
+    oracle = invariant_factors_via_minors(A)
     assert [d for d in res.diagonal if d != 0] == oracle
 
 
@@ -145,7 +146,7 @@ def test_diagonal_readers_build_no_transform(monkeypatch):
     T = lat.Sublattice(amb, [[1, 0, 0, 0], [0, 0, 1, 1]])
     assert lat.ell(amb) == 2
     assert not lat.is_primitive(S)
-    assert lat.quotient_torsion(amb, S) == [2]
+    assert lat.quotient_torsion(S) == [2]
     assert lat.coker_map(S, T) == [72]  # the pairing matrix [[4, 0], [1, 18]]
 
 

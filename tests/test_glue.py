@@ -10,9 +10,9 @@ from tcslat import lattice as lat
 
 
 def test_perpendicular_sum():
-    W = glue.perpendicular_sum(lat.diag_lattice(4), lat.diag_lattice(4))
+    W = lat.direct_sum(lat.diag_lattice(4), lat.diag_lattice(4))
     assert W.gram == [[4, 0], [0, 4]]
-    W2 = glue.perpendicular_sum(lat.diag_lattice(4), lat.diag_lattice(22))
+    W2 = lat.direct_sum(lat.diag_lattice(4), lat.diag_lattice(22))
     assert W2.gram == [[4, 0], [0, 22]]
 
 
@@ -60,7 +60,7 @@ def test_pushout_rank0_r_is_perpendicular_sum():
     N2 = lat.diag_lattice(6)
     spec = glue.PushoutSpec(N1, N2, lat.Lattice([]), [], [])
     res = glue.orthogonal_pushout(spec)
-    assert res.w.gram == glue.perpendicular_sum(N1, N2).gram
+    assert res.w.gram == lat.direct_sum(N1, N2).gram
 
 
 def test_pushout_rejects_nonprimitive_embedding():
@@ -74,9 +74,10 @@ def test_pushout_signature_check():
     N = lat.Lattice([[2, 4], [4, 2]])
     R = lat.diag_lattice(-4)
     res = glue.orthogonal_pushout(glue.PushoutSpec(N, N, R, [[1, -1]], [[1, -1]]))
-    assert glue.pushout_signature_check(res.w, 2, 2, 1)
-    W2 = glue.perpendicular_sum(lat.diag_lattice(4), lat.diag_lattice(4))
-    assert glue.pushout_signature_check(W2, 1, 1, 0)
+    # sig W = (2, rk N+ + rk N- - rk R - 2)
+    assert lat.signature(res.w) == (2, 1)
+    W2 = lat.direct_sum(lat.diag_lattice(4), lat.diag_lattice(4))
+    assert lat.signature(W2) == (2, 0)
 
 
 def test_pushout_no10_rank5():
@@ -111,13 +112,7 @@ def test_overlattices_ex76_six_subgroup_types():
     types = set()
     for s in specs:
         # isomorphism type of the glue group = invariant factors of index lattice
-        quotient = lat.quotient_torsion(
-            s.w_gram,
-            lat.Sublattice(
-                s.w_gram,
-                _base_in_overlattice_coords(s),
-            ),
-        )
+        quotient = lat.quotient_torsion(lat.Sublattice(s.w_gram, _base_in_overlattice_coords(s)))
         types.add(tuple(quotient))
         # determinant bookkeeping for overlattices
         assert s.w_gram.det() * s.index**2 == s.base.det()
@@ -174,7 +169,7 @@ def _former_enumerate_overlattices(n_plus, n_minus, max_index, budget=10**6):
     if size_p * size_m > budget:
         raise lat.EnumerationBudgetExceeded(f"{size_p * size_m} exceeds budget {budget}")
     gens_p, gens_m = snf_p.torsion_cosets(), snf_m.torsion_cosets()
-    base = glue.perpendicular_sum(n_plus, n_minus)
+    base = lat.direct_sum(n_plus, n_minus)
 
     def q_of(v, gram):
         return xa.pair(v, gram, v) % 2

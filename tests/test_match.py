@@ -141,19 +141,6 @@ def test_certificate_overlattice_no1():
     assert inv.tor_h3 == [2] and inv.b3 == 155
 
 
-def test_certificate_handcrafted_no11():
-    rec = CAT["Ex7.6"]
-    w_gram = [[12, 4, 0, 0], [4, 0, 0, 1], [0, 0, 12, 4], [0, 1, 4, 0]]
-    # catalog basis (E, A): E = second W row, A = H - E
-    n_plus_rows = [[0, 1, 0, 0], [1, -1, 0, 0]]
-    n_minus_rows = [[0, 0, 0, 1], [0, 0, 1, -1]]
-    mode = match.Handcrafted(w_gram, n_plus_rows, n_minus_rows)
-    cert = match.build_certificate(rec, rec, mode, ample_cone_asserted=True)
-    assert isinstance(cert, match.MatchCertificate)
-    inv = tcs.compute_invariants(cert.to_config(div_c2_mod_image=(24, 24), name="cert-no11"))
-    assert inv.b3 == 93 and inv.div_p1 == 48
-
-
 def test_propose_and_verify_triple():
     cert = match.build_certificate(CAT["7.1_4^1"], CAT["7.1_4^1"], match.PerpendicularPrimitive())
     triple = match.propose_triple(cert)
@@ -257,7 +244,7 @@ def test_enumerate_pairs_rank11():
 
 
 def test_geography_rank1_table():
-    rep = match.geography_rank1(RANK1)
+    rep = match.geography_general(RANK1)
     assert rep.summary["pairs"] == 153
     assert rep.summary["distinct_b"] == 46
     assert rep.summary["distinct_types"] == 82
@@ -281,11 +268,11 @@ def test_geography_determinism_under_order():
     recs = list(RANK1)
     random.Random(5).shuffle(recs)
     shuffled = blocks.Catalog(recs)
-    assert match.geography_rank1(shuffled).to_tsv() == match.geography_rank1(RANK1).to_tsv()
+    assert match.geography_general(shuffled).to_tsv() == match.geography_general(RANK1).to_tsv()
 
 
 def test_geography_tsv_first_row():
-    rep = match.geography_rank1(RANK1)
+    rep = match.geography_general(RANK1)
     lines = rep.to_tsv().splitlines()
     assert lines[1] == "48\t6\t4\t0\t1\t1\t0\t0"
     assert lines[-1].startswith("total\t153\t101\t28\t7\t14\t2\t1")
@@ -363,6 +350,21 @@ def test_certificate_nonsymplectic_auto_hypothesis():
     cert = match.build_certificate(rec, rec, mode)
     assert isinstance(cert, match.MatchCertificate)
     assert cert.ample_auto  # no -2 class in R: the hypothesis holds by itself
+
+
+@pytest.mark.parametrize("nonsymplectic_side", ["plus", "minus"])
+def test_certificate_nonsymplectic_with_fano_needs_the_assertion(nonsymplectic_side):
+    # the -2-class check stands in for the assertion only when both blocks are
+    # nonsymplectic; against a Fano block either order needs it, and says so
+    ns = (_nonsymplectic_record("ns-c", [[12, 0], [0, -8]], [1, 0]), [[0, 1]])
+    fano = (CAT["MM2-10"], [[1, -2]])
+    (plus, r_plus), (minus, r_minus) = (ns, fano) if nonsymplectic_side == "plus" else (fano, ns)
+    mode = match.Orthogonal([[-8]], r_plus, r_minus)
+    assert match.build_certificate(plus, minus, mode).code == match.AMPLE_CONE_UNASSERTED
+    cert = match.build_certificate(plus, minus, mode, ample_cone_asserted=True)
+    assert isinstance(cert, match.MatchCertificate)
+    assert not cert.ample_auto
+    assert "ample_hypothesis = asserted" in cert.dump().splitlines()
 
 
 def test_certificate_dump_contains_matrix():

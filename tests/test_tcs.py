@@ -128,7 +128,6 @@ def test_classify_examples():
         b2=0, b3=b4, b4=b4, tor_h3=[], tor_h4_plus=[], tor_h4_minus=[],
         div_p1=p1, div_p1_status="perpendicular", div_p1_mod_torsion=False,
         a0=0, two_connected=True, h4_torsion_free=True, betti_sum_orthogonal=True,
-        n_prime_plus_cotorsion=[], n_prime_minus_cotorsion=[],
     )
     c = tcs.classify_2connected(mk(71, 4))
     assert c.realization == "M_{1,0} # 70(S^3 x S^4)"
@@ -152,7 +151,6 @@ def test_classify_not_applicable_reasons():
         b2=0, b3=10, b4=10, tor_h3=[], tor_h4_plus=[2], tor_h4_minus=[2],
         div_p1=8, div_p1_status="perpendicular", div_p1_mod_torsion=True,
         a0=0, two_connected=True, h4_torsion_free=False, betti_sum_orthogonal=True,
-        n_prime_plus_cotorsion=[], n_prime_minus_cotorsion=[],
     )
     na = tcs.classify_2connected(fake)
     assert isinstance(na, tcs.NotApplicable) and "torsion" in na.reason
@@ -191,8 +189,8 @@ def test_torsion_linking_synthetic_third():
     Nm = lat.Sublattice(L, [w])
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
-    assert lat.quotient_torsion(L, lat.sum_sublattices(Nm, Tp)) == [3]
-    assert lat.quotient_torsion(L, lat.sum_sublattices(Np, Tm)) == [3]
+    assert lat.quotient_torsion(lat.sum_sublattices(Nm, Tp)) == [3]
+    assert lat.quotient_torsion(lat.sum_sublattices(Np, Tm)) == [3]
     table = tcs.torsion_linking_pair(L, Np, Nm)
     assert table.plus_orders == [3] and table.minus_orders == [3]
     assert table.cross[0][0] in (Fraction(1, 3), Fraction(2, 3))
@@ -240,16 +238,19 @@ def test_report_rendering():
 def test_n_prime_exposure():
     cfg = load("no10")
     inv = tcs.compute_invariants(cfg)
-    assert inv.n_prime_plus_cotorsion == [2]
-    assert inv.n_prime_minus_cotorsion == [2]
+    # the image of each polarising lattice in the other's dual has cotorsion Z/2
+    assert lat.coker_map(cfg.emb_minus, cfg.emb_plus) == [2]
+    assert lat.coker_map(cfg.emb_plus, cfg.emb_minus) == [2]
     assert inv.div_p1_mod_torsion  # div p1 reported modulo the H4 torsion
-    p_img, m_img = cfg.n_prime_images()
-    # the cotorsion of the image matrix is the Z/2 recorded above
+    G = k3_lattice().gram
+    p_img = xa.pairings(cfg.emb_plus.basis, G, cfg.emb_minus.basis)
+    m_img = xa.pairings(cfg.emb_minus.basis, G, cfg.emb_plus.basis)
+    # the cotorsion of the image matrix is the Z/2 above
     assert xa.snf(xa.mat(p_img)).invariant_factors() == [2]
     assert xa.snf(xa.mat(m_img)).invariant_factors() == [2]
     perp = load("no5a")
     assert not tcs.compute_invariants(perp).div_p1_mod_torsion
-    p_img, _ = perp.n_prime_images()
+    p_img = xa.pairings(perp.emb_plus.basis, G, perp.emb_minus.basis)
     assert all(x == 0 for row in p_img for x in row)  # perpendicular: zero image
 
 
@@ -261,7 +262,7 @@ def test_torsion_cross_checks_can_fail(route, monkeypatch):
     Tp, Tm = cfg.complements
     wrong = [7]
     if route == "direct":
-        monkeypatch.setattr(lat, "quotient_torsion", lambda amb, S: wrong)
+        monkeypatch.setattr(lat, "quotient_torsion", lambda S: wrong)
         expected = r"torsion route disagreement: direct \[7\]"
     else:
         coker_map = lat.coker_map

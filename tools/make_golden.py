@@ -108,6 +108,13 @@ def cases():
     for index in (4, 8, 16):
         out.append(["match", "--plus", "Ex7.6", "--minus", "Ex7.6", "--mode", "perp-over",
                     "--glue-index", str(index)])
+    # a nonsymplectic block against a Fano one, in both orders: the positive-cone
+    # hypothesis is asserted, not automatic, whichever side is nonsymplectic
+    nonsymplectic = "nonsymplectic-12-8"
+    for plus, minus in ((nonsymplectic, "MM2-10"), ("MM2-10", nonsymplectic)):
+        out.append(["--catalog", os.path.join(GOLDEN, "nonsymplectic.blocks"), "match",
+                    "--plus", plus, "--minus", minus, "--mode", "orth", "--r", "[[-8]]",
+                    "--assert-ample"])
     return out
 
 
