@@ -7,8 +7,10 @@ docs/catalog-format.md.  The env var TCS_TABLES_DIR overrides the bundled tables
 """
 
 import ast
+import json
 import marshal
 import os
+import re
 from importlib import resources
 
 from . import exactalg as xa
@@ -98,8 +100,19 @@ class Catalog:
         return Catalog(list(self) + list(other), provenance=f"{self.provenance}+{other.provenance}")
 
 
+# JSON reads text made of these characters as the nested int lists literal_eval
+# gives, without compiling it; up to 200 brackets stays within the nesting that
+# literal_eval's parser accepts (JSON goes on to about 1000)
+_INT_LIST = re.compile(r"\[[-0-9\[\], \t]*")
+
+
 def _parse_value(raw):
     raw = raw.strip()
+    if _INT_LIST.fullmatch(raw) and raw.count("[") <= 200:
+        try:
+            return json.loads(raw)
+        except ValueError:
+            pass  # such as [1,] or [- 1]: literal_eval decides
     if raw.startswith("[") or raw.startswith("{") or raw.startswith("("):
         try:
             return ast.literal_eval(raw)

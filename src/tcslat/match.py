@@ -244,9 +244,8 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         em = xa.matmul(Binv[plus.rank :], B)
         W = lat.Sublattice(L, ep + em).lattice()
         verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=ep + em, primitive=False)
-        cert = MatchCertificate(plus, minus, mode, W, verdict,
-                                lat.signature(W) == (2, W.rank - 2),
-                                ample_auto=True, rho=0)
+        # W has finite index in W', whose signature is checked above, so it cannot fail here
+        cert = MatchCertificate(plus, minus, mode, W, verdict, True, ample_auto=True, rho=0)
         _attach_geometry(cert, ep, em)
         return cert
     if isinstance(mode, Orthogonal):

@@ -2,9 +2,10 @@
 data, plus the classification of the 2-connected torsion-free outputs.
 
 All cohomology bookkeeping happens inside the rank-22 ambient lattice: the
-free ranks come from intersections and sums of the two polarising images and
-their complements, the torsion from Smith normal forms of the stacked bases,
-and div p1 from the blocks' second Chern data.
+free ranks come from sums of the two polarising images and their complements
+(each intersection rank is rk A + rk B - rk(A + B), read off a sum's HNF
+rather than built as a module), the torsion from Smith normal forms of the
+stacked bases, and div p1 from the blocks' second Chern data.
 """
 
 from fractions import Fraction
@@ -137,14 +138,19 @@ def compute_invariants(cfg):
     rkKp, rkKm = cfg.block_plus.rk_K, cfg.block_minus.rk_K
     b3Zp, b3Zm = cfg.block_plus.b3_Z, cfg.block_minus.b3_Z
 
-    inter_nn = lat.intersect(Np, Nm)
     sum_nn = lat.sum_sublattices(Np, Nm)
     sum_mp = lat.sum_sublattices(Nm, Tp)
     sum_pm = lat.sum_sublattices(Np, Tm)
-    b2 = inter_nn.rank + rkKp + rkKm
+    # over Q, rk(A n B) = rk A + rk B - rk(A + B); T+ + T- is built from the T bases, not read
+    # off rk(N+ + N-), so that the b4 = b3 cross-check can still fail
+    rk_nn = Np.rank + Nm.rank - sum_nn.rank
+    rk_mp = Nm.rank + Tp.rank - sum_mp.rank
+    rk_pm = Np.rank + Tm.rank - sum_pm.rank
+    rk_tt = Tp.rank + Tm.rank - lat.sum_sublattices(Tp, Tm).rank
+    b2 = rk_nn + rkKp + rkKm
     blocks_part = b3Zp + b3Zm + rkKp + rkKm
-    b3 = 1 + (22 - sum_nn.rank) + lat.intersect(Nm, Tp).rank + lat.intersect(Np, Tm).rank + blocks_part
-    b4 = 1 + lat.intersect(Tp, Tm).rank + (22 - sum_mp.rank) + (22 - sum_pm.rank) + blocks_part
+    b3 = 1 + (22 - sum_nn.rank) + rk_mp + rk_pm + blocks_part
+    b4 = 1 + rk_tt + (22 - sum_mp.rank) + (22 - sum_pm.rank) + blocks_part
     tor_h3 = _tor_with_routes(
         sum_nn, [("coker(N+ -> T-*)", lat.coker_map(Np, Tm)), ("coker(N- -> T+*)", lat.coker_map(Nm, Tp))],
         f"{cfg.name}: Tor H3",
@@ -160,7 +166,7 @@ def compute_invariants(cfg):
     div_p1, status, mod_torsion = _div_p1(cfg, not h4_torsion_free)
     a0 = cfg.block_plus.e_rigid + cfg.block_minus.e_rigid
     # N+ + N- is primitive iff L / (N+ + N-) has no torsion, which is Tor H3
-    two_connected = rkKp == 0 and rkKm == 0 and inter_nn.rank == 0 and not tor_h3
+    two_connected = rkKp == 0 and rkKm == 0 and rk_nn == 0 and not tor_h3
     betti_sum_orthogonal = (b2 + b3) == (b3Zp + b3Zm + 2 * rkKp + 2 * rkKm + 23)
     inv = TcsInvariants(
         b2=b2,

@@ -1,6 +1,12 @@
+import glob
 import math
+import os
+import re
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcslat import blocks, embed
 from tcslat import lattice as lat
@@ -249,3 +255,104 @@ def test_unknown_block_id_is_a_key_error():
     with pytest.raises(blocks.UnknownBlockId) as info:
         cat["nope"]
     assert isinstance(info.value, KeyError)
+
+
+def _both_routes(raw, monkeypatch):
+    """_parse_value's result, or its CatalogError message, with and without
+    the JSON path for integer literals."""
+    results = []
+    for pattern in (blocks._INT_LIST, re.compile("(?!)")):
+        monkeypatch.setattr(blocks, "_INT_LIST", pattern)
+        try:
+            value = blocks._parse_value(raw)
+            results.append((repr(value), value))
+        except blocks.CatalogError as exc:
+            # literal_eval's message names an AST node by its address
+            results.append(("CatalogError", re.sub(r" at 0x[0-9a-f]+", "", str(exc))))
+    return results
+
+
+INT_LIST_TEXT = st.text(alphabet="0123456789-[], \t", max_size=40).map(lambda t: "[" + t)
+INT_LISTS = st.recursive(st.integers(-10**30, 10**30), lambda sub: st.lists(sub, max_size=4), max_leaves=30)
+
+
+def _render(value, seps):
+    if isinstance(value, int):
+        return str(value)
+    sep = seps.draw(st.sampled_from([",", ", ", " ,\t", ",  "]))
+    return "[" + sep.join(_render(v, seps) for v in value) + "]"
+
+
+@settings(max_examples=400, deadline=None)
+@given(INT_LIST_TEXT)
+def test_parse_value_json_path_matches_literal_eval_on_any_text(raw):
+    with pytest.MonkeyPatch.context() as mp:
+        new, old = _both_routes(raw, mp)
+    assert new == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(INT_LISTS, max_size=5), st.data())
+def test_parse_value_json_path_matches_literal_eval_on_int_lists(value, data):
+    raw = _render(value, data)
+    with pytest.MonkeyPatch.context() as mp:
+        new, old = _both_routes(raw, mp)
+    assert new == old == (repr(value), value)
+
+
+def _nested(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+BAD = "CatalogError"
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("[1,]", [1]),
+    ("[- 1]", [-1]),
+    ("[01]", BAD),
+    ("[-0]", [0]),
+    ("[1e3]", [1000.0]),
+    ("[true]", BAD),
+    ("[NaN]", BAD),
+    ("[[1, 2], [3]]", [[1, 2], [3]]),
+    # literal_eval's parser nests 200 deep at most; JSON accepts 201 and
+    # raises RecursionError at 3000
+    pytest.param("[" * 200 + "]" * 200, _nested(200), id="nested-200"),
+    pytest.param("[" * 201 + "]" * 201, BAD, id="nested-201"),
+    pytest.param("[" * 3000 + "]" * 3000, BAD, id="nested-3000"),
+])
+def test_parse_value_edge_cases(raw, expected, monkeypatch):
+    new, old = _both_routes(raw, monkeypatch)
+    assert new == old
+    assert new[0] == BAD if expected == BAD else new == (repr(expected), expected)
+
+
+def _bundled_and_config_texts():
+    tables = resources.files("tcslat").joinpath("tables")
+    for name in ("rank1.blocks", "rank2.blocks", "table2.blocks", "table6.polytopes"):
+        yield name, tables.joinpath(name).read_text(encoding="utf-8")
+    config_dir = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for path in sorted(glob.glob(os.path.join(config_dir, "*.cfg"))):
+        yield os.path.basename(path), blocks.read_text(path)
+
+
+@pytest.mark.parametrize("name, text", list(_bundled_and_config_texts()))
+def test_parse_records_same_through_both_routes(name, text, monkeypatch):
+    json_route = blocks.parse_records(text, name)
+    monkeypatch.setattr(blocks, "_INT_LIST", re.compile("(?!)"))
+    literal_route = blocks.parse_records(text, name)
+    assert repr(json_route) == repr(literal_route)
+
+
+def test_config_literals_are_not_compiled(monkeypatch):
+    def refuse(raw):
+        raise AssertionError(f"literal_eval on {raw[:20]!r}")
+
+    monkeypatch.setattr(blocks.ast, "literal_eval", refuse)
+    for name, text in _bundled_and_config_texts():
+        if name.endswith(".cfg"):
+            blocks.parse_records(text, name)

@@ -11,6 +11,7 @@ from tcslat import blocks, embed, tcs
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 from tcslat.embed import k3_lattice
+from test_cli import run as run_cli
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 CAT = blocks.full_catalog()
@@ -71,6 +72,52 @@ def test_b4_equals_b3_everywhere():
     for name in all_config_names():
         inv = tcs.compute_invariants(load(name))
         assert inv.b4 == inv.b3, name
+
+
+@pytest.mark.parametrize("name", all_config_names())
+def test_ranks_from_sums_match_intersection_modules(name):
+    """Oracle: the intersection modules of lat.intersect and Bareiss ranks of
+    the stacked bases give the Betti numbers that compute_invariants reads off
+    the HNF of the sums."""
+    cfg = load(name)
+    Np, Nm = cfg.emb_plus, cfg.emb_minus
+    Tp, Tm = cfg.complements
+    inter = {}
+    for label, A, B in (("nn", Np, Nm), ("mp", Nm, Tp), ("pm", Np, Tm), ("tt", Tp, Tm)):
+        inter[label] = lat.intersect(A, B).rank
+        assert inter[label] == A.rank + B.rank - lat.sum_sublattices(A, B).rank, label
+    rk_sum = {label: xa.rank(A.basis + B.basis) for label, A, B in (("nn", Np, Nm), ("mp", Nm, Tp), ("pm", Np, Tm))}
+    bp, bm = cfg.block_plus, cfg.block_minus
+    blocks_part = bp.b3_Z + bm.b3_Z + bp.rk_K + bm.rk_K
+    inv = tcs.compute_invariants(cfg)
+    assert inv.b2 == inter["nn"] + bp.rk_K + bm.rk_K
+    assert inv.b3 == 1 + (22 - rk_sum["nn"]) + inter["mp"] + inter["pm"] + blocks_part
+    assert inv.b4 == 1 + inter["tt"] + (22 - rk_sum["mp"]) + (22 - rk_sum["pm"]) + blocks_part
+    if name.startswith("no9"):
+        assert inter["nn"] == 1  # the nonzero N+ n N- case is covered
+
+
+def test_poincare_check_can_fail(monkeypatch):
+    """A T+ + T- one rank short must show up as b4 = b3 + 1: rk(T+ n T-) is read
+    off the T bases, not derived from rk(N+ + N-)."""
+    complements = []
+    orthogonal_complement, sum_sublattices = lat.orthogonal_complement, lat.sum_sublattices
+
+    def recorded(S):
+        complements.append(orthogonal_complement(S))
+        return complements[-1]
+
+    def short_tt(S1, S2):
+        total = sum_sublattices(S1, S2)
+        if any(S1 is T for T in complements) and any(S2 is T for T in complements):
+            return lat.Sublattice(total.ambient, total.basis[:-1])
+        return total
+
+    monkeypatch.setattr(tcs.lat, "orthogonal_complement", recorded)
+    monkeypatch.setattr(tcs.lat, "sum_sublattices", short_tt)
+    code, _, err = run_cli(["invariants", "--config", os.path.join(CONFIG_DIR, "no1.cfg")])
+    assert code == 1
+    assert err == "sanity failure: Poincare duality cross-check b4 = b3: 156 vs 155\n"
 
 
 def test_betti_sum_orthogonal_only_fails_on_the_handcrafted_config():
