@@ -117,7 +117,9 @@ def _parse_value(raw):
         try:
             return ast.literal_eval(raw)
         except (ValueError, TypeError, SyntaxError, RecursionError) as exc:
-            raise CatalogError(f"bad literal {raw!r}: {exc}") from None
+            # literal_eval names a rejected node by its memory address, which differs between runs
+            detail = re.sub(r" at 0x[0-9a-fA-F]+", "", str(exc))
+            raise CatalogError(f"bad literal {raw!r}: {detail}") from None
     if raw in ("true", "false"):
         return raw == "true"
     try:

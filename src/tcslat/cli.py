@@ -166,11 +166,7 @@ def cmd_invariants(args):
     cat = _load_catalogs(args.catalog)
     cfg = tcs.load_config(args.config, cat)
     inv = tcs.compute_invariants(cfg)
-    if args.format == "tsv":
-        print(tcs.report_tsv_header())
-        print(tcs.report_tsv_row(inv, cfg.name))
-    else:
-        print(tcs.report_keyvalue(inv, cfg.name))
+    print(tcs.report_tsv(inv, cfg.name) if args.format == "tsv" else tcs.report_keyvalue(inv, cfg.name))
     failures = [c for c in tcs.sanity_suite(inv) if not c[1]]
     for name, _, detail in failures:
         print(f"sanity failure: {name}: {detail}", file=sys.stderr)
@@ -181,9 +177,7 @@ def cmd_geography(args):
     if args.table == "table3":
         rep = match.geography_general(blocks.rank1_catalog(), resolutions=args.resolutions)
     else:
-        cat = _load_catalogs(args.catalog)
-        pair_filter = {"rank11": "rank_11", "rankell22": "rank_ell_22", None: "none"}[args.filter]
-        rep = match.geography_general(cat, pair_filter, resolutions=args.resolutions)
+        rep = match.geography_general(_load_catalogs(args.catalog), args.filter, resolutions=args.resolutions)
     print(rep.to_human() if args.format == "human" else rep.to_tsv())
     print()
     print(rep.summary_lines())

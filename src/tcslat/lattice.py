@@ -50,9 +50,12 @@ class Lattice:
 
     @cached_property
     def _ell(self):
-        if not self.is_nondegenerate():
+        if not self.rank:
+            return 0
+        smith = xa.snf(self.gram, left=False, right=False)
+        if smith.rank < self.rank:  # a zero on the Smith diagonal: det = 0
             raise DegenerateLattice("degenerate")
-        return len(xa.snf(self.gram, left=False, right=False).invariant_factors()) if self.rank else 0
+        return len(smith.invariant_factors())
 
     def is_nondegenerate(self):
         return self.rank == 0 or self.det() != 0

@@ -58,21 +58,19 @@ class MatchingTriple:
 
 
 class MatchCertificate:
-    def __init__(self, block_plus, block_minus, mode, w, embedding, sig_check,
-                 ample_auto=False, ample_cone_asserted=False, rho=0):
+    def __init__(self, block_plus, block_minus, mode, w, embedding, ample_auto=False,
+                 ample_cone_asserted=False):
         self.block_plus = block_plus
         self.block_minus = block_minus
         self.mode = mode
         self.w = w
         self.embedding = embedding
-        self.sig_check = sig_check
-        # filled by _attach_geometry, or positivity alone for a by-criterion verdict
+        # filled by _constructed_certificate, or positivity alone for a by-criterion verdict
         self.emb_plus = self.emb_minus = None
         self.w_plus = self.w_minus = self.t = None
         self.positivity = None
         self.ample_auto = ample_auto
         self.ample_cone_asserted = ample_cone_asserted
-        self.rho = rho
         self.triple = None
 
     def is_explicit(self):
@@ -98,7 +96,8 @@ class MatchCertificate:
             f"mode = {self.mode.mode_name}",
             f"w_rank = {self.w.rank}",
             f"embedding = {self.embedding!r}",
-            f"sig_check = {self.sig_check}",
+            # always True: a W of the wrong signature returns SIGNATURE_MISMATCH before any certificate
+            "sig_check = True",
             f"positivity = {self.positivity}",
             f"ample_hypothesis = {'auto' if self.ample_auto else ('asserted' if self.ample_cone_asserted else 'unasserted')}",
         ]
@@ -141,51 +140,46 @@ def _rank1_partner_embedding(big, small):
 
 
 def _perpendicular_certificate(plus, minus, explicit):
-    L = k3_lattice()
-    Np_gram = lat.Lattice(plus.n_gram)
-    Nm_gram = lat.Lattice(minus.n_gram)
-    W = lat.direct_sum(Np_gram, Nm_gram)
+    W = lat.direct_sum(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram))
     r = W.rank
-    sig_ok = lat.signature(W) == (2, r - 2)
-    if not sig_ok:
+    if lat.signature(W) != (2, r - 2):
         return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W)}")
-    if not embed.necessary_condition(W):
-        # a primitive W is ruled out; explicit construction may still succeed
-        if explicit is None:
+    rows = explicit
+    if rows is None:
+        # asked only here: it rules out a primitive W (Nikulin 1979, Thm 1.12.2), and the
+        # explicit rows may embed W imprimitively
+        if not embed.necessary_condition(W):
             return MatchFailure(EMBEDDING_IMPOSSIBLE, "necessary rank/discriminant condition fails")
-    criterion = embed.nikulin_sufficient(W)
-    verdict = None
-    emb_rows = explicit
-    if emb_rows is None:
-        got = _embed_factor_pair_disjoint(plus.n_gram, minus.n_gram)
-        if got is not None:
-            emb_rows = got
-    if emb_rows is not None:
-        ep, em = emb_rows
-        stacked = ep + em
-        prim = embed.verify_embedding(W, L, stacked)
-        if prim is None:
-            return MatchFailure(EMBEDDING_IMPOSSIBLE, "explicit rows are not isometric to W")
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=stacked, primitive=prim)
-    elif criterion is not None:
+        rows = _embed_factor_pair_disjoint(plus.n_gram, minus.n_gram)
+    if rows is None:
+        criterion = embed.nikulin_sufficient(W)
+        if criterion is None:
+            return MatchFailure(EMBEDDING_UNKNOWN, "criterion silent and no construction found")
         verdict = embed.EmbeddingVerdict(embed.EXISTS_BY_CRITERION, criterion=criterion)
-    else:
-        return MatchFailure(EMBEDDING_UNKNOWN, "criterion silent and no construction found")
-    cert = MatchCertificate(plus, minus, PerpendicularPrimitive(), W, verdict, sig_ok,
-                            ample_auto=True, rho=0)
-    if verdict.status == embed.EXISTS_CONSTRUCTED:
-        ep, em = emb_rows
-        _attach_geometry(cert, ep, em)
-    else:
+        cert = MatchCertificate(plus, minus, PerpendicularPrimitive(), W, verdict, ample_auto=True)
+        # the signatures the matching argument expects: without rows there is nothing to compute them on
         cert.positivity = {
             "w_plus": (1, plus.rank - 1),
             "w_minus": (1, minus.rank - 1),
             "t": (1, 21 - r),
         }
-    return cert
+        return cert
+    ep, em = rows
+    prim = embed.verify_embedding(W, k3_lattice(), ep + em)
+    if prim is None:
+        return MatchFailure(EMBEDDING_IMPOSSIBLE, "explicit rows are not isometric to W")
+    return _constructed_certificate(plus, minus, PerpendicularPrimitive(), W, ep + em, prim, ep, em)
 
 
-def _attach_geometry(cert, ep, em):
+def _constructed_certificate(plus, minus, mode, W, basis, primitive, ep, em, rho=0,
+                             ample_auto=True, ample_cone_asserted=False):
+    """The certificate of an embedding of W that was constructed (with verdict rows `basis`) and
+    sends N+ and N- to the rows ep and em, with its geometry: W+ = N+ n T-, W- = N- n T+ and
+    T = (N+ + N-)^perp, checked to have the ranks of the matching argument along R of rank rho
+    and one positive direction each."""
+    verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=basis, primitive=primitive)
+    cert = MatchCertificate(plus, minus, mode, W, verdict, ample_auto=ample_auto,
+                            ample_cone_asserted=ample_cone_asserted)
     L = k3_lattice()
     cert.emb_plus = lat.Sublattice(L, ep)
     cert.emb_minus = lat.Sublattice(L, em)
@@ -195,8 +189,7 @@ def _attach_geometry(cert, ep, em):
     cert.w_minus = lat.intersect(cert.emb_minus, Tp)
     w_image = lat.sum_sublattices(cert.emb_plus, cert.emb_minus)
     cert.t = lat.orthogonal_complement(w_image)
-    # ranks as in the orthogonal-pushout matching argument
-    expect_ranks = (cert.emb_plus.rank - cert.rho, cert.emb_minus.rank - cert.rho, 22 - w_image.rank)
+    expect_ranks = (cert.emb_plus.rank - rho, cert.emb_minus.rank - rho, 22 - w_image.rank)
     got_ranks = (cert.w_plus.rank, cert.w_minus.rank, cert.t.rank)
     if expect_ranks != got_ranks:
         raise AssertionError(f"rank mismatch: expected {expect_ranks}, got {got_ranks}")
@@ -211,6 +204,7 @@ def _attach_geometry(cert, ep, em):
               (("w_plus", cert.w_plus), ("w_minus", cert.w_minus), ("t", cert.t))}
     if got != expect:
         raise AssertionError(f"positivity mismatch: expected {expect}, got {got}")
+    return cert
 
 
 def build_certificate(plus, minus, mode, ample_cone_asserted=False):
@@ -242,12 +236,9 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         Binv = [[int(x) for x in row] for row in xa.rational_inverse(spec.basis_rational)]
         ep = xa.matmul(Binv[: plus.rank], B)
         em = xa.matmul(Binv[plus.rank :], B)
+        # W has finite index in W', whose signature is checked above
         W = lat.Sublattice(L, ep + em).lattice()
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=ep + em, primitive=False)
-        # W has finite index in W', whose signature is checked above, so it cannot fail here
-        cert = MatchCertificate(plus, minus, mode, W, verdict, True, ample_auto=True, rho=0)
-        _attach_geometry(cert, ep, em)
-        return cert
+        return _constructed_certificate(plus, minus, mode, W, ep + em, False, ep, em)
     if isinstance(mode, Orthogonal):
         spec = glue.PushoutSpec(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram),
                                 lat.Lattice(mode.r_gram), mode.r_in_plus, mode.r_in_minus)
@@ -275,13 +266,10 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
                 break
         else:
             return MatchFailure(EMBEDDING_UNKNOWN, "no primitive placement of W found")
-        verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=rows, primitive=True)
         ep = xa.matmul(res.n_plus_in_w.basis, rows)
         em = xa.matmul(res.n_minus_in_w.basis, rows)
-        cert = MatchCertificate(plus, minus, mode, W, verdict, True, ample_auto=ample_auto,
-                                ample_cone_asserted=ample_cone_asserted, rho=spec.r.rank)
-        _attach_geometry(cert, ep, em)
-        return cert
+        return _constructed_certificate(plus, minus, mode, W, rows, True, ep, em, rho=spec.r.rank,
+                                        ample_auto=ample_auto, ample_cone_asserted=ample_cone_asserted)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -353,7 +341,7 @@ def verify_triple(triple, emb_plus, emb_minus):
     """Membership, pairwise orthogonality and positivity, all exact over Q.
 
     T+ and T- are recomputed from the embeddings on purpose, not read from the
-    certificate that `_attach_geometry` filled: the check stays independent of
+    certificate that `_constructed_certificate` filled: the check stays independent of
     the construction it checks."""
     amb = emb_plus.ambient
     reasons = []
@@ -382,59 +370,53 @@ def verify_triple(triple, emb_plus, emb_minus):
     return (not reasons), reasons
 
 
-def enumerate_pairs(cat, pair_filter="none"):
-    """Unordered pairs with repetition (self-pairs allowed)."""
+def enumerate_pairs(cat, pair_filter=None):
+    """Unordered pairs of records with repetition (self-pairs allowed), in id order.
+
+    The filter keeps every pair (None), the pairs with rk N+ + rk N- <= 11
+    ("rank11"), or the pairs with rk W + l(W) < 22 for W = N+ + N- ("rankell22";
+    l(W) is bounded by the recorded l of a gramless record)."""
+    if pair_filter not in (None, "rank11", "rankell22"):
+        raise ValueError(f"unknown filter {pair_filter!r}")
     recs = sorted(cat, key=lambda r: r.id)
     out = []
     for i, a in enumerate(recs):
         for b in recs[i:]:
-            if pair_filter == "none":
-                out.append((a, b))
+            if pair_filter == "rank11" and a.rank + b.rank > 11:
                 continue
-            if pair_filter == "rank_11":
-                if a.rank + b.rank <= 11:
-                    out.append((a, b))
-                continue
-            if pair_filter == "rank_ell_22":
+            if pair_filter == "rankell22":
                 if a.gramless or b.gramless:
                     ell_bound = (a.ell() or 0) + (b.ell() or 0)
                 else:
                     ell_bound = lat.ell(lat.direct_sum(lat.Lattice(a.n_gram), lat.Lattice(b.n_gram)))
-                if a.rank + b.rank + ell_bound < 22:
-                    out.append((a, b))
-                continue
-            raise ValueError(f"unknown filter {pair_filter!r}")
+                if a.rank + b.rank + ell_bound >= 22:
+                    continue
+            out.append((a, b))
     return out
 
 
 class GeographyReport:
-    def __init__(self, rows, totals, summary, key="b"):
+    def __init__(self, rows, totals, summary):
         self.rows = rows  # list of (b, count, {div: n})
         self.totals = totals  # (count, {div: n})
         self.summary = summary  # dict of key-value lines
-        self.key = key
 
     DIVS = (4, 8, 12, 16, 24, 48)
 
+    def _table(self):
+        """The cells of the table: the header, one row per b, then the totals row."""
+        header = ["b", "count"] + [f"d{d}" for d in self.DIVS]
+        return [header] + [[str(b), str(count)] + [str(divs.get(d, 0)) for d in self.DIVS]
+                           for b, count, divs in self.rows + [("total", *self.totals)]]
+
     def to_tsv(self):
-        lines = ["\t".join([self.key, "count"] + [f"d{d}" for d in self.DIVS])]
-        for b, count, divs in self.rows:
-            lines.append("\t".join([str(b), str(count)] + [str(divs.get(d, 0)) for d in self.DIVS]))
-        count, divs = self.totals
-        lines.append("\t".join(["total", str(count)] + [str(divs.get(d, 0)) for d in self.DIVS]))
-        return "\n".join(lines)
+        return "\n".join("\t".join(row) for row in self._table())
 
     def to_human(self):
-        header = [self.key, "count"] + [f"d{d}" for d in self.DIVS]
-        body = [[str(b), str(count)] + [str(divs.get(d, 0)) for d in self.DIVS]
-                for b, count, divs in self.rows]
-        count, divs = self.totals
-        body.append(["total", str(count)] + [str(divs.get(d, 0)) for d in self.DIVS])
-        widths = [max(len(header[i]), max(len(row[i]) for row in body)) for i in range(len(header))]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        lines.append("  ".join("-" * w for w in widths))
-        for row in body:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
+        table = self._table()
+        widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+        lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in table]
+        lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines)
 
     def summary_lines(self):
@@ -447,34 +429,24 @@ class GeographyReport:
         return None
 
 
-def _pair_div_p1_values(a, b, resolutions):
-    if not a.div_c2 or not b.div_c2:
-        return []
-    values = sorted({2 * gcd(x, y) for x in a.div_c2 for y in b.div_c2})
-    if resolutions == "all":
-        return values
-    return [max(values)]
-
-
-def _pair_stat(a, b, resolutions):
-    if a.b3_Z is None or b.b3_Z is None:
-        return None
-    return (a.b3_Z + b.b3_Z, tuple(_pair_div_p1_values(a, b, resolutions)))
-
-
-def _geography(pairs, resolutions):
+def geography_general(cat, pair_filter=None, resolutions="best"):
+    """Census of b3 - 23 = b3(Z+) + b3(Z-) and div p1 over the pairs of a catalog that pass
+    the filter, reporting actual coverage.  div p1 = 2 gcd of the blocks' div c2 values:
+    every resolution's value with resolutions="all", else the largest."""
     rows = {}
     types = set()
     no_c2 = 0
     skipped_gramless = 0
     total = 0
-    for a, b in pairs:
-        stat = _pair_stat(a, b, resolutions)
-        if stat is None:
+    for a, b in enumerate_pairs(cat, pair_filter):
+        if a.b3_Z is None or b.b3_Z is None:
             skipped_gramless += 1
             continue
         total += 1
-        bsum, values = stat
+        bsum = a.b3_Z + b.b3_Z
+        values = sorted({2 * gcd(x, y) for x in a.div_c2 for y in b.div_c2})
+        if resolutions != "all":
+            values = values[-1:]
         entry = rows.setdefault(bsum, [0, {}])
         entry[0] += 1
         if not values:
@@ -500,8 +472,3 @@ def _geography(pairs, resolutions):
     if skipped_gramless:
         summary["pairs_without_b3_data"] = skipped_gramless
     return GeographyReport(ordered, (total, col_totals), summary)
-
-
-def geography_general(cat, pair_filter="none", resolutions="best"):
-    """Same statistics over an arbitrary catalog, reporting actual coverage."""
-    return _geography(enumerate_pairs(cat, pair_filter), resolutions)

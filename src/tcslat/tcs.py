@@ -283,34 +283,12 @@ def torsion_linking_pair(L, Np, Nm):
     return TorsionLinking([k for _, k in gens_plus], [k for _, k in gens_minus], cross, full)
 
 
-REPORT_FIELDS = (
-    "config",
-    "pi1_trivial",
-    "b2",
-    "b3",
-    "b4",
-    "tor_h3",
-    "tor_h4_plus",
-    "tor_h4_minus",
-    "div_p1",
-    "div_p1_status",
-    "div_p1_mod_torsion",
-    "a0",
-    "two_connected",
-    "h4_torsion_free",
-    "betti_sum_orthogonal",
-    "class_almost_diffeo",
-    "class_diffeo_count",
-    "class_homotopy",
-    "class_realization",
-)
-
-
 def _render_torsion(factors):
     return "x".join(str(d) for d in factors) if factors else "-"
 
 
 def report_fields(inv, name=""):
+    """The report's fields as strings; their order is the order of every report format."""
     cls = inv.classification
     is_cls = isinstance(cls, Classification)
     return {
@@ -337,17 +315,13 @@ def report_fields(inv, name=""):
 
 
 def report_keyvalue(inv, name=""):
+    return "\n".join(f"{k} = {v}" for k, v in report_fields(inv, name).items())
+
+
+def report_tsv(inv, name=""):
+    """The header line and the row of the TSV report, in the order of `report_keyvalue`."""
     fields = report_fields(inv, name)
-    return "\n".join(f"{k} = {fields[k]}" for k in REPORT_FIELDS)
-
-
-def report_tsv_row(inv, name=""):
-    fields = report_fields(inv, name)
-    return "\t".join(fields[k] for k in REPORT_FIELDS)
-
-
-def report_tsv_header():
-    return "\t".join(REPORT_FIELDS)
+    return "\t".join(fields) + "\n" + "\t".join(fields.values())
 
 
 def load_config(path, catalog):

@@ -316,13 +316,13 @@ def test_criterion_8_geography_against_oracle():
         return n
 
     for pair_filter, predicate in (
-        ("none", lambda a, b: True),
-        ("rank_11", lambda a, b: a.rank + b.rank <= 11),
+        (None, lambda a, b: True),
+        ("rank11", lambda a, b: a.rank + b.rank <= 11),
     ):
         rep = match.geography_general(cat, pair_filter)
         assert rep.summary["pairs"] == oracle_count(predicate), pair_filter
     # the refined filter agrees with an independent recomputation through SNF
-    rep = match.geography_general(cat, "rank_ell_22")
+    rep = match.geography_general(cat, "rankell22")
     expected = oracle_count(
         lambda a, b: a.rank + b.rank + lat.ell(lat.direct_sum(a.lattice(), b.lattice())) < 22
     )

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -263,6 +264,8 @@ MALFORMED = {
     "config-div-pair-short": ("x.cfg", NO8 + "div_c2_mod_image = [1]\n", ["invariants", "--config", "{}"]),
     "config-div-pair-str": ("x.cfg", NO8 + "div_c2_mod_image = ['a', 'b']\n",
                             ["invariants", "--config", "{}"]),
+    "config-literal-true": ("x.cfg", NO8.replace("block_plus = Ex7.6", "block_plus = [true]"),
+                            ["invariants", "--config", "{}"]),
     "r-int": (None, None, PUSHOUT + ["--r", "5"]),
     "r-not-square": (None, None, PUSHOUT + ["--r", "[[1,2]]"]),
     "r-unclosed": (None, None, PUSHOUT + ["--r", "[[-4"]),
@@ -291,6 +294,8 @@ def test_malformed_input_exit2_one_error_line(case, tmp_path):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    # the same on every run: no memory address, as literal_eval's messages give for a rejected node
+    assert not re.search(r"0x[0-9a-f]{6,}", err), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -138,6 +138,18 @@ def test_ell():
         lat.ell(lat.Lattice([[0, 0], [0, 2]]))
 
 
+def test_ell_reads_degeneracy_off_the_smith_diagonal(monkeypatch):
+    def no_det(A):
+        raise AssertionError("ell took a determinant")
+
+    monkeypatch.setattr(xa, "det", no_det)
+    assert lat.ell(lat.direct_sum(lat.diag_lattice(4, -2), lat.U(2))) == 4
+    # degenerate with no zero row or column: the Smith diagonal still shows rank 2 < 3
+    for gram in ([[0, 0], [0, 2]], [[2, 1, 3], [1, 2, 3], [3, 3, 6]]):
+        with pytest.raises(lat.DegenerateLattice):
+            lat.ell(lat.Lattice(gram))
+
+
 def test_orthogonal_complement_examples():
     Uu = lat.U()
     S = lat.Sublattice(Uu, [[1, 0]])

@@ -16,7 +16,6 @@ RANK1 = blocks.rank1_catalog()
 def test_certificate_rank1_pair():
     cert = match.build_certificate(CAT["7.1_4^1"], CAT["7.1_22^1"], match.PerpendicularPrimitive())
     assert isinstance(cert, match.MatchCertificate)
-    assert cert.sig_check
     assert cert.embedding.status == embed.EXISTS_CONSTRUCTED
     assert cert.embedding.primitive
     assert cert.is_explicit()
@@ -25,21 +24,28 @@ def test_certificate_rank1_pair():
 
 
 def test_perp_match_reduces_w_once(monkeypatch):
-    # ell is kept on the Lattice, so necessary_condition, nikulin_sufficient
-    # and uniqueness share one Smith form of W's Gram
+    # ell is kept on the Lattice, so the necessary condition and the criterion
+    # share one Smith form of W's Gram, and ell needs no det; explicit Ex7.7
+    # rows need neither, since the necessary condition only rules out a
+    # primitive W
     calls = collections.Counter()
-    snf = xa.snf
 
-    def counted(A, *args, **kwargs):
-        calls[tuple(map(tuple, A))] += 1
-        return snf(A, *args, **kwargs)
+    def counting(name):
+        kernel = getattr(xa, name)
 
-    monkeypatch.setattr(xa, "snf", counted)
-    plus, minus = CAT["Ex7.7"], CAT["7.1_4^1"]
-    cert = match.build_certificate(plus, minus, match.PerpendicularPrimitive())
-    assert isinstance(cert, match.MatchCertificate)
-    W = lat.direct_sum(plus.lattice(), minus.lattice())
-    assert calls[tuple(map(tuple, W.gram))] == 1
+        def counted(A, *args, **kwargs):
+            calls[name, tuple(map(tuple, A))] += 1
+            return kernel(A, *args, **kwargs)
+        return counted
+
+    for name in ("snf", "det"):
+        monkeypatch.setattr(xa, name, counting(name))
+    for plus_id, minus_id, reductions in (("Ex7.7", "7.1_4^1", 0), ("7.1_4^1", "7.1_22^1", 1)):
+        plus, minus = CAT[plus_id], CAT[minus_id]
+        cert = match.build_certificate(plus, minus, match.PerpendicularPrimitive())
+        assert isinstance(cert, match.MatchCertificate)
+        W = tuple(map(tuple, lat.direct_sum(plus.lattice(), minus.lattice()).gram))
+        assert (calls["snf", W], calls["det", W]) == (reductions, 0), (plus_id, minus_id)
 
 
 # the rank-10 minus blocks have l = 2, so rk + l = 12 exceeds the rank 10 of
@@ -227,19 +233,25 @@ def test_triple_on_orthogonal_cert():
 
 
 def test_enumerate_pairs_counts():
-    assert len(match.enumerate_pairs(RANK1, "none")) == 153
+    assert len(match.enumerate_pairs(RANK1, None)) == 153
     # Burkhardt x Ex7.3 excluded under the rank/discriminant filter
     both = blocks.table2_catalog()
-    pairs = match.enumerate_pairs(both, "rank_ell_22")
+    pairs = match.enumerate_pairs(both, "rankell22")
     ids = {(a.id, b.id) for a, b in pairs}
     assert ("Ex7.3", "Ex7.7") not in ids and ("Ex7.7", "Ex7.3") not in ids
     # Ex7.12 x Ex7.10 included: rank 12 and l(W) = 4
     assert ("Ex7.10", "Ex7.12") in ids or ("Ex7.12", "Ex7.10") in ids
 
 
+@pytest.mark.parametrize("pair_filter", ["none", "rank_11", "rank_ell_22", ""])
+def test_enumerate_pairs_unknown_filter(pair_filter):
+    with pytest.raises(ValueError, match="unknown filter"):
+        match.enumerate_pairs(RANK1, pair_filter)
+
+
 def test_enumerate_pairs_rank11():
     cat = blocks.rank1_catalog().merged_with(blocks.rank2_catalog())
-    for a, b in match.enumerate_pairs(cat, "rank_11"):
+    for a, b in match.enumerate_pairs(cat, "rank11"):
         assert a.rank + b.rank <= 11
 
 
@@ -280,7 +292,7 @@ def test_geography_tsv_first_row():
 
 def test_geography_general_counts_against_bruteforce():
     cat = blocks.full_catalog()
-    rep = match.geography_general(cat, "rank_11")
+    rep = match.geography_general(cat, "rank11")
     # independent oracle: quadratic pairing loop
     recs = sorted(cat, key=lambda r: r.id)
     count = 0
@@ -293,14 +305,14 @@ def test_geography_general_counts_against_bruteforce():
 
 def test_geography_resolutions_modes():
     cat = blocks.table2_catalog()
-    best = match.geography_general(cat, "none", resolutions="best")
-    al = match.geography_general(cat, "none", resolutions="all")
+    best = match.geography_general(cat, None, resolutions="best")
+    al = match.geography_general(cat, None, resolutions="all")
     assert best.summary["pairs"] == al.summary["pairs"]
     assert al.summary["distinct_types"] >= best.summary["distinct_types"]
 
 
 def test_geography_empty():
-    rep = match.geography_general(blocks.Catalog([]), "none")
+    rep = match.geography_general(blocks.Catalog([]), None)
     assert rep.rows == [] and rep.summary["pairs"] == 0
 
 

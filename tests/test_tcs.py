@@ -277,9 +277,11 @@ def test_report_rendering():
     kv = tcs.report_keyvalue(inv, "no8")
     assert "tor_h3 = 4x4" in kv
     assert "b3 = 95" in kv
-    row = tcs.report_tsv_row(inv, "no8")
+    header, row = tcs.report_tsv(inv, "no8").split("\n")
     assert row.split("\t")[0] == "no8"
-    assert len(row.split("\t")) == len(tcs.REPORT_FIELDS)
+    # one header, one order: the TSV columns are the key = value lines
+    assert header.split("\t") == [line.split(" = ")[0] for line in kv.splitlines()]
+    assert len(row.split("\t")) == len(header.split("\t"))
 
 
 def test_n_prime_exposure():
