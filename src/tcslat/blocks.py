@@ -13,7 +13,6 @@ import os
 import re
 from importlib import resources
 
-from . import exactalg as xa
 from . import lattice as lat
 
 KINDS = {
@@ -366,41 +365,3 @@ def validate_rank1(rec):
     if rec.b3_Z != b3_Y + 2 * g:
         return False, f"b3_Z = {rec.b3_Z} != b3_Y + 2g = {b3_Y + 2 * g}"
     return True, ""
-
-
-class BurkhardtStructure:
-    """Explicit transcendental placement for the rank-16 quartic-resolution block:
-    T = A2(-1) + U(3) + U(3) inside the K3 lattice, N its complement."""
-
-    def __init__(self, t_rows, n_basis):
-        self.t_rows = t_rows
-        self.n_basis = n_basis
-
-    @property
-    def n_lattice(self):
-        from . import embed
-
-        sub = lat.Sublattice(embed.k3_lattice(), self.n_basis)
-        return sub.lattice()
-
-
-_BURKHARDT = None
-
-
-def burkhardt_structure():
-    """Construct (once) the explicit N, T pair used by the rank-16 block."""
-    global _BURKHARDT
-    if _BURKHARDT is not None:
-        return _BURKHARDT
-    from . import embed
-
-    L = embed.k3_lattice()
-    # A2(-1) from two roots of E8a; U(3) + U(3) as (1,0 | 0,0), (-1,3 | 3,1) in
-    # U1 + U2 and as (1,0), (1,3) in U3 plus a norm -6 vector of E8b
-    t_rows = (embed.scatter(xa.eye(8)[:2], ("E8a",))
-              + embed.scatter([[1, 0, 0, 0], [-1, 3, 3, 1]], ("U1", "U2"))
-              + embed.scatter([[1, 0] + [0] * 8, [1, 3, 1, 0, 1, 0, 1, 0, 0, 0]], ("U3", "E8b")))
-    T = lat.Sublattice(L, t_rows)
-    N = lat.orthogonal_complement(T)
-    _BURKHARDT = BurkhardtStructure(t_rows, N.basis)
-    return _BURKHARDT

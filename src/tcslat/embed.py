@@ -44,19 +44,25 @@ def k3_lattice():
     return _K3
 
 
-K3_SIGNATURE = (3, 19)
 K3_RANK = 22
 
 
+def _fits(W, pos, neg, size):
+    """sig W <= (pos, neg) componentwise and rk W + l(W) <= size: W, and a
+    complement with a discriminant group isomorphic to W's, fit in summands of
+    signature (pos, neg) and rank size (Nikulin 1979, Prop. 1.6.1)."""
+    p, n = lat.signature(W)
+    return p <= pos and n <= neg and W.rank + lat.ell(W) <= size
+
+
 def nikulin_sufficient(W):
-    """True with criterion tag when the sufficient conditions apply; False
-    means the criterion is silent, not that embedding is impossible."""
-    pos, neg = lat.signature(W)
-    if not (pos <= K3_SIGNATURE[0] and neg <= K3_SIGNATURE[1]):
-        return None
-    if 2 * W.rank <= K3_RANK:
+    """The tag of the sufficient condition that gives a primitive embedding
+    into K3, with sig W <= (3, 19): "i" for 2 rk W <= 22, "ii" for
+    rk W + l(W) < 22.  None means the criterion is silent, not that embedding
+    is impossible."""
+    if 2 * W.rank <= 22 and _fits(W, 3, 19, 22):  # l(W) <= rk W
         return "i"
-    if W.rank + lat.ell(W) < K3_RANK:
+    if _fits(W, 3, 19, 21):
         return "ii"
     return None
 
@@ -64,23 +70,20 @@ def nikulin_sufficient(W):
 def necessary_condition(W):
     """W even, sig W <= (3, 19) componentwise and rk W + l(W) <= 22 (Nikulin
     1979, Thm 1.12.2); False rules out any primitive embedding into K3."""
-    if not W.is_even() or W.rank + lat.ell(W) > K3_RANK:
-        return False
-    pos, neg = lat.signature(W)
-    return pos <= K3_SIGNATURE[0] and neg <= K3_SIGNATURE[1]
+    return W.is_even() and _fits(W, 3, 19, 22)
 
 
 def uniqueness(W):
     """True: a primitive embedding of W into K3, given one exists, is unique up
     to automorphisms of K3, since its complement is indefinite and
     rk W + l(W) + 2 <= 22 (Nikulin 1979, Thm 1.14.4); False: undetermined."""
-    pos, neg = lat.signature(W)
-    return (pos < K3_SIGNATURE[0] and neg < K3_SIGNATURE[1]
-            and W.rank + lat.ell(W) + 2 <= K3_RANK)
+    return _fits(W, 2, 18, 20)
 
 
 def verify_embedding(W, ambient, basis):
-    """Exact Gram check plus primitivity of the image."""
+    """Exact Gram check plus primitivity of the image: whether the image is
+    primitive, or None when the rows are not isometric to W (their induced
+    Gram is not W's)."""
     sub = lat.Sublattice(ambient, basis)
     if sub.induced_gram() != W.gram:
         return None
@@ -378,12 +381,10 @@ def place(W, summands, bound, prefix=()):
     coords = [i for name in summands for i in SUMMANDS[name]]
     if any(x for row in prefix for i, x in enumerate(row) if i not in coords):
         raise ValueError("prefix rows must lie in the named summands")
-    if W.is_nondegenerate():
-        (pos, neg), u = lat.signature(W), sum(name.startswith("U") for name in summands)
-        # U has signature (1, 1) and E8(-1) has (0, 8)
-        if (pos > u or neg > len(coords) - u
-                or W.rank + lat.ell(W) > len(coords)):
-            return None
+    u = sum(name.startswith("U") for name in summands)
+    # U has signature (1, 1) and E8(-1) has (0, 8)
+    if W.is_nondegenerate() and not _fits(W, u, len(coords) - u, len(coords)):
+        return None
     gram = k3_lattice().gram
     ambient = lat.Lattice([[gram[i][j] for j in coords] for i in coords])
     rows = _backtracking_strategy(W, ambient, bound, [[row[i] for i in coords] for row in prefix])

@@ -55,11 +55,6 @@ class Form:
         (d1, a), (d2, b) = _numerators(self), _numerators(other)
         return _form(self.degree + other.degree, self.dimension, d1 * d2, _wedge(a, b))
 
-    def contract(self, v):
-        """Interior product v -| form."""
-        (d, terms), (dv, (v,)) = _numerators(self), _clear([v], self.dimension)
-        return _form(self.degree - 1, self.dimension, d * dv, _contract(terms, v))
-
     def evaluate(self, *vectors):
         """form(v1, ..., vk): the one coefficient of its pullback to their span."""
         if len(vectors) != self.degree:

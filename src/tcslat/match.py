@@ -2,9 +2,9 @@
 reports: which pairs of building blocks can be glued, with which lattice data,
 and what census of invariants results."""
 
+from functools import cache
 from math import gcd
 
-from . import blocks as blk
 from . import embed
 from . import exactalg as xa
 from . import glue
@@ -121,11 +121,23 @@ def _embed_factor_pair_disjoint(gp, gm):
     return out
 
 
+@cache
+def _burkhardt():
+    """The placement of the rank-16 block Ex7.7 (the Burkhardt quartic): (T, T rows, N basis) for
+    T = A2(-1) + U(3) + U(3) in the K3 lattice, on the Gram its rows induce, and N its complement.
+    A2(-1) is two roots of E8a; U(3) + U(3) is (1,0 | 0,0), (-1,3 | 3,1) in U1 + U2 and (1,0),
+    (1,3) in U3 plus a norm -6 vector of E8b."""
+    t_rows = (embed.scatter(xa.eye(8)[:2], ("E8a",))
+              + embed.scatter([[1, 0, 0, 0], [-1, 3, 3, 1]], ("U1", "U2"))
+              + embed.scatter([[1, 0] + [0] * 8, [1, 3, 1, 0, 1, 0, 1, 0, 0, 0]], ("U3", "E8b")))
+    T = lat.Sublattice(k3_lattice(), t_rows)
+    return T.lattice(), t_rows, lat.orthogonal_complement(T).basis
+
+
 def _rank1_partner_embedding(big, small):
     """Explicit embeddings for the rank-16 block against a rank-1 partner, or a
     machine-readable failure: modular obstructions first, then bounded search."""
-    bs = blk.burkhardt_structure()
-    T = lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3))
+    T, t_rows, n_basis = _burkhardt()
     m = small.n_gram[0][0]
     for k in (2, 3, 4, 5):
         try:
@@ -136,7 +148,7 @@ def _rank1_partner_embedding(big, small):
     x = lat.find_primitive_vector(T, m, 5)
     if x is None:
         return MatchFailure(EMBEDDING_UNKNOWN, f"no primitive norm-{m} vector within bound")
-    return bs.n_basis, xa.matmul([x], bs.t_rows)
+    return n_basis, xa.matmul([x], t_rows)
 
 
 def _perpendicular_certificate(plus, minus, explicit):

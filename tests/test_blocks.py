@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcslat import blocks, embed
+from tcslat import blocks, embed, match
 from tcslat import lattice as lat
 
 
@@ -146,18 +146,18 @@ def test_error_carries_line_number():
 
 
 def test_burkhardt_structure_matches_catalog():
-    bs = blocks.burkhardt_structure()
-    NL = bs.n_lattice
+    T, t_rows, n_basis = match._burkhardt()
+    L = embed.k3_lattice()
+    NL = lat.Sublattice(L, n_basis).lattice()
     rec = blocks.table2_catalog()["Ex7.7"]
     assert NL.gram == rec.n_gram
     assert lat.signature(NL) == (1, 15)
     # T's own basis carries the block Gram A2(-1) + U(3) + U(3)
-    T = lat.Sublattice(embed.k3_lattice(), bs.t_rows).lattice()
+    assert T.gram == lat.Sublattice(L, t_rows).induced_gram()
     assert T.gram == lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3)).gram
     # complement of N is exactly the placed T
-    L = embed.k3_lattice()
-    back = lat.orthogonal_complement(lat.Sublattice(L, bs.n_basis))
-    assert back.same_module(lat.Sublattice(L, bs.t_rows))
+    back = lat.orthogonal_complement(lat.Sublattice(L, n_basis))
+    assert back.same_module(lat.Sublattice(L, t_rows))
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -161,6 +161,17 @@ e = 0
     assert "-9/4" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["match", "--plus", "7.1_4^1", "--minus", "7.1_4^1", "--mode", "orth", "--r", "[[-4]]"],
+    ["pushout", "--plus", "7.1_4^1", "--minus", "7.1_4^1", "--r", "[[-4]]"],
+])
+def test_no_r_vector_within_search_bound_exit1(argv):
+    # N = <4> is positive definite: neither side has a vector of norm -4
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["no primitive vector of norm -4 within bound 6"] * 2
+
+
 def test_embed_command(tmp_path):
     f = tmp_path / "w.gram"
     f.write_text("gram = [[4, 0], [0, 4]]\n")

@@ -34,11 +34,9 @@ def test_nikulin_silent_on_rank18():
 
 
 def burkhardt_like_stub():
-    # any rank-16 even lattice of signature (1,15) with disc (Z/3)^5 serves here;
-    # built as the complement of A2(-1) + 2U(3) in the K3 lattice
-    from tcslat.blocks import burkhardt_structure
-
-    return burkhardt_structure().n_lattice
+    # any rank-16 even lattice of signature (1,15) with disc (Z/3)^5 serves here:
+    # the rank-16 block's, the complement of A2(-1) + 2U(3) in the K3 lattice
+    return blocks.table2_catalog()["Ex7.7"].lattice()
 
 
 def test_necessary_condition():
@@ -121,6 +119,27 @@ def test_construct_embedding_no11_matrix():
     assert v.status == embed.EXISTS_CONSTRUCTED
     assert v.primitive is True
     assert lat.signature(W) == (2, 2)
+
+
+# the library's U(k) pattern takes two U slots while two are free, else a U
+# slot and a norm -2k vector of an E8(-1); A2(-1) is two roots of an E8(-1)
+@pytest.mark.parametrize("W, summands", [
+    (lat.U(3), [("U1", "U2")]),
+    (lat.direct_sum(lat.U(2), lat.U(3)), [("U1", "U2"), ("U3", "E8a")]),
+    (lat.A2(-1), [("E8a",)]),
+])
+def test_construct_embedding_library_patterns(W, summands):
+    v = embed.construct_embedding(W)
+    assert v.status == embed.EXISTS_CONSTRUCTED and v.primitive is True
+    assert embed.verify_embedding(W, embed.k3_lattice(), v.basis) is True
+    for k, names in enumerate(summands):
+        assert not any(_outside(v.basis[2 * k: 2 * k + 2], names))
+
+
+def test_construct_embedding_runs_out_of_u_slots():
+    # U(2) takes U1 + U2 and U(3) takes U3 + E8a: no U slot is left for U(5)
+    W = lat.direct_sum(lat.U(2), lat.U(3), lat.U(5))
+    assert embed.construct_embedding(W).status == embed.UNKNOWN
 
 
 def _outside(rows, summands):

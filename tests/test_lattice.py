@@ -72,6 +72,14 @@ def test_signature_sylvester_law_of_inertia(d, seed):
         assert lat.signature(L) == (sum(x > 0 for x in d), sum(x < 0 for x in d))
 
 
+@pytest.mark.parametrize("k, expect", [(1, [1, 1]), (-3, [1, -1]), (2, [1, 1])])
+def test_positive_norm_vector_splits_a_hyperbolic_pair(k, expect):
+    # U(k) has a zero diagonal, so the diagonalisation starts with a hyperbolic pair
+    L = lat.U(k)
+    v = lat.positive_norm_vector(L)
+    assert v == expect and L.norm(v) == 2 * abs(k)
+
+
 def test_discriminant_group_examples():
     assert lat.discriminant_group(lat.E8(-1)).invariant_factors == []
     dg = lat.discriminant_group(lat.diag_lattice(4))

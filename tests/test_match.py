@@ -1,4 +1,5 @@
 import collections
+import os
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tcslat import lattice as lat
 
 CAT = blocks.full_catalog()
 RANK1 = blocks.rank1_catalog()
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_certificate_rank1_pair():
@@ -78,6 +80,17 @@ def test_perp_match_refuses_the_rank10_minus_search(plus, minus, criterion, rank
         f"positivity = {{'w_plus': {w_plus}, 'w_minus': (1, 9), 't': {t}}}",
         "ample_hypothesis = auto",
     ]) + "\n"
+
+
+# tools/make_configs.py takes these files' rows from the perp certificates;
+# its --check run is the full regeneration, too slow to run here
+@pytest.mark.parametrize("name", [f"no2{c}" for c in "abcd"] + [f"no5{c}" for c in "abcdefg"]
+                         + [f"no6{c}" for c in "abcde"])
+def test_config_rows_are_the_perp_certificate_rows(name):
+    cfg = tcs.load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"), CAT)
+    cert = match.build_certificate(cfg.block_plus, cfg.block_minus, match.PerpendicularPrimitive())
+    assert cert.emb_plus.basis == cfg.emb_plus.basis
+    assert cert.emb_minus.basis == cfg.emb_minus.basis
 
 
 def test_certificate_burkhardt_obstructed():
@@ -243,6 +256,26 @@ def test_enumerate_pairs_counts():
     assert ("Ex7.10", "Ex7.12") in ids or ("Ex7.12", "Ex7.10") in ids
 
 
+def test_enumerate_pairs_rankell22_bounds_a_gramless_ell_by_the_record():
+    cat = blocks.all_catalogs()
+
+    def ell(rec):
+        return rec.ell_N if rec.gramless else lat.ell(rec.lattice())
+
+    def ell_sum(a, b):
+        if a.gramless or b.gramless:
+            return ell(a) + ell(b)
+        return lat.ell(lat.direct_sum(a.lattice(), b.lattice()))
+
+    recs = sorted(cat, key=lambda r: r.id)
+    expected = [(a.id, b.id) for i, a in enumerate(recs) for b in recs[i:]
+                if a.rank + b.rank + ell_sum(a, b) < 22]
+    pairs = match.enumerate_pairs(cat, "rankell22")
+    assert [(a.id, b.id) for a, b in pairs] == expected
+    assert len(pairs) == 864
+    assert sum(a.gramless or b.gramless for a, b in pairs) == 339
+
+
 @pytest.mark.parametrize("pair_filter", ["none", "rank_11", "rank_ell_22", ""])
 def test_enumerate_pairs_unknown_filter(pair_filter):
     with pytest.raises(ValueError, match="unknown filter"):
@@ -301,6 +334,15 @@ def test_geography_general_counts_against_bruteforce():
             if recs[i].rank + recs[j].rank <= 11:
                 count += 1
     assert rep.summary["pairs"] == count
+
+
+def test_geography_counts_the_pairs_without_b3_data():
+    cat = blocks.all_catalogs()
+    rep = match.geography_general(cat)
+    recs = sorted(cat, key=lambda r: r.id)
+    without = sum(a.b3_Z is None or b.b3_Z is None for i, a in enumerate(recs) for b in recs[i:])
+    assert rep.summary["pairs_without_b3_data"] == without == 474
+    assert rep.summary["pairs"] + without == len(cat) * (len(cat) + 1) // 2 == 1035
 
 
 def test_geography_resolutions_modes():

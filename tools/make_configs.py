@@ -18,7 +18,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from tcslat import blocks, embed, glue
+from tcslat import blocks, embed, glue, match
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 from tcslat import tcs
@@ -90,14 +90,18 @@ def check(name, inv, b2, b3, th3, th4, a0, p1=None):
     print(f"{name}: ok (b2={b2} b3={b3} th3={th3 or '-'} th4={th4 or '-'} a0={a0} p1={inv.div_p1})")
 
 
-def embed_pair_disjoint(gram_plus, gram_minus):
-    """Embed two rank-2 lattices perpendicularly: the first into U1+U2, the
-    second into U3 + E8a; both primitive, hence so is the sum."""
-    ep = embed.place(lat.Lattice(gram_plus), ("U1", "U2"), 3)
-    assert ep is not None, "first factor"
-    em = embed.place(lat.Lattice(gram_minus), ("U3", "E8a"), 3)
-    assert em is not None, "second factor"
-    return ep, em
+def perp_rows(plus, minus):
+    """The N+ and N- rows of the library's perpendicular primitive certificate for the pair."""
+    cert = match.build_certificate(CAT[plus], CAT[minus], match.PerpendicularPrimitive())
+    assert isinstance(cert, match.MatchCertificate) and cert.is_explicit(), (plus, minus)
+    return cert.emb_plus.basis, cert.emb_minus.basis
+
+
+def library_rows(gram, primitive):
+    """The rows of the library's verified embedding of the Gram, whose image is primitive or not."""
+    verdict = embed.construct_embedding(lat.Lattice(gram))
+    assert verdict.status == embed.EXISTS_CONSTRUCTED and verdict.primitive == primitive, gram
+    return verdict.basis
 
 
 def main(argv=None):
@@ -129,14 +133,11 @@ def main(argv=None):
     check("no1-primitive", inv, 0, 155, [], [], 0, 8)
 
     # --- No 2a-2d: quartic-resolution blocks, perpendicular primitive
-    no2 = {"no2a": ("Ex7.3", "Ex7.3"), "no2b": ("Ex7.3", "Ex7.4"),
-           "no2c": ("Ex7.3", "Ex7.5"), "no2d": ("Ex7.3", "Ex7.6")}
-    expected2 = {"no2a": (123, 18), "no2b": (117, 21), "no2c": (107, 26), "no2d": (109, 25)}
-    for name, (bp, bm) in no2.items():
-        ep, em = embed_pair_disjoint(CAT[bp].n_gram, CAT[bm].n_gram)
+    no2 = {"no2a": ("Ex7.3", "Ex7.3", 123, 18), "no2b": ("Ex7.3", "Ex7.4", 117, 21),
+           "no2c": ("Ex7.3", "Ex7.5", 107, 26), "no2d": ("Ex7.3", "Ex7.6", 109, 25)}
+    for name, (bp, bm, b3, a0) in no2.items():
         extra = {"resolution_plus": max(CAT[bp].div_c2), "resolution_minus": max(CAT[bm].div_c2)}
-        _, inv = writer.write(name, bp, bm, ep, em, extra=extra)
-        b3, a0 = expected2[name]
+        _, inv = writer.write(name, bp, bm, *perp_rows(bp, bm), extra=extra)
         check(name, inv, 0, b3, [], [], a0)
 
     # --- No 3: quartic x the P3 block with rk K = 3
@@ -155,37 +156,23 @@ def main(argv=None):
     check("no4", inv, 0, 93, [], [], 21, 4)
 
     # --- No 5a-5g / 6a-6e: the rank-16 block against rank-1 partners
-    bs = blocks.burkhardt_structure()
-    T = lat.direct_sum(lat.A2(-1), lat.U(3), lat.U(3))
-    partners5 = {"no5a": "7.1_4^1", "no5b": "7.1_10^1", "no5c": "7.1_16^1",
-                 "no5d": "7.1_22^1", "no5e": "7.1_2^2", "no5f": "7.1_5^2", "no5g": "7.1_1^4"}
-    partners6 = {"no6a": "7.1_6^1", "no6b": "7.1_12^1", "no6c": "7.1_18^1",
-                 "no6d": "7.1_3^2", "no6e": "7.1_2^3"}
-    b3_expect = {"no5a": 95, "no5b": 61, "no5c": 53, "no5d": 53, "no5e": 67, "no5f": 71,
-                 "no5g": 95, "no6a": 77, "no6b": 57, "no6c": 53, "no6d": 65, "no6e": 85}
-    for name, partner in list(partners5.items()) + list(partners6.items()):
-        rec = CAT[partner]
-        m = rec.n_gram[0][0]
-        x = lat.find_primitive_vector(T, m, 4)
-        assert x is not None, (name, m)
-        x_in_L = xa.matmul([x], bs.t_rows)[0]
+    partners = {"no5a": ("7.1_4^1", 95), "no5b": ("7.1_10^1", 61), "no5c": ("7.1_16^1", 53),
+                "no5d": ("7.1_22^1", 53), "no5e": ("7.1_2^2", 67), "no5f": ("7.1_5^2", 71),
+                "no5g": ("7.1_1^4", 95), "no6a": ("7.1_6^1", 77), "no6b": ("7.1_12^1", 57),
+                "no6c": ("7.1_18^1", 53), "no6d": ("7.1_3^2", 65), "no6e": ("7.1_2^3", 85)}
+    for name, (partner, b3) in partners.items():
         _, inv = writer.write(
-            name, "Ex7.7", partner, bs.n_basis, [x_in_L],
+            name, "Ex7.7", partner, *perp_rows("Ex7.7", partner),
             comment=f"rank-16 block against {partner}: rank-1 image is a primitive\n"
-            f"norm-{m} vector of the complement A2(-1) + 2U(3)",
+            f"norm-{CAT[partner].n_gram[0][0]} vector of the complement A2(-1) + 2U(3)",
         )
         th3 = [3] if name.startswith("no6") else []
-        check(name, inv, 0, b3_expect[name], th3, [], 45, 4)
+        check(name, inv, 0, b3, th3, [], 45, 4)
 
     # --- No 7: the nongeneric toric block against itself, explicit 3U matrix
-    n0_rows = [
-        [4, 1, 0, 0, 0, 0],
-        [0, 0, -8, 1, 0, 0],
-        [0, 0, 0, 0, 4, 1],
-        [-4, 1, 0, 0, -4, 1],
-    ]
-    ep = embed.scatter(xa.eye(8), ("E8a",)) + embed.scatter(n0_rows[:2], ("U1", "U2", "U3"))
-    em = embed.scatter(xa.eye(8), ("E8b",)) + embed.scatter(n0_rows[2:], ("U1", "U2", "U3"))
+    rows = library_rows([[8, 0, 0, 0], [0, -16, 0, 0], [0, 0, 8, 0], [0, 0, 0, -16]], False)
+    ep = embed.scatter(xa.eye(8), ("E8a",)) + rows[:2]
+    em = embed.scatter(xa.eye(8), ("E8b",)) + rows[2:]
     _, inv = writer.write(
         "no7", "Ex7.11", "Ex7.11", ep, em,
         comment="each polarising lattice is E8(-1) + <8> + <-16>; the two\n"
@@ -194,15 +181,9 @@ def main(argv=None):
     check("no7", inv, 24, 47, [8], [], 66, 4)
 
     # --- No 8: maximal-cotorsion perpendicular gluing of Ex7.6 with itself
-    w_rows = [
-        [2, 1, 2, 0],
-        [0, 1, 0, 1],
-        [-2, 0, 2, 1],
-        [0, -1, 0, 1],
-    ]
     # the paper's factor basis has Gram [[4,4],[4,0]]; the catalog basis is reversed
-    ep = embed.scatter([w_rows[1], w_rows[0]], ("U1", "U2"))
-    em = embed.scatter([w_rows[3], w_rows[2]], ("U1", "U2"))
+    rows = library_rows([[4, 4, 0, 0], [4, 0, 0, 0], [0, 0, 4, 4], [0, 0, 4, 0]], False)
+    ep, em = [rows[1], rows[0]], [rows[3], rows[2]]
     _, inv = writer.write(
         "no8", "Ex7.6", "Ex7.6", ep, em,
         comment="cotorsion (Z/4)^2: the largest gluing keeping both factors primitive",
@@ -271,10 +252,7 @@ def main(argv=None):
     check("no10", inv, 1, 82, [], [2, 2], 40, 8)
 
     # --- No 11: handcrafted non-orthogonal gluing of Ex7.6 with itself
-    w11 = lat.Lattice([[12, 4, 0, 0], [4, 0, 0, 1], [0, 0, 12, 4], [0, 1, 4, 0]])
-    v11 = embed.construct_embedding(w11)
-    assert v11.status == embed.EXISTS_CONSTRUCTED and v11.primitive
-    rows = v11.basis
+    rows = library_rows([[12, 4, 0, 0], [4, 0, 0, 1], [0, 0, 12, 4], [0, 1, 4, 0]], True)
     # factor basis (H, E) with H = A + E; catalog basis is (E, A) = (E, H - E)
     ep = [rows[1], [a - b for a, b in zip(rows[0], rows[1])]]
     em = [rows[3], [a - b for a, b in zip(rows[2], rows[3])]]
