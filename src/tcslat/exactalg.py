@@ -7,7 +7,7 @@ x . G . x^T.  Every kernel works on its own copy of its arguments.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import index, mul
 
 
@@ -326,6 +326,92 @@ def rank(A):
     return _bareiss(mat(A))[0]
 
 
+def signature(G):
+    """(positives, negatives) of a symmetric integer matrix by Sylvester's law
+    of inertia, with integer congruence steps only; ValueError when G is
+    degenerate.
+
+    The remaining block is kept sparse, as rows of nonzero entries.  Each
+    step pivots on a remaining diagonal entry d != 0 of least |d| and replaces
+    every e_a with m_a = M[p, a] != 0 by s_a e_a - t_a e_p, where g_a =
+    gcd(d, m_a), s_a = |d| / g_a and t_a = sign(d) m_a / g_a, so that e_a
+    pairs to zero with e_p.  The block left is S M S - d t t^T (S = diag(s),
+    s_b = 1 off the support of row p): only the rows and columns of the
+    support change, and the congruence scales each vector by a nonzero
+    integer.  After a step that scales, the block is divided by its content,
+    which bounds the growth of its entries.  When no diagonal entry is left,
+    e_p <- e_p + e_j for some M[p, j] != 0 makes the diagonal entry
+    2 M[p, j]; a zero row means G is degenerate."""
+    if any(len(row) != len(G) for row in G):
+        raise ValueError("signature: not square")
+    M = {a: {b: index(x) for b, x in enumerate(row) if x} for a, row in enumerate(G)}
+    pos = neg = 0
+    while M:
+        p = None
+        for i, row in M.items():
+            x = row.get(i)
+            if x and (p is None or abs(x) < abs(d)):
+                p, d = i, x
+                if abs(d) == 1:
+                    break
+        if p is None:
+            p, top = next(iter(M.items()))
+            if not top:
+                raise ValueError("signature: degenerate matrix")
+            j = next(iter(top))
+            row = dict(top)
+            for b, x in M[j].items():
+                row[b] = row.get(b, 0) + x
+            for b in top.keys() | M[j].keys():
+                if b != p:
+                    if row[b]:
+                        M[b][p] = row[b]
+                    else:
+                        del row[b], M[b][p]
+            d = row[p] = 2 * top[j]
+            M[p] = row
+        top = M.pop(p)
+        del top[p]
+        for a in top:
+            del M[a][p]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        s, t = {}, {}  # s_a where it is not 1; t_a on the support
+        for a, m in top.items():
+            g = gcd(d, m)
+            if g != abs(d):
+                s[a] = abs(d) // g
+            t[a] = m // g if d > 0 else -m // g
+        if s:
+            for b, sb in s.items():
+                for a, x in M[b].items():
+                    if a not in t:
+                        M[a][b] = sb * x
+            for a in t:
+                sa = s.get(a, 1)
+                M[a] = {b: sa * s.get(b, 1) * x for b, x in M[a].items()}
+        for a, ta in t.items():
+            row = M[a]
+            dt = d * ta
+            for b, tb in t.items():
+                x = row.get(b, 0) - dt * tb
+                if x:
+                    row[b] = x
+                else:
+                    del row[b]
+        if s:
+            content = 0
+            for row in M.values():
+                content = gcd(content, *row.values())
+                if content == 1:
+                    break
+            if content > 1:
+                M = {a: {b: x // content for b, x in row.items()} for a, row in M.items()}
+    return pos, neg
+
+
 def congruence_steps(G):
     """Rational congruence diagonalisation of a symmetric integer matrix: a
     symmetric LDL^T elimination that splits off a hyperbolic pair when every
@@ -341,6 +427,10 @@ def congruence_steps(G):
       remaining index, j the first with s = M[i, j] != 0, and the block
       [[0, s], [s, 0]] splits off.
     - ((i,), 0, {}): i pairs to zero with everything left (G is degenerate).
+
+    Its callers need the rational pivots and rows, not just their signs:
+    `lattice.positive_norm_vector` and `lattice._definite_decomposition`.
+    A signature alone comes from `signature`, which stays in the integers.
     """
     M = [[Fraction(int(x)) for x in row] for row in G]
     idx = list(range(len(M)))

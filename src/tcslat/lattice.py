@@ -21,7 +21,8 @@ class EnumerationBudgetExceeded(RuntimeError):
 
 
 class Lattice:
-    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix; det, signature and ell kept once computed."""
+    """Nondegenerate-or-not integer lattice given by a symmetric Gram matrix; det, signature and ell kept once
+    computed, each by an integer kernel (Bareiss det, integer congruence signature, Smith diagonal)."""
 
     def __init__(self, gram):
         g = xa.mat(gram)
@@ -39,14 +40,10 @@ class Lattice:
 
     @cached_property
     def _signature(self):
-        pos = neg = 0
-        for pivots, value, _ in xa.congruence_steps(self.gram):
-            if value == 0:
-                raise DegenerateLattice("degenerate")
-            # a hyperbolic pair adds one to each side
-            pos += len(pivots) == 2 or value > 0
-            neg += len(pivots) == 2 or value < 0
-        return pos, neg
+        try:
+            return xa.signature(self.gram)
+        except ValueError:
+            raise DegenerateLattice("degenerate") from None
 
     @cached_property
     def _ell(self):
@@ -181,8 +178,9 @@ class DiscGroup:
 
 
 def signature(L):
-    """The Sylvester signature as a tuple (positives, negatives), via exact
-    congruence diagonalisation, computed once per lattice."""
+    """The Sylvester signature as a tuple (positives, negatives), computed
+    once per lattice by integer congruence steps (`exactalg.signature`), with
+    no Fraction arithmetic; DegenerateLattice when the Gram is degenerate."""
     return L._signature
 
 

@@ -250,6 +250,45 @@ def test_congruence_steps_diagonalise(G):
     assert (Q @ arr(G) @ Q.T).tolist() == expected.tolist()
 
 
+def congruence_sign_counts(G):
+    """(positives, negatives) read off the Fraction LDL^T steps, None when G is degenerate."""
+    pos = neg = 0
+    for pivots, value, _ in xa.congruence_steps(G):
+        if value == 0:
+            return None
+        # a hyperbolic pair adds one to each side
+        pos += len(pivots) == 2 or value > 0
+        neg += len(pivots) == 2 or value < 0
+    return pos, neg
+
+
+def integer_signature(G):
+    try:
+        return xa.signature(G)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+@example([[0, 0], [0, 0]])
+@example([[2, 3], [3, -2]])
+def test_signature_matches_congruence_steps(G):
+    # both routes call the same Grams degenerate, and agree on the rest
+    assert integer_signature(G) == congruence_sign_counts(G)
+
+
+def test_signature_of_dense_rank22_grams():
+    for seed in range(10):
+        rng = random.Random(seed)
+        G = [[0] * 22 for _ in range(22)]
+        for i in range(22):
+            for j in range(i, 22):
+                G[i][j] = G[j][i] = rng.randint(-18, 18)
+        assert xa.signature(G) == congruence_sign_counts(G), seed
+
+
 def test_hnf_examples():
     assert xa.hnf(xa.eye(2)) == [[1, 0], [0, 1]]
     assert xa.hnf([[2, 0], [0, 0]]) == [[2, 0]]
@@ -317,6 +356,7 @@ def test_kernels_leave_their_argument_unchanged():
         (lambda A: xa.solve_integer(A, [6, 6, 3]), singular), (xa.det, invertible),
         (xa.rank, singular), (xa.rational_inverse, invertible),
         (xa.unimodular_inverse, [[0, 1, 0], [2, 1, 1], [1, 1, 1]]),
+        (xa.signature, [[0, 2, 3], [2, 0, 1], [3, 1, 0]]),
     ]
     for kernel, A in calls:
         before = [row[:] for row in A]

@@ -50,6 +50,25 @@ def test_perp_match_reduces_w_once(monkeypatch):
         assert (calls["snf", W], calls["det", W]) == (reductions, 0), (plus_id, minus_id)
 
 
+def test_perp_certificate_signatures_need_no_fraction_elimination(monkeypatch):
+    # the signatures of W, W+, W- and T come from the integer kernel, and
+    # neither they nor proposing the triple run the Fraction LDL^T
+    calls = collections.Counter()
+    kernel = xa.congruence_steps
+
+    def counted(G):
+        calls[len(G)] += 1
+        return kernel(G)
+
+    monkeypatch.setattr(xa, "congruence_steps", counted)
+    for plus_id, minus_id in (("7.1_2^1", "7.1_6^1"), ("Ex7.7", "7.1_4^1")):
+        plus, minus = CAT[plus_id], CAT[minus_id]
+        cert = match.build_certificate(plus, minus, match.PerpendicularPrimitive())
+        assert isinstance(cert, match.MatchCertificate)
+        assert match.propose_triple(cert) is not None
+        assert not calls, (plus_id, minus_id, calls)
+
+
 # the rank-10 minus blocks have l = 2, so rk + l = 12 exceeds the rank 10 of
 # U3 + E8a: place refuses them and the criterion answers, where the search
 # at bound 9 did not end
