@@ -20,16 +20,13 @@ def _parse_r(text):
     return R
 
 
-def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _count(text):
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _int_at_least(low):
+    """The argparse type of a decimal integer >= low."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _load_catalogs(paths, cat=None):
@@ -218,20 +215,20 @@ def build_parser():
     pp.add_argument("--plus", required=True)
     pp.add_argument("--minus", required=True)
     pp.add_argument("--r", required=True, metavar="GRAM")
-    pp.add_argument("--search-bound", type=_positive_int, default=6)
+    pp.add_argument("--search-bound", type=_int_at_least(1), default=6)
 
     pe = sub.add_parser("embed", help="embed a lattice into the rank-22 ambient")
     pe.add_argument("--w", required=True, metavar="FILE")
-    pe.add_argument("--search-bound", type=_positive_int, default=3)
+    pe.add_argument("--search-bound", type=_int_at_least(1), default=3)
 
     pm = sub.add_parser("match", help="build a matching certificate")
     pm.add_argument("--plus", required=True)
     pm.add_argument("--minus", required=True)
     pm.add_argument("--mode", choices=("perp", "perp-over", "orth"), required=True)
     pm.add_argument("--r", metavar="GRAM")
-    pm.add_argument("--glue-index", type=_positive_int, default=2)
+    pm.add_argument("--glue-index", type=_int_at_least(2), default=2)
     pm.add_argument("--assert-ample", action="store_true")
-    pm.add_argument("--search-bound", type=_positive_int, default=6)
+    pm.add_argument("--search-bound", type=_int_at_least(1), default=6)
 
     pi = sub.add_parser("invariants", help="invariants of a gluing configuration")
     pi.add_argument("--config", required=True, metavar="FILE")
@@ -245,7 +242,7 @@ def build_parser():
 
     pv = sub.add_parser("g2", help="verify the pointwise identities of the model forms")
     pv.add_argument("action", choices=("verify",))
-    pv.add_argument("--samples", type=_count, default=100)
+    pv.add_argument("--samples", type=_int_at_least(0), default=100)
     pv.add_argument("--seed", type=int, default=0)
     return p
 

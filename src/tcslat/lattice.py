@@ -244,6 +244,16 @@ def orthogonal_complement(S):
     return Sublattice(amb, xa.kernel_basis(pairing))
 
 
+def orthogonal_part(S, other):
+    """S n other^perp, basis in HNF: the same module and rows as `intersect(S, orthogonal_complement(other))`,
+    read off the integer kernel of the rk S x rk other pairing matrix S . G . other^T mapped through S's
+    basis, with no rank-n complement."""
+    if S.rank == 0 or other.rank == 0:
+        return Sublattice(S.ambient, S.hnf_basis())
+    ker = xa.kernel_basis(xa.pairings(S.basis, S.ambient.gram, other.basis))
+    return Sublattice(S.ambient, xa.hnf(xa.matmul(ker, S.basis)) if ker else [])
+
+
 def saturation(S):
     """Smallest primitive sublattice containing S."""
     if S.rank == 0:

@@ -186,19 +186,18 @@ def _perpendicular_certificate(plus, minus, explicit):
 def _constructed_certificate(plus, minus, mode, W, basis, primitive, ep, em, rho=0,
                              ample_auto=True, ample_cone_asserted=False):
     """The certificate of an embedding of W that was constructed (with verdict rows `basis`) and
-    sends N+ and N- to the rows ep and em, with its geometry: W+ = N+ n T-, W- = N- n T+ and
-    T = (N+ + N-)^perp, checked to have the ranks of the matching argument along R of rank rho
-    and one positive direction each."""
+    sends N+ and N- to the rows ep and em, with its geometry, checked to have the ranks of the
+    matching argument along R of rank rho and one positive direction each: T = (N+ + N-)^perp, and
+    W+ = N+ n T- is the kernel of the N+ x N- pairing, as v in N+ lies in T- = (N-)^perp exactly
+    when it pairs to zero with N-; W- likewise."""
     verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=basis, primitive=primitive)
     cert = MatchCertificate(plus, minus, mode, W, verdict, ample_auto=ample_auto,
                             ample_cone_asserted=ample_cone_asserted)
     L = k3_lattice()
     cert.emb_plus = lat.Sublattice(L, ep)
     cert.emb_minus = lat.Sublattice(L, em)
-    Tp = lat.orthogonal_complement(cert.emb_plus)
-    Tm = lat.orthogonal_complement(cert.emb_minus)
-    cert.w_plus = lat.intersect(cert.emb_plus, Tm)
-    cert.w_minus = lat.intersect(cert.emb_minus, Tp)
+    cert.w_plus = lat.orthogonal_part(cert.emb_plus, cert.emb_minus)
+    cert.w_minus = lat.orthogonal_part(cert.emb_minus, cert.emb_plus)
     w_image = lat.sum_sublattices(cert.emb_plus, cert.emb_minus)
     cert.t = lat.orthogonal_complement(w_image)
     expect_ranks = (cert.emb_plus.rank - rho, cert.emb_minus.rank - rho, 22 - w_image.rank)
@@ -352,23 +351,26 @@ def _in_span(v, sub):
 def verify_triple(triple, emb_plus, emb_minus):
     """Membership, pairwise orthogonality and positivity, all exact over Q.
 
-    T+ and T- are recomputed from the embeddings on purpose, not read from the
-    certificate that `_constructed_certificate` filled: the check stays independent of
-    the construction it checks."""
+    k in span(T+-) is tested as k pairing to zero with N+-: over Q, span (N+-)^perp = (span N+-)^perp
+    in a nondegenerate ambient (a degenerate one raises DegenerateLattice).  Only the embeddings are
+    read, not the certificate: the check stays independent of the construction it checks."""
     amb = emb_plus.ambient
+    if not amb.is_nondegenerate():
+        raise lat.DegenerateLattice("degenerate ambient")
+
+    def in_perp(v, sub):  # a zero complement spans nothing, as a rank-0 sub in `_in_span`
+        return sub.rank < amb.rank and not any(amb.pair(v, row) for row in sub.basis)
     reasons = []
-    Tp = lat.orthogonal_complement(emb_plus)
-    Tm = lat.orthogonal_complement(emb_minus)
     checks = (
-        ("k_plus in span(N+)", triple.k_plus, emb_plus),
-        ("k_plus in span(T-)", triple.k_plus, Tm),
-        ("k_minus in span(N-)", triple.k_minus, emb_minus),
-        ("k_minus in span(T+)", triple.k_minus, Tp),
-        ("k_0 in span(T+)", triple.k_0, Tp),
-        ("k_0 in span(T-)", triple.k_0, Tm),
+        ("k_plus in span(N+)", _in_span(triple.k_plus, emb_plus)),
+        ("k_plus in span(T-)", in_perp(triple.k_plus, emb_minus)),
+        ("k_minus in span(N-)", _in_span(triple.k_minus, emb_minus)),
+        ("k_minus in span(T+)", in_perp(triple.k_minus, emb_plus)),
+        ("k_0 in span(T+)", in_perp(triple.k_0, emb_plus)),
+        ("k_0 in span(T-)", in_perp(triple.k_0, emb_minus)),
     )
-    for label, v, sub in checks:
-        if not _in_span(v, sub):
+    for label, member in checks:
+        if not member:
             reasons.append(f"membership fails: {label}")
     vecs = (triple.k_plus, triple.k_minus, triple.k_0)
     names = ("k_plus", "k_minus", "k_0")

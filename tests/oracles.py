@@ -5,6 +5,7 @@ from itertools import combinations
 from math import gcd
 
 from tcslat import exactalg as xa
+from tcslat import lattice as lat
 
 
 def invariant_factors_via_minors(A):
@@ -24,3 +25,30 @@ def invariant_factors_via_minors(A):
         out.append(g // prev)
         prev = g
     return out
+
+
+def orthogonal_part_via_complement(S, other):
+    """S n other^perp by the rank-n route: the saturated orthogonal complement
+    of other, intersected with S."""
+    return lat.intersect(S, lat.orthogonal_complement(other))
+
+
+def _in_span_by_rank(v, sub):
+    """v in the Q-span of sub, by rank: stacking v's cleared row on the basis
+    adds no rank.  Never for a rank-0 sub, as `match.verify_triple` reads it."""
+    return sub.rank > 0 and xa.rank(sub.basis + xa.clear_denominators([v])[1]) == sub.rank
+
+
+def membership_via_complements(triple, emb_plus, emb_minus):
+    """The membership reasons of `match.verify_triple`, with T+ and T- built as
+    orthogonal complements and each membership decided by rank."""
+    Tp, Tm = lat.orthogonal_complement(emb_plus), lat.orthogonal_complement(emb_minus)
+    checks = (
+        ("k_plus in span(N+)", triple.k_plus, emb_plus),
+        ("k_plus in span(T-)", triple.k_plus, Tm),
+        ("k_minus in span(N-)", triple.k_minus, emb_minus),
+        ("k_minus in span(T+)", triple.k_minus, Tp),
+        ("k_0 in span(T+)", triple.k_0, Tp),
+        ("k_0 in span(T-)", triple.k_0, Tm),
+    )
+    return [f"membership fails: {label}" for label, v, sub in checks if not _in_span_by_rank(v, sub)]

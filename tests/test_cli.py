@@ -290,6 +290,7 @@ MALFORMED = {
     "match-gramless-minus": ("g.blocks", GRAMLESS, GRAMLESS_MINUS + ["perp"]),
     "match-gramless-minus-orth": ("g.blocks", GRAMLESS, GRAMLESS_MINUS + ["orth", "--r", "[[-4]]"]),
     "glue-index-0": (None, None, GLUE_INDEX + ["0"]),
+    "glue-index-1": (None, None, GLUE_INDEX + ["1"]),
     "glue-index-negative": (None, None, GLUE_INDEX + ["-3"]),
     "g2-samples-negative": (None, None, ["g2", "verify", "--samples", "-3"]),
 }

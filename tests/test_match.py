@@ -10,6 +10,8 @@ from tcslat import blocks, cli, embed, match, tcs
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 
+import oracles
+
 CAT = blocks.full_catalog()
 RANK1 = blocks.rank1_catalog()
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -67,6 +69,23 @@ def test_perp_certificate_signatures_need_no_fraction_elimination(monkeypatch):
         assert isinstance(cert, match.MatchCertificate)
         assert match.propose_triple(cert) is not None
         assert not calls, (plus_id, minus_id, calls)
+
+
+def test_perp_certificate_and_triple_build_one_complement(monkeypatch):
+    # W+ and W- come from the N+ x N- pairing and verify_triple tests span(T+-) by pairing, so
+    # the only rank-22 complement is T = (N+ + N-)^perp and nothing is intersected
+    match._burkhardt()  # Ex7.7's own placement is built once per process
+    calls = collections.Counter()
+    for name in ("orthogonal_complement", "intersect"):
+        def counted(*args, _name=name, _kernel=getattr(lat, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(lat, name, counted)
+    for plus_id, minus_id in (("7.1_2^1", "7.1_6^1"), ("Ex7.7", "7.1_4^1")):
+        calls.clear()
+        cert = match.build_certificate(CAT[plus_id], CAT[minus_id], match.PerpendicularPrimitive())
+        assert match.propose_triple(cert) is not None
+        assert (calls["orthogonal_complement"], calls["intersect"]) == (1, 0), (plus_id, minus_id, calls)
 
 
 # the rank-10 minus blocks have l = 2, so rk + l = 12 exceeds the rank 10 of
@@ -220,6 +239,115 @@ def test_in_span_agrees_with_the_rank_test(case):
     sub, v = case
     by_rank = sub.rank > 0 and xa.rank(sub.basis + xa.clear_denominators([v])[1]) == sub.rank
     assert match._in_span(v, sub) == by_rank
+
+
+def _assert_geometry_agrees_with_the_complement_route(cert):
+    assert cert.w_plus.basis == oracles.orthogonal_part_via_complement(cert.emb_plus, cert.emb_minus).basis
+    assert cert.w_minus.basis == oracles.orthogonal_part_via_complement(cert.emb_minus, cert.emb_plus).basis
+    t = match.propose_triple(cert)
+    # the proposed triple passes; rotated, each vector leaves some of its spans
+    for triple in (t, match.MatchingTriple(t.k_minus, t.k_0, t.k_plus, t.norms)):
+        ok, reasons = match.verify_triple(triple, cert.emb_plus, cert.emb_minus)
+        membership = [r for r in reasons if r.startswith("membership")]
+        assert membership == oracles.membership_via_complements(triple, cert.emb_plus, cert.emb_minus)
+        assert ok == (triple is t)
+
+
+def test_perp_geometry_agrees_with_the_complement_route_on_the_catalog():
+    explicit = 0
+    for a, b in match.enumerate_pairs(CAT):
+        if a.gramless or b.gramless:
+            continue
+        cert = match.build_certificate(a, b, match.PerpendicularPrimitive())
+        if isinstance(cert, match.MatchCertificate) and cert.is_explicit():
+            _assert_geometry_agrees_with_the_complement_route(cert)
+            explicit += 1
+    assert explicit == 459
+
+
+# R of rank 1 makes P = N+ . G . N-^T nonzero; glue of index 2-16 makes N+ + N- imprimitive
+@pytest.mark.parametrize("plus, minus, mode", [
+    ("MM2-6", "MM2-6", [[-4]]),
+    ("Ex7.4", "Ex7.4", [[-12]]),
+    ("7.1_4^1", "7.1_4^1", 2),
+    ("Ex7.6", "Ex7.6", 4),
+    ("Ex7.6", "Ex7.6", 8),
+    ("Ex7.6", "Ex7.6", 16),
+])
+def test_orth_and_overlattice_geometry_agree_with_the_complement_route(plus, minus, mode):
+    plus, minus = CAT[plus], CAT[minus]
+    if isinstance(mode, int):
+        mode = match.PerpendicularOverlattice(mode)
+    else:
+        vp, vm = (lat.find_primitive_vector(rec.lattice(), mode[0][0], 6) for rec in (plus, minus))
+        mode = match.Orthogonal(mode, [vp], [vm])
+    cert = match.build_certificate(plus, minus, mode, ample_cone_asserted=True)
+    assert isinstance(cert, match.MatchCertificate) and cert.is_explicit()
+    _assert_geometry_agrees_with_the_complement_route(cert)
+
+
+@st.composite
+def perp_cases(draw):
+    """(N+, N-) in a random nondegenerate ambient of rank <= 6, each of any rank."""
+    n = draw(st.integers(1, 6))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = draw(st.integers(-3, 3))
+    assume(xa.det(G) != 0)
+    amb = lat.Lattice(G)
+    subs = []
+    for _ in range(2):
+        k = draw(st.integers(0, n))
+        basis = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k))
+        assume(not basis or xa.rank(basis) == k)
+        subs.append(lat.Sublattice(amb, basis))
+    return tuple(subs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perp_cases())
+def test_orthogonal_part_matches_the_complement_route(case):
+    S, other = case
+    assert lat.orthogonal_part(S, other).basis == oracles.orthogonal_part_via_complement(S, other).basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(perp_cases(), st.data())
+def test_pairing_membership_matches_the_complement_route(case, data):
+    emb_plus, emb_minus = case
+    spans = [emb_plus, emb_minus, lat.orthogonal_complement(emb_plus), lat.orthogonal_complement(emb_minus)]
+    n = emb_plus.ambient.rank
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def vector():
+        sub = data.draw(st.sampled_from(spans + [None]))
+        if sub is None or sub.rank == 0:
+            return data.draw(st.lists(fractions, min_size=n, max_size=n))
+        coeffs = data.draw(st.lists(fractions, min_size=sub.rank, max_size=sub.rank))
+        return [sum(c * row[j] for c, row in zip(coeffs, sub.basis)) for j in range(n)]
+
+    triple = match.MatchingTriple(vector(), vector(), vector(), None)
+    _, reasons = match.verify_triple(triple, emb_plus, emb_minus)
+    assert ([r for r in reasons if r.startswith("membership")]
+            == oracles.membership_via_complements(triple, emb_plus, emb_minus))
+
+
+def test_verify_triple_raises_on_a_degenerate_ambient():
+    amb = lat.Lattice([[0, 0, 0], [0, 2, 1], [0, 1, 2]])
+    e = xa.eye(3)
+    triple = match.MatchingTriple(e[1], e[2], e[0], None)
+    with pytest.raises(lat.DegenerateLattice):
+        match.verify_triple(triple, lat.Sublattice(amb, [e[1]]), lat.Sublattice(amb, [e[2]]))
+
+
+def test_constructed_certificate_rejects_rows_that_are_not_orthogonal():
+    # two norm-4 rows of U1 that pair to 5: N+ has no part orthogonal to N-, so W+ and W- lose rank
+    rec = CAT["7.1_4^1"]
+    ep, em = embed.scatter([[1, 2]], ("U1",)), embed.scatter([[2, 1]], ("U1",))
+    W = lat.direct_sum(rec.lattice(), rec.lattice())
+    with pytest.raises(AssertionError, match="rank mismatch"):
+        match._constructed_certificate(rec, rec, match.PerpendicularPrimitive(), W, ep + em, True, ep, em)
 
 
 # N+ = <e1, e2> and N- = <e2, e3> in Z^5, so T+ = <e3, e4, e5> and T- = <e1, e4, e5>;
