@@ -12,7 +12,7 @@ N = lat.Lattice([[2, 4], [4, 2]])
 spec = glue.PushoutSpec(N, N, lat.diag_lattice(-4), [[1, -1]], [[1, -1]])
 res = glue.orthogonal_pushout(spec)
 print("pushout of [[2,4],[4,2]] with itself along <-4>:")
-print("  gram =", res.w.gram)
+print("  gram =", xa.mat(res.w.gram))
 print("  signature =", lat.signature(res.w), " det =", res.w.det())
 
 # --- a pushout that does not exist: the quartic-with-a-line lattice along <-36>

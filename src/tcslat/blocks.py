@@ -7,12 +7,14 @@ docs/catalog-format.md.  The env var TCS_TABLES_DIR overrides the bundled tables
 """
 
 import ast
+import functools
 import json
-import marshal
 import os
 import re
 from importlib import resources
+from types import MappingProxyType
 
+from . import exactalg as xa
 from . import lattice as lat
 
 KINDS = {
@@ -34,50 +36,48 @@ class UnknownBlockId(KeyError):
 
 
 class BlockRecord:
+    """One building block, immutable so that one record serves every catalog of a process: Gram and A
+    are checked rows (`exactalg.frozen`), `meta` is read-only, and setting a field raises AttributeError."""
+
     def __init__(self, id, kind, n_gram=None, anticanonical_class=None, b3_Z=None,
                  rk_K=0, div_c2=frozenset(), div_c2_mod_Aperp=None, e_rigid=0,
                  ell_N=None, gramless=False, meta=None, notes=""):
-        self.id = id
-        self.kind = kind
-        self.n_gram = n_gram
-        self.anticanonical_class = anticanonical_class
-        self.b3_Z = b3_Z
-        self.rk_K = rk_K
-        self.div_c2 = frozenset(int(x) for x in div_c2)
-        self.div_c2_mod_Aperp = div_c2_mod_Aperp
-        self.e_rigid = e_rigid
-        self.ell_N = ell_N
-        self.gramless = gramless
-        self.meta = dict(meta or {})
-        self.notes = notes
+        N = None if n_gram is None else lat.Lattice(n_gram)  # built once, with the record
+        A = None if anticanonical_class is None else xa.frozen([anticanonical_class])[0]
+        vars(self).update(id=id, kind=kind, n_gram=None if N is None else N.gram, _lattice=N, b3_Z=b3_Z,
+                          anticanonical_class=A, rk_K=rk_K, div_c2=frozenset(int(x) for x in div_c2),
+                          div_c2_mod_Aperp=div_c2_mod_Aperp, e_rigid=e_rigid, ell_N=ell_N, gramless=gramless,
+                          meta=MappingProxyType(dict(meta or {})), notes=notes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is immutable: cannot set {name}")
 
     @property
     def rank(self):
-        if self.gramless:
-            return self.meta["rank"]
-        return len(self.n_gram)
+        return self.meta["rank"] if self.gramless else len(self.n_gram)
 
     def lattice(self):
         if self.gramless:
             raise CatalogError(f"{self.id}: gramless record has no lattice")
-        return lat.Lattice(self.n_gram)
+        return self._lattice
 
     def ell(self):
-        if self.gramless:
-            return self.ell_N
-        return lat.ell(self.lattice())
+        return self.ell_N if self.gramless else lat.ell(self.lattice())
 
     def __repr__(self):
         return f"BlockRecord({self.id!r})"
 
 
 class Catalog:
+    """Records by id, read-only: a merge makes a new catalog, so a shared one never changes."""
+
     def __init__(self, records, provenance=""):
-        self.records = {}
+        by_id = {}
         for rec in records:
-            if rec.id in self.records:
+            if rec.id in by_id:
                 raise CatalogError(f"duplicate id {rec.id}")
-            self.records[rec.id] = rec
+            by_id[rec.id] = rec
+        self.records = MappingProxyType(by_id)
         self.provenance = provenance
 
     def __getitem__(self, id):
@@ -178,7 +178,9 @@ def read_fields(path):
 
 
 def is_int_matrix(value, rows, cols):
-    """True iff `value` is a list of `rows` lists of `cols` ints each."""
+    """True iff `value` is a list of `rows` lists, or a tuple of `rows` Rows, of `cols` ints each."""
+    if type(value) is tuple:
+        return len(value) == rows and all(type(row) is xa.Row and len(row) == cols for row in value)
     return isinstance(value, list) and len(value) == rows and all(
         isinstance(row, list) and len(row) == cols and all(type(x) is int for x in row)
         for row in value)
@@ -236,54 +238,43 @@ def _validate_record(fields, path, lineno):
         raise CatalogError(f"{path}:{lineno}: {rid}: div_c2_mod_Aperp must be an integer, got {div_mod!r}")
     meta_keys = ("r", "d", "b3_Y", "name", "rank", "resolutions", "genus")
     meta = {k: fields[k] for k in meta_keys if k in fields}
-    rec = BlockRecord(
-        id=rid,
-        kind=kind,
-        n_gram=fields.get("gram"),
-        anticanonical_class=fields.get("A"),
-        b3_Z=fields.get("b3_Z"),
-        rk_K=fields.get("rk_K", 0),
-        div_c2=div_c2,
-        div_c2_mod_Aperp=div_mod,
-        e_rigid=fields.get("e", 0),
-        ell_N=fields.get("ell"),
-        gramless=gramless,
-        meta=meta,
-        notes=fields.get("notes", ""),
-    )
+    where = f"{path}:{lineno}: {rid}"
+    gram = A = None  # a gramless record keeps neither
     if gramless:
-        if rec.ell_N is None or "rank" not in rec.meta:
-            raise CatalogError(f"{path}:{lineno}: {rid}: gramless record needs rank and ell")
-        disc = fields.get("disc")
-        if disc is not None:
-            rec.meta["disc"] = list(disc)
-        return rec
-    if rec.n_gram is None:
-        raise CatalogError(f"{path}:{lineno}: {rid}: missing gram")
-    L = gram_lattice(rec.n_gram, f"{path}:{lineno}: {rid}")
-    if not L.is_even():
-        raise CatalogError(f"{path}:{lineno}: {rid}: violates evenness (K3 Picard sublattice)")
-    try:
-        sig = lat.signature(L)
-    except lat.DegenerateLattice:
-        sig = "degenerate"
-    if sig != (1, L.rank - 1):
-        raise CatalogError(f"{path}:{lineno}: {rid}: violates signature (1, rank-1), got {sig}")
-    if not is_int_matrix([rec.anticanonical_class], 1, L.rank):
-        raise CatalogError(f"{path}:{lineno}: {rid}: A must be an integer vector of length {L.rank}")
-    AA = L.norm(rec.anticanonical_class)
-    if AA <= 0:
-        raise CatalogError(f"{path}:{lineno}: {rid}: violates A.A > 0")
-    if fields.get("minus_k3", AA) != AA:
-        raise CatalogError(f"{path}:{lineno}: {rid}: violates A.A = -K^3")
-    if type(rec.b3_Z) is not int or rec.b3_Z % 2 != 0:
-        raise CatalogError(f"{path}:{lineno}: {rid}: violates b3_Z even")
-    for v in rec.div_c2:
-        if v % 2 != 0:
-            raise CatalogError(f"{path}:{lineno}: {rid}: violates div_c2 even")
-    if rec.kind in ("fano_rank1", "fano_rank2") and rec.e_rigid != 0:
-        raise CatalogError(f"{path}:{lineno}: {rid}: Fano blocks have no K-trivial curves (e = 0)")
-    return rec
+        if fields.get("ell") is None or "rank" not in meta:
+            raise CatalogError(f"{where}: gramless record needs rank and ell")
+        if fields.get("disc") is not None:
+            meta["disc"] = list(fields["disc"])
+    else:
+        if fields.get("gram") is None:
+            raise CatalogError(f"{where}: missing gram")
+        L = gram_lattice(fields["gram"], where)
+        if not L.is_even():
+            raise CatalogError(f"{where}: violates evenness (K3 Picard sublattice)")
+        try:
+            sig = lat.signature(L)
+        except lat.DegenerateLattice:
+            sig = "degenerate"
+        if sig != (1, L.rank - 1):
+            raise CatalogError(f"{where}: violates signature (1, rank-1), got {sig}")
+        gram, A = L.gram, fields.get("A")
+        if not is_int_matrix([A], 1, L.rank):
+            raise CatalogError(f"{where}: A must be an integer vector of length {L.rank}")
+        AA = L.norm(A)
+        if AA <= 0:
+            raise CatalogError(f"{where}: violates A.A > 0")
+        if fields.get("minus_k3", AA) != AA:
+            raise CatalogError(f"{where}: violates A.A = -K^3")
+        if type(fields.get("b3_Z")) is not int or fields["b3_Z"] % 2 != 0:
+            raise CatalogError(f"{where}: violates b3_Z even")
+        if any(v % 2 != 0 for v in div_c2):
+            raise CatalogError(f"{where}: violates div_c2 even")
+        if kind in ("fano_rank1", "fano_rank2") and fields.get("e", 0) != 0:
+            raise CatalogError(f"{where}: Fano blocks have no K-trivial curves (e = 0)")
+    return BlockRecord(id=rid, kind=kind, n_gram=gram, anticanonical_class=A, b3_Z=fields.get("b3_Z"),
+                       rk_K=fields.get("rk_K", 0), div_c2=div_c2, div_c2_mod_Aperp=div_mod,
+                       e_rigid=fields.get("e", 0), ell_N=fields.get("ell"), gramless=gramless, meta=meta,
+                       notes=fields.get("notes", ""))
 
 
 def parse_catalog_text(text, path="<string>"):
@@ -300,22 +291,23 @@ def load_catalog(path):
     return parse_catalog_text(read_text(path), path=str(path))
 
 
-_PARSED = {}  # source path -> (file text, provenance, marshalled fields of each record)
+@functools.cache
+def _bundled(*names):
+    """The bundled tables merged in order, built once per process from each table's one parse."""
+    if len(names) > 1:
+        return functools.reduce(Catalog.merged_with, map(_bundled, names))
+    text = resources.files("tcslat").joinpath("tables").joinpath(names[0]).read_text(encoding="utf-8")
+    return parse_catalog_text(text, path=f"tables/{names[0]}")
 
 
-def load_bundled(name):
-    """A bundled (or TCS_TABLES_DIR) table, read at every call; the cache parses
-    it only when its text changed and hands out fresh records from then on."""
+def load_bundled(*names):
+    """The bundled tables merged in order, parsed once per process and shared (records are immutable);
+    with TCS_TABLES_DIR set, the files of those names there instead, read and parsed on every call."""
     override = os.environ.get("TCS_TABLES_DIR")
-    path = os.path.join(override, name) if override else f"tables/{name}"
-    ref = resources.files("tcslat").joinpath("tables").joinpath(name)
-    text = read_text(path) if override else ref.read_text(encoding="utf-8")
-    if _PARSED.get(path, (None,))[0] != text:
-        cat = parse_catalog_text(text, path=path)
-        _PARSED[path] = (text, cat.provenance, marshal.dumps([vars(rec) for rec in cat]))
-        return cat
-    _, provenance, fields = _PARSED[path]
-    return Catalog([BlockRecord(**kw) for kw in marshal.loads(fields)], provenance=provenance)
+    if not override:
+        return _bundled(*names)
+    paths = [os.path.join(override, name) for name in names]
+    return functools.reduce(Catalog.merged_with, (parse_catalog_text(read_text(p), path=p) for p in paths))
 
 
 def rank1_catalog():
@@ -336,12 +328,12 @@ def table6_catalog():
 
 def full_catalog():
     """The gram-carrying tables (rank-1, the worked examples, rank-2 Fanos)."""
-    return rank1_catalog().merged_with(table2_catalog()).merged_with(rank2_catalog())
+    return load_bundled("rank1.blocks", "table2.blocks", "rank2.blocks")
 
 
 def all_catalogs():
     """Everything bundled, including the gramless polytope records."""
-    return full_catalog().merged_with(table6_catalog())
+    return load_bundled("rank1.blocks", "table2.blocks", "rank2.blocks", "table6.polytopes")
 
 
 def validate_rank1(rec):
@@ -354,9 +346,9 @@ def validate_rank1(rec):
     b3_Y = rec.meta.get("b3_Y")
     if r is None or d is None or b3_Y is None:
         return False, "missing r / d / b3_Y metadata"
-    if rec.n_gram != [[r * d]]:
+    if rec.n_gram != ((r * d,),):
         return False, f"polarising lattice is not <{r * d}>"
-    if rec.anticanonical_class != [r]:
+    if rec.anticanonical_class != (r,):
         return False, "A is not r times the generator"
     deg = r**3 * d
     if deg % 2 != 0:

@@ -49,8 +49,8 @@ def cmd_catalog(args):
         print(f"kind = {rec.kind}")
         print(f"rank = {rec.rank}")
         if not rec.gramless:
-            print(f"gram = {rec.n_gram}")
-            print(f"A = {rec.anticanonical_class}")
+            print(f"gram = {[list(row) for row in rec.n_gram]}")
+            print(f"A = {list(rec.anticanonical_class)}")
             print(f"b3_Z = {rec.b3_Z}")
             print(f"rk_K = {rec.rk_K}")
             print(f"div_c2 = {sorted(rec.div_c2)}")
@@ -97,7 +97,7 @@ def cmd_pushout(args):
         return 1
     W = res.w
     print(f"rank = {W.rank}")
-    print(f"gram = {W.gram}")
+    print(f"gram = {[list(row) for row in W.gram]}")
     print(f"signature = {lat.signature(W)}")
     print(f"det = {W.det()}")
     return 0

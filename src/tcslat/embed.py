@@ -191,7 +191,7 @@ def _library_block(g, slots):
         if g == [[-2, 1], [1, -2]]:
             e = slots.take_e8()
             return None if e is None else scatter(xa.eye(8)[:2], (e,))
-    if k == 8 and g == lat.E8(-1).gram:
+    if k == 8 and xa.frozen(g) == lat.E8(-1).gram:
         e = slots.take_e8()
         return None if e is None else scatter(xa.eye(8), (e,))
     return None
@@ -200,7 +200,7 @@ def _library_block(g, slots):
 def _library_strategy(W):
     target = k3_lattice()
     for gram, rows, summands in _builtin_embeddings():
-        if W.gram == gram:
+        if W.gram == xa.frozen(gram):
             rows = scatter(rows, summands)
             prim = verify_embedding(W, target, rows)
             if prim is not None:
@@ -296,7 +296,7 @@ def _backtracking_strategy(W, ambient, bound, prefix):
     # the norm window of the blocks after each block
     lo_rest = [sum(blk[3] for blk in blocks[bi + 1:]) for bi in range(len(blocks))]
     hi_rest = [sum(blk[4] for blk in blocks[bi + 1:]) for bi in range(len(blocks))]
-    is_u = [bg == lat.U().gram for _, bg, *_ in blocks]
+    is_u = [xa.frozen(bg) == lat.U().gram for _, bg, *_ in blocks]
     target = W.gram
     n = ambient.rank
     placed = [list(map(int, row)) for row in prefix]
@@ -310,7 +310,7 @@ def _backtracking_strategy(W, ambient, bound, prefix):
                   for comp, bg, *_ in blocks] for v in placed]
         reach = [[blk[5] * sum(map(abs, f)) for blk, f in zip(blocks, form)] for form in forms]
         caps = [[sum(r[bi + 1:]) for r in reach] for bi in range(len(blocks))]
-        goal = target[i][:i]
+        goal = list(target[i][:i])
         root = i == 0 and W.rank > 1
 
         def extend(bi, chosen, norm_acc, pair_acc):

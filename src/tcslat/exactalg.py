@@ -3,7 +3,8 @@
 A matrix is a list of rows, each a list of Python ints (or Fractions for the
 rational helpers), so all arithmetic is exact; a vector is a plain list.
 Vectors are rows throughout the package; a lattice element x pairs as
-x . G . x^T.  Every kernel works on its own copy of its arguments.
+x . G . x^T.  Every kernel works on its own copy of its arguments; the Rows of
+a matrix checked once by `frozen` are copied without checking them again.
 """
 
 from fractions import Fraction
@@ -11,10 +12,23 @@ from math import gcd, lcm
 from operator import index, mul
 
 
+class Row(tuple):
+    """An immutable row of ints that lattices and records share, made only by `frozen` and `hnf`."""
+    __slots__ = ()
+
+
+def frozen(rows):
+    """A rectangular integer matrix as a tuple of Rows: Rows are kept, other rows checked entry by entry."""
+    a = tuple([row if type(row) is Row else Row(map(index, row)) for row in rows])
+    if len(set(map(len, a))) > 1:
+        raise ValueError("matrix rows must all have the same length")
+    return a
+
+
 def mat(rows):
-    """A copy of a rectangular integer matrix as a list of rows of ints."""
-    a = [[index(x) for x in row] for row in rows]
-    if any(len(row) != len(a[0]) for row in a):
+    """A mutable copy of a rectangular integer matrix as lists of ints, checked as by `frozen`."""
+    a = [list(row) if type(row) is Row else [index(x) for x in row] for row in rows]
+    if len(set(map(len, a))) > 1:
         raise ValueError("matrix rows must all have the same length")
     return a
 
@@ -177,10 +191,14 @@ def snf(A, left=True, right=True):
 
 
 def hnf(A):
-    """Row Hermite normal form of A with its zero rows dropped: a list of
-    nonzero integer rows spanning the same module over Z, pivots positive and
+    """Row Hermite normal form of A with its zero rows dropped: a tuple of
+    nonzero Rows spanning the same module over Z, pivots positive and
     strictly moving right, entries above a pivot in [0, pivot)."""
-    H = mat(A)
+    return _hnf(mat(A))
+
+
+def _hnf(H):
+    """`hnf` of a list of rows of ints, which it reorders and replaces but never changes in place."""
     if not H or not H[0]:
         raise ValueError("hnf: empty matrix")
     rows, cols = len(H), len(H[0])
@@ -219,17 +237,17 @@ def hnf(A):
         r += 1
         if r == rows:
             break
-    return H[:r]  # every column is zero below row r
+    return tuple(map(Row, H[:r]))  # every column is zero below row r
 
 
 def kernel_basis(A):
-    """Basis (rows) of the saturated integer kernel {x : x . A = 0}."""
+    """Basis (rows, in HNF) of the saturated integer kernel {x : x . A = 0}."""
     res = snf(A, right=False)
     cols = len(res.D[0])
     free = [i for i in range(len(res.U)) if i >= cols or res.D[i][i] == 0]
     if not free:
-        return []
-    return hnf([res.U[i] for i in free])
+        return ()
+    return _hnf([res.U[i] for i in free])
 
 
 def solve_integer(A, b):
@@ -344,7 +362,7 @@ def signature(G):
     2 M[p, j]; a zero row means G is degenerate."""
     if any(len(row) != len(G) for row in G):
         raise ValueError("signature: not square")
-    M = {a: {b: index(x) for b, x in enumerate(row) if x} for a, row in enumerate(G)}
+    M = {a: {b: x for b, x in enumerate(row) if x} for a, row in enumerate(frozen(G))}
     pos = neg = 0
     while M:
         p = None

@@ -99,7 +99,7 @@ def orthogonal_pushout(spec):
     comp = _complete_to_basis(spec.emb_minus.basis, nm.rank)
     k = len(comp)
     glue = xa.matmul(cross, xa.transpose(comp))  # N+ rows against the completion rows
-    G = [row + g for row, g in zip(np_.gram, glue)]
+    G = [list(row) + g for row, g in zip(np_.gram, glue)]
     G += [g + c for g, c in zip(xa.transpose(glue), xa.pairings(comp, nm.gram))]
     w = lat.Lattice(G)
     if not w.is_nondegenerate():
@@ -107,10 +107,10 @@ def orthogonal_pushout(spec):
     if not w.is_even():
         raise ValueError("pushout not even")
     # N- inside W: R rows map into N+ via the identification, completion rows are new
-    r_rows = [row + [0] * k for row in spec.emb_plus.basis]
+    r_rows = [list(row) + [0] * k for row in spec.emb_plus.basis]
     minus_rows = r_rows + [[0] * np_.rank + row for row in xa.eye(k)]
     # express N- in its own basis order: rows of identity pulled through (R-basis, comp)
-    change_inv = xa.unimodular_inverse(spec.emb_minus.basis + comp)  # basis of Z^{r_-}
+    change_inv = xa.unimodular_inverse([*spec.emb_minus.basis, *comp])  # basis of Z^{r_-}
     n_minus_in_w = lat.Sublattice(w, xa.matmul(change_inv, minus_rows))
     n_plus_in_w = lat.Sublattice(w, [row + [0] * k for row in xa.eye(np_.rank)])
     r_in_w = lat.Sublattice(w, r_rows)

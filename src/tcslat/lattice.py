@@ -1,7 +1,8 @@
 """Integer lattices, sublattices, discriminant groups and vector search.
 
 A Lattice is a symmetric integer Gram matrix; a Sublattice is a basis matrix
-(rows are generators in ambient coordinates) inside an ambient Lattice.
+(rows are generators in ambient coordinates) inside an ambient Lattice; both
+hold checked immutable rows (`exactalg.frozen`), which no kernel checks again.
 """
 
 from fractions import Fraction
@@ -25,8 +26,8 @@ class Lattice:
     computed, each by an integer kernel (Bareiss det, integer congruence signature, Smith diagonal)."""
 
     def __init__(self, gram):
-        g = xa.mat(gram)
-        if any(len(row) != len(g) for row in g) or g != xa.transpose(g):
+        g = xa.frozen(gram)
+        if any(len(row) != len(g) for row in g) or g != tuple(zip(*g)):
             raise ValueError("Gram matrix must be square and symmetric")
         self.gram = g
         self.rank = len(g)
@@ -78,7 +79,7 @@ def direct_sum(*lattices):
     g = []
     for l in lattices:
         # len(g), the rows placed so far, is this block's column offset
-        g += [[0] * len(g) + row + [0] * (n - len(g) - l.rank) for row in l.gram]
+        g += [[0] * len(g) + list(row) + [0] * (n - len(g) - l.rank) for row in l.gram]
     return Lattice(g)
 
 
@@ -127,7 +128,7 @@ class Sublattice:
 
     def __init__(self, ambient, basis):
         self.ambient = ambient
-        b = xa.mat(basis)
+        b = xa.frozen(basis)
         if b and len(b[0]) != ambient.rank:
             raise ValueError("basis rows must live in the ambient lattice")
         if b and not _is_echelon(b) and xa.rank(b) != len(b):
@@ -139,7 +140,7 @@ class Sublattice:
         return len(self.basis)
 
     def induced_gram(self):
-        return xa.pairings(self.basis, self.ambient.gram)
+        return xa.frozen(xa.pairings(self.basis, self.ambient.gram))
 
     def lattice(self):
         """The sublattice as an abstract Lattice with the induced form."""
@@ -275,7 +276,7 @@ def intersect(S1, S2):
     if S1.rank == 0 or S2.rank == 0:
         return Sublattice(S1.ambient, [])
     # kernel of x . stacked = 0 where x = (y | z) encodes y . B1 = z . B2
-    ker = xa.kernel_basis(S1.basis + [[-x for x in row] for row in S2.basis])
+    ker = xa.kernel_basis([*S1.basis, *([-x for x in row] for row in S2.basis)])
     if not ker:
         return Sublattice(S1.ambient, [])
     rows = xa.matmul([row[: S1.rank] for row in ker], S1.basis)

@@ -102,8 +102,8 @@ class MatchCertificate:
             f"ample_hypothesis = {'auto' if self.ample_auto else ('asserted' if self.ample_cone_asserted else 'unasserted')}",
         ]
         if self.is_explicit():
-            lines.append(f"emb_plus = {self.emb_plus.basis}")
-            lines.append(f"emb_minus = {self.emb_minus.basis}")
+            lines.append(f"emb_plus = {xa.mat(self.emb_plus.basis)}")
+            lines.append(f"emb_minus = {xa.mat(self.emb_minus.basis)}")
         if self.triple is not None:
             lines.append(f"triple_norms = {self.triple.norms}")
         return "\n".join(lines)
@@ -152,7 +152,7 @@ def _rank1_partner_embedding(big, small):
 
 
 def _perpendicular_certificate(plus, minus, explicit):
-    W = lat.direct_sum(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram))
+    W = lat.direct_sum(plus.lattice(), minus.lattice())
     r = W.rank
     if lat.signature(W) != (2, r - 2):
         return MatchFailure(SIGNATURE_MISMATCH, f"W has signature {lat.signature(W)}")
@@ -177,10 +177,10 @@ def _perpendicular_certificate(plus, minus, explicit):
         }
         return cert
     ep, em = rows
-    prim = embed.verify_embedding(W, k3_lattice(), ep + em)
+    prim = embed.verify_embedding(W, k3_lattice(), [*ep, *em])
     if prim is None:
         return MatchFailure(EMBEDDING_IMPOSSIBLE, "explicit rows are not isometric to W")
-    return _constructed_certificate(plus, minus, PerpendicularPrimitive(), W, ep + em, prim, ep, em)
+    return _constructed_certificate(plus, minus, PerpendicularPrimitive(), W, [*ep, *em], prim, ep, em)
 
 
 def _constructed_certificate(plus, minus, mode, W, basis, primitive, ep, em, rho=0,
@@ -230,7 +230,7 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
                 return explicit
         return _perpendicular_certificate(plus, minus, explicit)
     if isinstance(mode, PerpendicularOverlattice):
-        specs = glue.enumerate_overlattices(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram),
+        specs = glue.enumerate_overlattices(plus.lattice(), minus.lattice(),
                                             max_index=mode.glue_index)
         specs = [s for s in specs if s.index == mode.glue_index]
         if not specs:
@@ -251,7 +251,7 @@ def build_certificate(plus, minus, mode, ample_cone_asserted=False):
         W = lat.Sublattice(L, ep + em).lattice()
         return _constructed_certificate(plus, minus, mode, W, ep + em, False, ep, em)
     if isinstance(mode, Orthogonal):
-        spec = glue.PushoutSpec(lat.Lattice(plus.n_gram), lat.Lattice(minus.n_gram),
+        spec = glue.PushoutSpec(plus.lattice(), minus.lattice(),
                                 lat.Lattice(mode.r_gram), mode.r_in_plus, mode.r_in_minus)
         res = glue.orthogonal_pushout(spec)
         if isinstance(res, glue.IntegralityFailure):
@@ -402,7 +402,7 @@ def enumerate_pairs(cat, pair_filter=None):
                 if a.gramless or b.gramless:
                     ell_bound = (a.ell() or 0) + (b.ell() or 0)
                 else:
-                    ell_bound = lat.ell(lat.direct_sum(lat.Lattice(a.n_gram), lat.Lattice(b.n_gram)))
+                    ell_bound = lat.ell(lat.direct_sum(a.lattice(), b.lattice()))
                 if a.rank + b.rank + ell_bound >= 22:
                     continue
             out.append((a, b))

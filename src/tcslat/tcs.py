@@ -332,6 +332,10 @@ def load_config(path, catalog):
     for key in ("block_plus", "block_minus", "emb_plus", "emb_minus"):
         if key not in fields:
             raise ConfigError(f"{path}: missing {key}")
+    for key, kind, what in (("block_plus", str, "a block id"), ("block_minus", str, "a block id"),
+                            ("resolution_plus", int, "an integer"), ("resolution_minus", int, "an integer")):
+        if key in fields and type(fields[key]) is not kind:
+            raise ConfigError(f"{path}: {key} must be {what}, got {fields[key]!r}")
     div_pair = fields.get("div_c2_mod_image")
     if div_pair is not None and not blk.is_int_matrix([div_pair], 1, 2):
         raise ConfigError(f"{path}: div_c2_mod_image must be a pair of integers, got {div_pair!r}")

@@ -36,7 +36,7 @@ def orthogonal_part_via_complement(S, other):
 def _in_span_by_rank(v, sub):
     """v in the Q-span of sub, by rank: stacking v's cleared row on the basis
     adds no rank.  Never for a rank-0 sub, as `match.verify_triple` reads it."""
-    return sub.rank > 0 and xa.rank(sub.basis + xa.clear_denominators([v])[1]) == sub.rank
+    return sub.rank > 0 and xa.rank([*sub.basis, *xa.clear_denominators([v])[1]]) == sub.rank
 
 
 def membership_via_complements(triple, emb_plus, emb_minus):

@@ -175,7 +175,7 @@ def test_criterion_4_explicit_matrices():
     v = embed.construct_embedding(lat.Lattice(gram))
     assert v.status == embed.EXISTS_CONSTRUCTED
     sub = lat.Sublattice(L, v.basis)
-    assert sub.induced_gram() == gram  # isometric
+    assert sub.induced_gram() == xa.frozen(gram)  # isometric
     assert lat.quotient_torsion(sub) == [8]
     free_rank_of_quotient = 6 - xa.rank([row[:6] for row in v.basis])
     assert free_rank_of_quotient == 2  # Z^2 summand of 3U / image
@@ -186,7 +186,7 @@ def test_criterion_4_explicit_matrices():
     v8 = embed.construct_embedding(lat.Lattice(gram8))
     assert v8.status == embed.EXISTS_CONSTRUCTED
     sub8 = lat.Sublattice(L, v8.basis)
-    assert sub8.induced_gram() == gram8
+    assert sub8.induced_gram() == xa.frozen(gram8)
     assert lat.quotient_torsion(sub8) == [4, 4]
     for half in (v8.basis[:2], v8.basis[2:]):
         assert lat.is_primitive(lat.Sublattice(L, half))

@@ -60,6 +60,16 @@ def test_traced_ops_give_their_recorded_outputs(workload, monkeypatch):
     assert spanless == []  # every op enters at least one traced layer function
 
 
+def test_ops_replayed_in_reverse_order_give_their_recorded_outputs(monkeypatch):
+    # one process shares its catalogs, records and record lattices between ops: run untraced in
+    # the reverse of the harness's order, no op may see state that another op left behind
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("TCS_TABLES_DIR", raising=False)
+    ops = [op for workload in ("invariants", "certify") for op in workloads.universe(workload)]
+    got = {op.name: list(op.run()[:2]) for op in reversed(ops)}
+    assert {name: out for name, out in got.items() if EXPECTED.get(name) != out} == {}
+
+
 def test_the_tracer_wraps_every_layer_function():
     # the tracer wraps only plain defs: a cache or partial object bound where
     # a layer function belongs runs outside every span

@@ -1,3 +1,4 @@
+import functools
 import glob
 import math
 import os
@@ -90,7 +91,7 @@ def test_all_bundled_records_pass_invariants():
 
 def test_table2_spot_values():
     cat = blocks.table2_catalog()
-    assert cat["Ex7.6"].lattice().gram == [[0, 4], [4, 4]]
+    assert cat["Ex7.6"].lattice().gram == ((0, 4), (4, 4))
     assert cat["Ex7.6"].lattice().norm(cat["Ex7.6"].anticanonical_class) == 4
     assert cat["Ex7.8"].rk_K == 3
     assert cat["Ex7.11"].rk_K == 12
@@ -101,8 +102,8 @@ def test_table2_spot_values():
 
 def test_rank2_spot_values():
     cat = blocks.rank2_catalog()
-    assert cat["MM2-24"].lattice().gram == [[2, 5], [5, 2]]
-    assert cat["MM2-24"].anticanonical_class == [1, 1]
+    assert cat["MM2-24"].lattice().gram == ((2, 5), (5, 2))
+    assert cat["MM2-24"].anticanonical_class == (1, 1)
     assert cat["MM2-21"].div_c2_mod_Aperp == 4
 
 
@@ -186,26 +187,45 @@ def test_env_override(tmp_path, monkeypatch):
     assert len(blocks.rank1_catalog()) == len(src)
 
 
-def test_catalog_cache_hands_out_copies(monkeypatch):
-    monkeypatch.setattr(blocks, "_PARSED", {})  # the first load parses, later ones hit the cache
+def test_catalog_records_are_immutable_and_shared():
     first = blocks.full_catalog()
+    assert blocks.full_catalog() is first and blocks.all_catalogs()["MM2-6"] is first["MM2-6"]
     rec = first["7.1_1^4"]
-    assert (rec.n_gram, rec.anticanonical_class, rec.meta["r"]) == ([[4]], [4], 4)
-    rec.n_gram[0][0] += 2
-    rec.anticanonical_class[0] += 1
-    rec.meta["r"] = 99
-    first["MM2-6"].n_gram.append([0])
+    assert (rec.n_gram, rec.anticanonical_class, rec.meta["r"]) == (((4,),), (4,), 4)
+    assert rec.lattice() is rec.lattice() and rec.lattice().gram is rec.n_gram
+    with pytest.raises(AttributeError, match="immutable"):
+        rec.n_gram = [[6]]
+    with pytest.raises(TypeError):
+        rec.n_gram[0][0] += 2
+    with pytest.raises(TypeError):
+        rec.anticanonical_class[0] += 1
+    with pytest.raises(TypeError):
+        rec.meta["r"] = 99
+    with pytest.raises(AttributeError):
+        first["MM2-6"].n_gram.append([0])
+    with pytest.raises(TypeError):
+        first.records["x"] = rec
     again = blocks.full_catalog()
-    assert (again["7.1_1^4"].n_gram, again["7.1_1^4"].anticanonical_class) == ([[4]], [4])
     assert again["7.1_1^4"].meta == {"r": 4, "d": 1, "b3_Y": 0, "name": "P3"}
-    assert again["MM2-6"].n_gram == [[2, 4], [4, 2]]
-    again["MM2-6"].n_gram[0][0] = 0
-    assert blocks.full_catalog()["MM2-6"].n_gram == [[2, 4], [4, 2]]
+    assert again["MM2-6"].n_gram == ((2, 4), (4, 2)) and "x" not in again.ids()
+
+
+def test_two_full_catalog_calls_parse_each_bundled_table_once(monkeypatch):
+    monkeypatch.delenv("TCS_TABLES_DIR", raising=False)
+    parsed = []
+    real = blocks.parse_catalog_text
+    monkeypatch.setattr(blocks, "parse_catalog_text", lambda text, path: parsed.append(path) or real(text, path))
+    monkeypatch.setattr(blocks, "_bundled", functools.cache(blocks._bundled.__wrapped__))
+    assert blocks.full_catalog() is blocks.full_catalog()
+    assert sorted(parsed) == ["tables/rank1.blocks", "tables/rank2.blocks", "tables/table2.blocks"]
 
 
 def test_catalog_cache_hit_equals_a_fresh_parse(monkeypatch):
-    monkeypatch.setattr(blocks, "_PARSED", {})
-    parsed, cached = blocks.all_catalogs(), blocks.all_catalogs()
+    cached = blocks.all_catalogs()
+    # under the override every load reads and parses the file anew
+    monkeypatch.setenv("TCS_TABLES_DIR", os.path.join(os.path.dirname(blocks.__file__), "tables"))
+    parsed = blocks.all_catalogs()
+    assert parsed is not cached and parsed["MM2-6"] is not cached["MM2-6"]
     assert cached.provenance == parsed.provenance
     assert [vars(rec) for rec in cached] == [vars(rec) for rec in parsed]
 

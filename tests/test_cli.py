@@ -7,7 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tcslat import cli
+from tcslat import blocks, cli, embed
+from tcslat import exactalg as xa
+from tcslat import lattice as lat
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -277,6 +279,13 @@ MALFORMED = {
                             ["invariants", "--config", "{}"]),
     "config-literal-true": ("x.cfg", NO8.replace("block_plus = Ex7.6", "block_plus = [true]"),
                             ["invariants", "--config", "{}"]),
+    "config-block-plus-list": ("x.cfg", NO8.replace("block_plus = Ex7.6", "block_plus = [1]"),
+                               ["invariants", "--config", "{}"]),
+    "config-block-minus-dict": ("x.cfg", NO8.replace("block_minus = Ex7.6", "block_minus = {1: 2}"),
+                                ["invariants", "--config", "{}"]),
+    "config-block-plus-int": ("x.cfg", NO8.replace("block_plus = Ex7.6", "block_plus = 5"),
+                              ["invariants", "--config", "{}"]),
+    "config-resolution-list": ("x.cfg", NO8 + "resolution_plus = [4]\n", ["invariants", "--config", "{}"]),
     "r-int": (None, None, PUSHOUT + ["--r", "5"]),
     "r-not-square": (None, None, PUSHOUT + ["--r", "[[1,2]]"]),
     "r-unclosed": (None, None, PUSHOUT + ["--r", "[[-4"]),
@@ -328,6 +337,52 @@ def test_cli_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_catalog_option_leaves_the_shared_catalog_unchanged(tmp_path):
+    f = tmp_path / "extra.blocks"
+    f.write_text(RECORD)
+    code, out, _ = run(["--catalog", str(f), "match", "--plus", "user-block", "--minus", "7.1_4^1", "--mode", "perp"])
+    assert code in (0, 1) and out
+    assert "user-block" not in blocks.full_catalog().ids()
+    assert "user-block" not in blocks.all_catalogs().ids()
+
+
+def test_checked_rows_are_not_checked_again(monkeypatch):
+    # during an invariants op and a perp match op, count the entries that `frozen` (the check
+    # under `mat` and every kernel) passes to operator.index in each call: none of them may
+    # come from a row held by a Lattice Gram, a Sublattice basis or a record Gram
+    made, calls = [], []
+    for cls in (lat.Lattice, lat.Sublattice):
+        def init(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            made.append(self)
+        monkeypatch.setattr(cls, "__init__", init)
+    real_index, real_frozen, checked = xa.index, xa.frozen, [0]
+
+    def index(x):
+        checked[0] += 1
+        return real_index(x)
+
+    def frozen(rows):
+        rows, before = list(rows), checked[0]
+        out = real_frozen(rows)
+        calls.append((rows, checked[0] - before))
+        return out
+    monkeypatch.setattr(xa, "index", index)
+    monkeypatch.setattr(xa, "frozen", frozen)
+    for argv in (["invariants", "--config", os.path.join(CONFIG_DIR, "no10.cfg")],
+                 ["match", "--plus", "7.1_10^1", "--minus", "7.1_4^1", "--mode", "perp"]):
+        assert run(argv)[0] == 0
+    held = [obj.gram if isinstance(obj, lat.Lattice) else obj.basis for obj in made]
+    held += [embed.k3_lattice().gram] + [rec.n_gram for rec in blocks.all_catalogs() if not rec.gramless]
+    held_ids = {id(row) for rows in held for row in rows}
+    shared = 0
+    for rows, n in calls:
+        unheld = sum(len(row) for row in rows if id(row) not in held_ids)
+        assert n <= unheld, (n, unheld)
+        shared += any(id(row) in held_ids for row in rows)
+    assert shared > 20  # the kernels do read held rows, so the bound above can fail
 
 
 def test_config_unknown_block_exit1(tmp_path):

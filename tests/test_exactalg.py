@@ -290,9 +290,9 @@ def test_signature_of_dense_rank22_grams():
 
 
 def test_hnf_examples():
-    assert xa.hnf(xa.eye(2)) == [[1, 0], [0, 1]]
-    assert xa.hnf([[2, 0], [0, 0]]) == [[2, 0]]
-    assert xa.hnf([[1, 2], [3, 4]]) == [[1, 0], [0, 2]]
+    assert xa.hnf(xa.eye(2)) == ((1, 0), (0, 1))
+    assert xa.hnf([[2, 0], [0, 0]]) == ((2, 0),)
+    assert xa.hnf([[1, 2], [3, 4]]) == ((1, 0), (0, 2))
 
 
 def test_hnf_preserves_row_space():
@@ -309,8 +309,8 @@ def test_hnf_preserves_row_space():
 
 
 def test_kernel_basis_examples():
-    assert xa.kernel_basis(xa.eye(3)) == []
-    assert xa.kernel_basis([[2], [-1]]) == [[1, 2]]
+    assert xa.kernel_basis(xa.eye(3)) == ()
+    assert xa.kernel_basis([[2], [-1]]) == ((1, 2),)
 
 
 def test_kernel_basis_random_rank2():
@@ -362,6 +362,31 @@ def test_kernels_leave_their_argument_unchanged():
         before = [row[:] for row in A]
         kernel(A)
         assert A == before
+
+
+# symmetric inputs that no checked constructor or kernel may take: a float, a non-integral
+# Fraction, a ragged row; each also as plain tuples, which no shortcut for checked rows may trust
+NOT_INTEGER_MATRICES = {
+    "float": [[2.0, 1], [1, 2]],
+    "fraction": [[Fraction(1, 2), 1], [1, 2]],
+    "ragged": [[2, 1], [1]],
+}
+
+
+@pytest.mark.parametrize("as_tuples", [False, True])
+@pytest.mark.parametrize("case", sorted(NOT_INTEGER_MATRICES))
+def test_checked_constructors_and_kernels_reject_non_integer_matrices(case, as_tuples):
+    A = NOT_INTEGER_MATRICES[case]
+    if as_tuples:
+        A = tuple(map(tuple, A))
+    calls = [xa.frozen, xa.mat, lat.Lattice, lambda A: lat.Sublattice(lat.U(), A),
+             xa.snf, xa.hnf, xa.kernel_basis, lambda A: xa.solve_integer(A, [1, 1]), xa.det, xa.rank,
+             xa.unimodular_inverse, xa.signature]
+    if case == "ragged":
+        calls.append(xa.rational_inverse)  # its entries may be Fractions
+    for call in calls:
+        with pytest.raises(ValueError if case == "ragged" else TypeError):
+            call(A)
 
 
 def test_det_and_inverse():

@@ -11,9 +11,9 @@ from tcslat import lattice as lat
 
 def test_perpendicular_sum():
     W = lat.direct_sum(lat.diag_lattice(4), lat.diag_lattice(4))
-    assert W.gram == [[4, 0], [0, 4]]
+    assert W.gram == ((4, 0), (0, 4))
     W2 = lat.direct_sum(lat.diag_lattice(4), lat.diag_lattice(22))
-    assert W2.gram == [[4, 0], [0, 22]]
+    assert W2.gram == ((4, 0), (0, 22))
 
 
 def test_pushout_failure_quartic_with_line():

@@ -162,7 +162,7 @@ def test_orthogonal_complement_examples():
     Uu = lat.U()
     S = lat.Sublattice(Uu, [[1, 0]])
     C = lat.orthogonal_complement(S)
-    assert C.basis == [[1, 0]]
+    assert C.basis == ((1, 0),)
 
     amb = lat.direct_sum(lat.diag_lattice(4), lat.diag_lattice(4), lat.U())
     S = lat.Sublattice(amb, [[1, 0, 0, 0]])
@@ -176,7 +176,7 @@ def test_orthogonal_complement_examples():
 def test_saturation_examples():
     Uu = lat.U()
     S = lat.Sublattice(Uu, [[2, 0]])
-    assert lat.saturation(S).basis == [[1, 0]]
+    assert lat.saturation(S).basis == ((1, 0),)
     S2 = lat.Sublattice(Uu, [[1, 1]])
     assert lat.saturation(S2).same_module(S2)
     assert lat.is_primitive(lat.saturation(S))
@@ -189,7 +189,7 @@ def test_saturation_index2_example():
     amb = lat.diag_lattice(2, 2)
     W = lat.Sublattice(amb, [[1, 1], [1, -1]])
     satd = lat.saturation(W)
-    assert satd.basis == [[1, 0], [0, 1]]
+    assert satd.basis == ((1, 0), (0, 1))
 
 
 def test_intersect_and_sum():
@@ -204,7 +204,7 @@ def test_intersect_and_sum():
     N4 = lat.Sublattice(amb, [[1, 0, 0, 0], [0, 0, 0, 1]])
     I = lat.intersect(N3, N4)
     assert I.rank == 1
-    assert I.basis == [[1, 0, 0, 0]]
+    assert I.basis == ((1, 0, 0, 0),)
 
 
 def test_quotient_torsion():
