@@ -221,10 +221,14 @@ def _validate_record(fields, path, lineno):
     rid = fields.get("id")
     if not rid:
         raise CatalogError(f"{path}:{lineno}: record without id")
+    if type(rid) is not str:
+        raise CatalogError(f"{path}:{lineno}: id must be a string, got {rid!r}")
     kind = fields.get("kind")
-    if kind not in KINDS:
+    if type(kind) is not str or kind not in KINDS:
         raise CatalogError(f"{path}:{lineno}: {rid}: unknown kind {kind!r}")
-    gramless = bool(fields.get("gramless", False))
+    gramless = fields.get("gramless", False)
+    if type(gramless) is not bool:
+        raise CatalogError(f"{path}:{lineno}: {rid}: gramless must be true or false, got {gramless!r}")
     div_c2 = fields.get("div_c2", set())
     # `{}` is how the format writes the empty set
     if not (isinstance(div_c2, (set, list, tuple)) or div_c2 == {}) or any(type(x) is not int for x in div_c2):
@@ -241,10 +245,15 @@ def _validate_record(fields, path, lineno):
     where = f"{path}:{lineno}: {rid}"
     gram = A = None  # a gramless record keeps neither
     if gramless:
-        if fields.get("ell") is None or "rank" not in meta:
-            raise CatalogError(f"{where}: gramless record needs rank and ell")
-        if fields.get("disc") is not None:
-            meta["disc"] = list(fields["disc"])
+        for key in ("rank", "ell"):
+            if type(fields.get(key)) is not int or fields[key] < 0:
+                raise CatalogError(f"{where}: gramless record needs {key}, a nonnegative integer, "
+                                   f"got {fields.get(key)!r}")
+        disc = fields.get("disc")
+        if disc is not None:
+            if not isinstance(disc, list) or any(type(x) is not int for x in disc):
+                raise CatalogError(f"{where}: disc must be a list of integers, got {disc!r}")
+            meta["disc"] = disc
     else:
         if fields.get("gram") is None:
             raise CatalogError(f"{where}: missing gram")

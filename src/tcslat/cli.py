@@ -109,7 +109,7 @@ def cmd_embed(args):
         print("verdict = ImpossibleByNecessary")
         return 1
     verdict = embed.construct_embedding(W)
-    if verdict.status != embed.EXISTS_CONSTRUCTED and W.rank <= 6:
+    if verdict.status != embed.EXISTS_CONSTRUCTED:
         rows = embed.place(W, ("U1", "U2", "U3"), args.search_bound)
         if rows is not None:
             verdict = embed.EmbeddingVerdict(embed.EXISTS_CONSTRUCTED, basis=rows, primitive=True)

@@ -69,7 +69,10 @@ def pair(x, G, y):
 def clear_denominators(rows):
     """(D, M) with D the lcm of the denominators of all entries (ints or
     Fractions) and M = D * rows as integer rows; one D for the whole matrix."""
-    D = lcm(*(x.denominator for row in rows for x in row))
+    try:
+        D = lcm(*(x.denominator for row in rows for x in row))
+    except AttributeError:  # such as a float, which has no denominator
+        raise TypeError("entries must be ints or Fractions") from None
     return D, [[x.numerator * (D // x.denominator) for x in row] for row in rows]
 
 

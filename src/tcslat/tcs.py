@@ -333,7 +333,8 @@ def load_config(path, catalog):
         if key not in fields:
             raise ConfigError(f"{path}: missing {key}")
     for key, kind, what in (("block_plus", str, "a block id"), ("block_minus", str, "a block id"),
-                            ("resolution_plus", int, "an integer"), ("resolution_minus", int, "an integer")):
+                            ("resolution_plus", int, "an integer"), ("resolution_minus", int, "an integer"),
+                            ("ample_cone_asserted", bool, "true or false")):
         if key in fields and type(fields[key]) is not kind:
             raise ConfigError(f"{path}: {key} must be {what}, got {fields[key]!r}")
     div_pair = fields.get("div_c2_mod_image")
@@ -347,6 +348,6 @@ def load_config(path, catalog):
         resolution_plus=fields.get("resolution_plus"),
         resolution_minus=fields.get("resolution_minus"),
         div_c2_mod_image=tuple(div_pair) if div_pair else None,
-        ample_cone_asserted=bool(fields.get("ample_cone_asserted", False)),
+        ample_cone_asserted=fields.get("ample_cone_asserted", False),
         name=fields.get("config", str(path)),
     )

@@ -273,6 +273,23 @@ MALFORMED = {
     "catalog-e-str": ("x.blocks", RECORD + "e = 'x'\n", ["--catalog", "{}", "catalog", "list"]),
     "catalog-div-c2-mod-Aperp-str": ("x.blocks", RECORD + "div_c2_mod_Aperp = 'y'\n",
                                      ["--catalog", "{}", "catalog", "list"]),
+    "catalog-id-int": ("x.blocks", RECORD.replace("id = user-block", "id = 5"),
+                       ["--catalog", "{}", "catalog", "list"]),
+    "catalog-id-list": ("x.blocks", RECORD.replace("id = user-block", "id = [[]]"),
+                        ["--catalog", "{}", "catalog", "list"]),
+    "catalog-kind-list": ("x.blocks", RECORD.replace("kind = semifano_small_res", "kind = []"),
+                          ["--catalog", "{}", "catalog", "list"]),
+    "catalog-gramless-no": ("g.blocks", GRAMLESS.replace("gramless = true", "gramless = no"),
+                            ["--catalog", "{}", "catalog", "show", "user-gramless"]),
+    "catalog-gramless-int": ("g.blocks", GRAMLESS.replace("gramless = true", "gramless = 1"),
+                             ["--catalog", "{}", "catalog", "list"]),
+    "gramless-disc-int": ("g.blocks", GRAMLESS + "disc = 5\n", ["--catalog", "{}", "catalog", "list"]),
+    "gramless-rank-list": ("g.blocks", GRAMLESS.replace("rank = 2", "rank = []"),
+                           ["--catalog", "{}", "geography", "general", "--filter", "rankell22"]),
+    "gramless-ell-list": ("g.blocks", GRAMLESS.replace("ell = 1", "ell = [[]]"),
+                          ["--catalog", "{}", "geography", "general", "--filter", "rankell22"]),
+    "config-ample-no": ("x.cfg", NO8 + "ample_cone_asserted = no\n", ["invariants", "--config", "{}"]),
+    "config-ample-int": ("x.cfg", NO8 + "ample_cone_asserted = 0\n", ["invariants", "--config", "{}"]),
     "config-div-pair-int": ("x.cfg", NO8 + "div_c2_mod_image = 5\n", ["invariants", "--config", "{}"]),
     "config-div-pair-short": ("x.cfg", NO8 + "div_c2_mod_image = [1]\n", ["invariants", "--config", "{}"]),
     "config-div-pair-str": ("x.cfg", NO8 + "div_c2_mod_image = ['a', 'b']\n",

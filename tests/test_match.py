@@ -1,4 +1,5 @@
 import collections
+import importlib.util
 import os
 from fractions import Fraction
 
@@ -120,15 +121,37 @@ def test_perp_match_refuses_the_rank10_minus_search(plus, minus, criterion, rank
     ]) + "\n"
 
 
-# tools/make_configs.py takes these files' rows from the perp certificates;
-# its --check run is the full regeneration, too slow to run here
-@pytest.mark.parametrize("name", [f"no2{c}" for c in "abcd"] + [f"no5{c}" for c in "abcdefg"]
-                         + [f"no6{c}" for c in "abcde"])
-def test_config_rows_are_the_perp_certificate_rows(name):
+# tools/make_configs.py takes these files' rows from the certificates `tcslat match` prints, with
+# the mode given as match's argv after --mode; orth finds its R vectors at the default bound 6
+ORTH_R = ["orth", "--assert-ample", "--r"]
+CERTIFIED_CONFIGS = (
+    [("no1", ["perp-over", "--glue-index", "2"]), ("no1-primitive", ["perp"])]
+    + [(f"no2{c}", ["perp"]) for c in "abcd"] + [("no3", ["perp"])]
+    + [(f"no5{c}", ["perp"]) for c in "abcdefg"] + [(f"no6{c}", ["perp"]) for c in "abcde"]
+    + [("no9a", ORTH_R + ["[[-6]]"]), ("no9c", ORTH_R + ["[[-16]]"])]
+    + [(f"no9{c}", ORTH_R + ["[[-4]]"]) for c in "bdefgh"]
+)
+
+
+@pytest.mark.parametrize("name, mode", CERTIFIED_CONFIGS, ids=[name for name, _ in CERTIFIED_CONFIGS])
+def test_config_rows_are_the_perp_certificate_rows(name, mode, capsys):
     cfg = tcs.load_config(os.path.join(CONFIG_DIR, f"{name}.cfg"), CAT)
-    cert = match.build_certificate(cfg.block_plus, cfg.block_minus, match.PerpendicularPrimitive())
-    assert cert.emb_plus.basis == cfg.emb_plus.basis
-    assert cert.emb_minus.basis == cfg.emb_minus.basis
+    argv = ["match", "--plus", cfg.block_plus.id, "--minus", cfg.block_minus.id, "--mode", *mode]
+    assert cli.main(argv) == 0
+    printed = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines())
+    assert printed["emb_plus"] == str(xa.mat(cfg.emb_plus.basis))
+    assert printed["emb_minus"] == str(xa.mat(cfg.emb_minus.basis))
+
+
+def test_make_configs_check_passes():
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_configs.py")
+    spec = importlib.util.spec_from_file_location("make_configs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    try:
+        tool.main(["--check"])
+    except SystemExit as exc:  # the tool exits naming the first file that differs or fails its check
+        pytest.fail(f"make_configs.py --check: {exc}")
 
 
 def test_certificate_burkhardt_obstructed():

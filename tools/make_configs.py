@@ -26,6 +26,7 @@ from tcslat import tcs
 OUT = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 CAT = blocks.full_catalog()
+PERP = match.PerpendicularPrimitive()
 
 
 class ConfigWriter:
@@ -90,11 +91,19 @@ def check(name, inv, b2, b3, th3, th4, a0, p1=None):
     print(f"{name}: ok (b2={b2} b3={b3} th3={th3 or '-'} th4={th4 or '-'} a0={a0} p1={inv.div_p1})")
 
 
-def perp_rows(plus, minus):
-    """The N+ and N- rows of the library's perpendicular primitive certificate for the pair."""
-    cert = match.build_certificate(CAT[plus], CAT[minus], match.PerpendicularPrimitive())
+def cert_rows(plus, minus, mode):
+    """The N+ and N- rows of the library's explicit certificate for the pair in this mode, as
+    `tcslat match` prints them; the positive-cone assertion is made, and only orth reads it."""
+    cert = match.build_certificate(CAT[plus], CAT[minus], mode, ample_cone_asserted=True)
     assert isinstance(cert, match.MatchCertificate) and cert.is_explicit(), (plus, minus)
     return cert.emb_plus.basis, cert.emb_minus.basis
+
+
+def orth_along(plus, minus, m):
+    """The orth mode along R = <m> with the R vectors `tcslat match --mode orth` finds at its
+    default --search-bound 6."""
+    vp, vm = (lat.find_primitive_vector(CAT[b].lattice(), m, 6) for b in (plus, minus))
+    return match.Orthogonal([[m]], [vp], [vm])
 
 
 def library_rows(gram, primitive):
@@ -112,22 +121,17 @@ def main(argv=None):
     if not writer.check:
         os.makedirs(OUT, exist_ok=True)
 
-    # --- No 1: quartic x quartic through the index-2 overlattice of <2> + <2>
-    # u + v and u - v for u = (1, 1) in U1 and v = (1, 1) in U2
-    ep = embed.scatter([[1, 1, 1, 1]], ("U1", "U2"))
-    em = embed.scatter([[1, 1, -1, -1]], ("U1", "U2"))
+    # --- No 1: quartic x quartic through the index-2 overlattice <2> + <2> of <4> + <4>
     _, inv = writer.write(
-        "no1", "7.1_4^1", "7.1_4^1", ep, em,
+        "no1", "7.1_4^1", "7.1_4^1", *cert_rows("7.1_4^1", "7.1_4^1", match.PerpendicularOverlattice(2)),
         comment="both blocks from the smooth quartic; glued through the index-2\n"
         "overlattice of <2> + <2>, so H3 picks up 2-torsion",
     )
     check("no1", inv, 0, 155, [2], [], 0, 8)
 
-    # primitive variant of the same pair (the rank-1 census entry b = 132):
-    # <4> as (1, 2) in U1 and in U2
-    q1, q2 = embed.scatter([[1, 2]], ("U1",)), embed.scatter([[1, 2]], ("U2",))
+    # primitive variant of the same pair (the rank-1 census entry b = 132)
     _, inv = writer.write(
-        "no1-primitive", "7.1_4^1", "7.1_4^1", q1, q2,
+        "no1-primitive", "7.1_4^1", "7.1_4^1", *cert_rows("7.1_4^1", "7.1_4^1", PERP),
         comment="same pair of blocks, primitive perpendicular gluing",
     )
     check("no1-primitive", inv, 0, 155, [], [], 0, 8)
@@ -137,14 +141,15 @@ def main(argv=None):
            "no2c": ("Ex7.3", "Ex7.5", 107, 26), "no2d": ("Ex7.3", "Ex7.6", 109, 25)}
     for name, (bp, bm, b3, a0) in no2.items():
         extra = {"resolution_plus": max(CAT[bp].div_c2), "resolution_minus": max(CAT[bm].div_c2)}
-        _, inv = writer.write(name, bp, bm, *perp_rows(bp, bm), extra=extra)
+        _, inv = writer.write(name, bp, bm, *cert_rows(bp, bm, PERP), extra=extra)
         check(name, inv, 0, b3, [], [], a0)
 
     # --- No 3: quartic x the P3 block with rk K = 3
-    _, inv = writer.write("no3", "7.1_4^1", "Ex7.8", q1, q2)
+    _, inv = writer.write("no3", "7.1_4^1", "Ex7.8", *cert_rows("7.1_4^1", "Ex7.8", PERP))
     check("no3", inv, 3, 116, [], [], 24, 4)
 
-    # --- No 4: Ex7.12 x Ex7.10, perpendicular primitive (criterion (ii) territory)
+    # --- No 4: Ex7.12 x Ex7.10, perpendicular primitive (criterion (ii) territory).  Own rows:
+    # the perp certificate of this pair is by criterion only, with no rows to take
     ep = embed.place(lat.Lattice(CAT["Ex7.12"].n_gram), ("U1", "U2"), 3)
     assert ep is not None
     # Ex7.10: E8(-1) identity into E8a, <8> = (1,4) in U3, <-16> primitive in E8b
@@ -162,14 +167,16 @@ def main(argv=None):
                 "no6c": ("7.1_18^1", 53), "no6d": ("7.1_3^2", 65), "no6e": ("7.1_2^3", 85)}
     for name, (partner, b3) in partners.items():
         _, inv = writer.write(
-            name, "Ex7.7", partner, *perp_rows("Ex7.7", partner),
+            name, "Ex7.7", partner, *cert_rows("Ex7.7", partner, PERP),
             comment=f"rank-16 block against {partner}: rank-1 image is a primitive\n"
             f"norm-{CAT[partner].n_gram[0][0]} vector of the complement A2(-1) + 2U(3)",
         )
         th3 = [3] if name.startswith("no6") else []
         check(name, inv, 0, b3, th3, [], 45, 4)
 
-    # --- No 7: the nongeneric toric block against itself, explicit 3U matrix
+    # --- No 7: the nongeneric toric block against itself, explicit 3U matrix.  No 7, 8 and 11
+    # keep their own rows: each is a deliberately different gluing (imprimitive or
+    # non-orthogonal) from the library's verified embedding of a chosen Gram
     rows = library_rows([[8, 0, 0, 0], [0, -16, 0, 0], [0, 0, 8, 0], [0, 0, 0, -16]], False)
     ep = embed.scatter(xa.eye(8), ("E8a",)) + rows[:2]
     em = embed.scatter(xa.eye(8), ("E8b",)) + rows[2:]
@@ -190,47 +197,26 @@ def main(argv=None):
     )
     check("no8", inv, 0, 95, [4, 4], [], 32, 8)
 
-    # --- No 9a-9h: rank-2 Fano blocks glued along a rank-1 intersection
-    pushouts = {
-        "no9a": ("MM2-2", "MM2-24", -6, [2, -1], [1, -1]),
-        "no9b": ("MM2-6", "MM2-6", -4, [1, -1], [1, -1]),
-        "no9c": ("MM2-10", "MM2-10", -16, [1, -3], [1, -3]),
-        "no9d": ("MM2-12", "MM2-12", -4, [1, -1], [1, -1]),
-        "no9e": ("MM2-21", "MM2-21", -4, [1, -1], [1, -1]),
-        "no9f": ("MM2-6", "MM2-12", -4, [1, -1], [1, -1]),
-        "no9g": ("MM2-6", "MM2-21", -4, [1, -1], [1, -1]),
-        "no9h": ("MM2-12", "MM2-21", -4, [1, -1], [1, -1]),
-    }
-    expect9 = {"no9a": (102, 12), "no9b": (86, 24), "no9c": (70, 16), "no9d": (78, 8),
-               "no9e": (82, 8), "no9f": (82, 8), "no9g": (84, 8), "no9h": (80, 8)}
+    # --- No 9a-9h: rank-2 Fano blocks glued along a rank-1 intersection R = <m>
+    no9 = {"no9a": ("MM2-2", "MM2-24", -6, 102, 12), "no9b": ("MM2-6", "MM2-6", -4, 86, 24),
+           "no9c": ("MM2-10", "MM2-10", -16, 70, 16), "no9d": ("MM2-12", "MM2-12", -4, 78, 8),
+           "no9e": ("MM2-21", "MM2-21", -4, 82, 8), "no9f": ("MM2-6", "MM2-12", -4, 82, 8),
+           "no9g": ("MM2-6", "MM2-21", -4, 84, 8), "no9h": ("MM2-12", "MM2-21", -4, 80, 8)}
     comment9a = (
         "glued along the common rank-1 complement of the pushout class;\n"
         "b3 is asserted at 102, the value forced by the blocks' own b3 data\n"
         "through the Betti-sum identity (the figure 82 sometimes quoted for this\n"
         "gluing is inconsistent with that data)"
     )
-    for name, (bp, bm, rnorm, vplus, vminus) in pushouts.items():
-        Npl = lat.Lattice(CAT[bp].n_gram)
-        Nmi = lat.Lattice(CAT[bm].n_gram)
-        R = lat.diag_lattice(rnorm)
-        res = glue.orthogonal_pushout(glue.PushoutSpec(Npl, Nmi, R, [vplus], [vminus]))
-        assert isinstance(res, glue.PushoutResult), name
-        W = res.w
-        for bound in (3, 4, 5):  # the smallest bound that places W picks the rows
-            B = embed.place(W, ("U1", "U2", "U3"), bound)
-            if B is not None:
-                break
-        assert B is not None, name
-        ep = xa.matmul(res.n_plus_in_w.basis, B)
-        em = xa.matmul(res.n_minus_in_w.basis, B)
-        _, inv = writer.write(name, bp, bm, ep, em, extra={"ample_cone_asserted": True},
-                              comment=comment9a if name == "no9a" else "")
-        b3, p1 = expect9[name]
+    for name, (bp, bm, m, b3, p1) in no9.items():
+        _, inv = writer.write(name, bp, bm, *cert_rows(bp, bm, orth_along(bp, bm, m)),
+                              extra={"ample_cone_asserted": True}, comment=comment9a if name == "no9a" else "")
         check(name, inv, 1, b3, [], [], 0, p1)
 
     # --- No 10: H4 torsion from the rank-3 nongeneric blocks.  The rank-5
     # pushout has discriminant rank 5, so it needs an E8 slot; seed the search
-    # with a primitive placement of N+ and extend by the two remaining rows.
+    # with a primitive placement of N+ and extend by the two remaining rows.  Own rows:
+    # orth searches 3U only, where `tcslat match` reads EmbeddingUnknown.
     N = lat.Lattice(CAT["Ex7.9"].n_gram)
     R = lat.diag_lattice(-8)
     res = glue.orthogonal_pushout(glue.PushoutSpec(N, N, R, [[-1, -1, 1]], [[-1, -1, 1]]))
