@@ -206,11 +206,47 @@ def parse_gram(text, where):
     return gram_lattice(value, where)
 
 
+_INT = (lambda v: type(v) is int, "an integer")
+_NONNEGATIVE = (lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+
+# Each format's field types, read by `check_fields`: key -> (test, what the value must be).  Unlisted
+# keys (`name`, `notes`, `resolutions`, `genus`, `config`, the matrices) are not type-checked there.
+RECORD_FIELDS = {
+    "id": (lambda v: type(v) is str and v != "", "a non-empty string"),
+    "kind": (lambda v: type(v) is str and v in KINDS, "one of " + ", ".join(sorted(KINDS))),
+    "gramless": _BOOL,
+    # `{}` is how the format writes the empty set
+    "div_c2": (lambda v: (isinstance(v, (set, list, tuple)) or v == {}) and all(type(x) is int for x in v),
+               "a set of integers"),
+    "disc": (lambda v: type(v) is list and all(type(x) is int for x in v), "a list of integers"),
+    **dict.fromkeys(("b3_Z", "div_c2_mod_Aperp"), _INT),
+    **dict.fromkeys(("rk_K", "e", "rank", "ell", "b3_Y"), _NONNEGATIVE),
+    **dict.fromkeys(("r", "d"), (lambda v: type(v) is int and v > 0, "a positive integer")),
+}
+CONFIG_FIELDS = {
+    "schema": (lambda v: type(v) is int and v == 1, "1"),
+    **dict.fromkeys(("block_plus", "block_minus"), (lambda v: type(v) is str, "a block id")),
+    **dict.fromkeys(("resolution_plus", "resolution_minus"), _INT),
+    "ample_cone_asserted": _BOOL,
+    "div_c2_mod_image": (lambda v: is_int_matrix([v], 1, 2), "a pair of integers"),
+}
+
+
+def check_fields(fields, table, required, where, error=CatalogError):
+    """Raise `error` at the first missing `required` key, then at the first value failing its test."""
+    for key in required:
+        if key not in fields:
+            raise error(f"{where}: missing {key}")
+    for key, value in fields.items():
+        if key in table and not table[key][0](value):
+            raise error(f"{where}: {key} must be {table[key][1]}, got {value!r}")
+
+
 def load_gram(path):
     """The lattice W of a W file (`embed --w`): one required `gram` key."""
     fields = read_fields(path)
-    if "gram" not in fields:
-        raise CatalogError(f"{path}: missing gram")
+    check_fields(fields, {}, ("gram",), path)
     W = gram_lattice(fields["gram"], path)
     if not W.is_nondegenerate():
         raise CatalogError(f"{path}: gram is degenerate")
@@ -218,45 +254,16 @@ def load_gram(path):
 
 
 def _validate_record(fields, path, lineno):
-    rid = fields.get("id")
-    if not rid:
-        raise CatalogError(f"{path}:{lineno}: record without id")
-    if type(rid) is not str:
-        raise CatalogError(f"{path}:{lineno}: id must be a string, got {rid!r}")
-    kind = fields.get("kind")
-    if type(kind) is not str or kind not in KINDS:
-        raise CatalogError(f"{path}:{lineno}: {rid}: unknown kind {kind!r}")
     gramless = fields.get("gramless", False)
-    if type(gramless) is not bool:
-        raise CatalogError(f"{path}:{lineno}: {rid}: gramless must be true or false, got {gramless!r}")
-    div_c2 = fields.get("div_c2", set())
-    # `{}` is how the format writes the empty set
-    if not (isinstance(div_c2, (set, list, tuple)) or div_c2 == {}) or any(type(x) is not int for x in div_c2):
-        raise CatalogError(f"{path}:{lineno}: {rid}: div_c2 must be a set of integers, got {div_c2!r}")
-    for key in ("rk_K", "e"):
-        value = fields.get(key, 0)
-        if type(value) is not int or value < 0:
-            raise CatalogError(f"{path}:{lineno}: {rid}: {key} must be a nonnegative integer, got {value!r}")
+    needs = ("rank", "ell") if gramless is True else ("gram", "A", "b3_Z")
+    check_fields(fields, RECORD_FIELDS, ("id", "kind") + needs, f"{path}:{lineno}")
+    rid, kind, div_c2 = fields["id"], fields["kind"], fields.get("div_c2", set())
     div_mod = fields.get("div_c2_mod_Aperp")
-    if div_mod is not None and type(div_mod) is not int:
-        raise CatalogError(f"{path}:{lineno}: {rid}: div_c2_mod_Aperp must be an integer, got {div_mod!r}")
-    meta_keys = ("r", "d", "b3_Y", "name", "rank", "resolutions", "genus")
+    meta_keys = ("r", "d", "b3_Y", "name", "rank", "resolutions", "genus", "disc")
     meta = {k: fields[k] for k in meta_keys if k in fields}
-    where = f"{path}:{lineno}: {rid}"
     gram = A = None  # a gramless record keeps neither
-    if gramless:
-        for key in ("rank", "ell"):
-            if type(fields.get(key)) is not int or fields[key] < 0:
-                raise CatalogError(f"{where}: gramless record needs {key}, a nonnegative integer, "
-                                   f"got {fields.get(key)!r}")
-        disc = fields.get("disc")
-        if disc is not None:
-            if not isinstance(disc, list) or any(type(x) is not int for x in disc):
-                raise CatalogError(f"{where}: disc must be a list of integers, got {disc!r}")
-            meta["disc"] = disc
-    else:
-        if fields.get("gram") is None:
-            raise CatalogError(f"{where}: missing gram")
+    if not gramless:
+        where = f"{path}:{lineno}: {rid}"
         L = gram_lattice(fields["gram"], where)
         if not L.is_even():
             raise CatalogError(f"{where}: violates evenness (K3 Picard sublattice)")
@@ -266,7 +273,7 @@ def _validate_record(fields, path, lineno):
             sig = "degenerate"
         if sig != (1, L.rank - 1):
             raise CatalogError(f"{where}: violates signature (1, rank-1), got {sig}")
-        gram, A = L.gram, fields.get("A")
+        gram, A = L.gram, fields["A"]
         if not is_int_matrix([A], 1, L.rank):
             raise CatalogError(f"{where}: A must be an integer vector of length {L.rank}")
         AA = L.norm(A)
@@ -274,7 +281,7 @@ def _validate_record(fields, path, lineno):
             raise CatalogError(f"{where}: violates A.A > 0")
         if fields.get("minus_k3", AA) != AA:
             raise CatalogError(f"{where}: violates A.A = -K^3")
-        if type(fields.get("b3_Z")) is not int or fields["b3_Z"] % 2 != 0:
+        if fields["b3_Z"] % 2 != 0:
             raise CatalogError(f"{where}: violates b3_Z even")
         if any(v % 2 != 0 for v in div_c2):
             raise CatalogError(f"{where}: violates div_c2 even")
@@ -289,7 +296,7 @@ def _validate_record(fields, path, lineno):
 def parse_catalog_text(text, path="<string>"):
     records = parse_records(text, path)
     header = records[0][1] if records else {}
-    if next(iter(header), None) != "schema" or header.pop("schema") != 1:
+    if next(iter(header), None) != "schema" or not CONFIG_FIELDS["schema"][0](header.pop("schema")):
         raise CatalogError(f"{path}: the first pair must be 'schema = 1'")
     table = header.pop("table", "")
     return Catalog([_validate_record(fields, path, start) for start, fields in records if fields],

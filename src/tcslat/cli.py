@@ -37,6 +37,9 @@ def _load_catalogs(paths, cat=None):
 
 
 def cmd_catalog(args):
+    if (args.id is None) == (args.action == "show"):
+        print("error: catalog: show takes one id, list and validate none", file=sys.stderr)
+        return 2
     cat = _load_catalogs(args.catalog, blocks.all_catalogs())
     if args.action == "list":
         for rec in sorted(cat, key=lambda r: r.id):

@@ -344,7 +344,8 @@ def det(A):
 
 
 def rank(A):
-    return _bareiss(mat(A))[0]
+    M = mat(A)
+    return len(_hnf(M)) if M and M[0] else 0  # the nonzero rows of the HNF; `_hnf` rejects an empty M
 
 
 def signature(G):

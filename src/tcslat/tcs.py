@@ -292,7 +292,7 @@ def report_fields(inv, name=""):
     cls = inv.classification
     is_cls = isinstance(cls, Classification)
     return {
-        "config": name,
+        "config": str(name),  # a config named by a number, such as `config = 5`, has an int name
         "pi1_trivial": "true",
         "b2": str(inv.b2),
         "b3": str(inv.b3),
@@ -327,19 +327,8 @@ def report_tsv(inv, name=""):
 def load_config(path, catalog):
     """Read a gluing configuration file (catalog text schema + inline matrices)."""
     fields = blk.read_fields(path)
-    if fields.get("schema") != 1:
-        raise ConfigError(f"{path}: missing or unsupported schema")
-    for key in ("block_plus", "block_minus", "emb_plus", "emb_minus"):
-        if key not in fields:
-            raise ConfigError(f"{path}: missing {key}")
-    for key, kind, what in (("block_plus", str, "a block id"), ("block_minus", str, "a block id"),
-                            ("resolution_plus", int, "an integer"), ("resolution_minus", int, "an integer"),
-                            ("ample_cone_asserted", bool, "true or false")):
-        if key in fields and type(fields[key]) is not kind:
-            raise ConfigError(f"{path}: {key} must be {what}, got {fields[key]!r}")
-    div_pair = fields.get("div_c2_mod_image")
-    if div_pair is not None and not blk.is_int_matrix([div_pair], 1, 2):
-        raise ConfigError(f"{path}: div_c2_mod_image must be a pair of integers, got {div_pair!r}")
+    required = ("schema", "block_plus", "block_minus", "emb_plus", "emb_minus")
+    blk.check_fields(fields, blk.CONFIG_FIELDS, required, path, ConfigError)
     return GluingConfig(
         block_plus=catalog[fields["block_plus"]],
         block_minus=catalog[fields["block_minus"]],
@@ -347,7 +336,7 @@ def load_config(path, catalog):
         emb_minus=fields["emb_minus"],
         resolution_plus=fields.get("resolution_plus"),
         resolution_minus=fields.get("resolution_minus"),
-        div_c2_mod_image=tuple(div_pair) if div_pair else None,
+        div_c2_mod_image=tuple(fields.get("div_c2_mod_image", ())) or None,
         ample_cone_asserted=fields.get("ample_cone_asserted", False),
         name=fields.get("config", str(path)),
     )

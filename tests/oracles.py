@@ -33,10 +33,12 @@ def orthogonal_part_via_complement(S, other):
     return lat.intersect(S, lat.orthogonal_complement(other))
 
 
-def _in_span_by_rank(v, sub):
-    """v in the Q-span of sub, by rank: stacking v's cleared row on the basis
-    adds no rank.  Never for a rank-0 sub, as `match.verify_triple` reads it."""
-    return sub.rank > 0 and xa.rank([*sub.basis, *xa.clear_denominators([v])[1]]) == sub.rank
+def in_span_by_rank(v, sub):
+    """v in the Q-span of sub, by the Smith rank (not the HNF that `match._in_span`
+    rests on): stacking v's cleared row on the basis adds no rank.  Never for a
+    rank-0 sub, as `match.verify_triple` reads it."""
+    stacked = [*sub.basis, *xa.clear_denominators([v])[1]]
+    return sub.rank > 0 and xa.snf(stacked, left=False, right=False).rank == sub.rank
 
 
 def membership_via_complements(triple, emb_plus, emb_minus):
@@ -51,4 +53,4 @@ def membership_via_complements(triple, emb_plus, emb_minus):
         ("k_0 in span(T+)", triple.k_0, Tp),
         ("k_0 in span(T-)", triple.k_0, Tm),
     )
-    return [f"membership fails: {label}" for label, v, sub in checks if not _in_span_by_rank(v, sub)]
+    return [f"membership fails: {label}" for label, v, sub in checks if not in_span_by_rank(v, sub)]

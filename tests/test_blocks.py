@@ -135,6 +135,13 @@ div_c2 = {5}
         blocks.parse_catalog_text(bad)
 
 
+def test_every_field_table_key_is_documented():
+    path = os.path.join(os.path.dirname(__file__), "..", "docs", "catalog-format.md")
+    with open(path, encoding="utf-8") as fh:
+        doc = fh.read()
+    assert [key for key in (*blocks.RECORD_FIELDS, *blocks.CONFIG_FIELDS) if f"`{key}`" not in doc] == []
+
+
 def test_reject_missing_schema():
     with pytest.raises(blocks.CatalogError, match="schema"):
         blocks.parse_catalog_text("id = x\nkind = fano_rank1\n")

@@ -1,9 +1,11 @@
 import io
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
 
@@ -319,6 +321,9 @@ MALFORMED = {
     "glue-index-1": (None, None, GLUE_INDEX + ["1"]),
     "glue-index-negative": (None, None, GLUE_INDEX + ["-3"]),
     "g2-samples-negative": (None, None, ["g2", "verify", "--samples", "-3"]),
+    "catalog-show-no-id": (None, None, ["catalog", "show"]),
+    "catalog-list-id": (None, None, ["catalog", "list", "7.1_4^1"]),
+    "catalog-validate-id": (None, None, ["catalog", "validate", "7.1_4^1"]),
 }
 
 
@@ -400,6 +405,94 @@ def test_checked_rows_are_not_checked_again(monkeypatch):
         assert n <= unheld, (n, unheld)
         shared += any(id(row) in held_ids for row in rows)
     assert shared > 20  # the kernels do read held rows, so the bound above can fail
+
+
+# the input fuzz: each literal is written as a whole value, `key = <literal>`
+FUZZ_LITERALS = ("0", "-1", "1", "7" + "0" * 40, "2.5", "true", "false", "x", "", "[]", "[[]]", "[1, 2]",
+                 "[[4]]", "[[1, 2], [3]]", "[2.5]", "['a']", "{}", "{2}", "{2.5}", "{1: 2}", "()", "(1, 2)")
+
+
+def _raw_pairs(text, rid=None):
+    """The `key = value` pairs, values as written, of the record of id `rid` in a table's
+    text, or of all of a one-record file's text when `rid` is None."""
+    for block in [text] if rid is None else text.split("\n\n"):
+        pairs = {}
+        for line in block.splitlines():
+            if line.strip() and not line.startswith("#"):
+                key, _, raw = line.partition("=")
+                pairs[key.strip()] = raw.strip()
+        if rid is None or pairs.get("id") == rid:
+            return pairs
+
+
+def _mutations(pairs, table):
+    """`pairs` with one key of it or of `table` set to each fuzz literal, or dropped when present."""
+    for key in dict.fromkeys([*pairs, *table]):
+        for value in FUZZ_LITERALS + ((None,) if key in pairs else ()):
+            yield {k: v for k, v in {**pairs, key: value}.items() if v is not None}
+
+
+def _render(*records):
+    return "\n".join("".join(f"{k} = {v}\n" for k, v in rec.items()) for rec in records)
+
+
+def _fuzz_outcome(argv):
+    """None when `cli.main(argv)` keeps the exit-code contract, else what broke it."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except (Exception, SystemExit) as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+    out, err = out.getvalue(), err.getvalue()
+    if code not in (0, 1, 2):
+        return f"exit {code!r}"
+    # only the shape of an error is checked: a set's repr in it depends on the hash seed
+    if code == 2 and (out or len(err.splitlines()) != 1 or not err.startswith("error:") or "0x" in err):
+        return f"exit 2 with stdout {out[:80]!r} and stderr {err[:200]!r}"
+    return None
+
+
+def test_fuzzed_input_fields_keep_the_exit_code_contract(tmp_path):
+    # every key of the field tables and of a rank-1, a rank-2 and a gramless record, a catalog
+    # header, a gluing config and a W file, set to each fuzz literal or dropped: `cli.main` raises
+    # nothing, exits 0, 1 or 2, and exit 2 is one `error:` line on stderr with nothing on stdout
+    tables = resources.files("tcslat").joinpath("tables")
+    header = {"schema": "1", "table": "fuzz"}
+    bases = [dict(_raw_pairs(tables.joinpath(name).read_text(encoding="utf-8"), rid), id=f"fuzz-{rid}")
+             for name, rid in (("rank1.blocks", "7.1_4^1"), ("rank2.blocks", "MM2-6"),
+                               ("table6.polytopes", "polytope-3282"))]
+    catalogs = [(base["id"], _render(header, rec))
+                for base in bases for rec in _mutations(base, blocks.RECORD_FIELDS)]
+    catalogs += [(bases[0]["id"], _render(head, bases[0])) for head in _mutations(header, {})]
+    no2b = _raw_pairs(open(os.path.join(CONFIG_DIR, "no2b.cfg"), encoding="utf-8").read())
+    configs = [_render(cfg) for cfg in _mutations(no2b, blocks.CONFIG_FIELDS)]
+    grams = [_render(w) for w in _mutations({"gram": "[[4, 0], [0, 4]]"}, {})]
+    sample = set(random.Random(0).sample(range(len(catalogs)), 120))
+
+    runs = []
+    for i, (rid, text) in enumerate(catalogs):
+        path = tmp_path / f"c{i}.blocks"
+        path.write_text(text)
+        cat = ["--catalog", str(path)]
+        runs += [(text, cat + ["catalog", "validate"]), (text, cat + ["catalog", "show", rid])]
+        if i in sample:
+            runs += [(text, cat + ["catalog", "list"]),
+                     (text, cat + ["match", "--plus", rid, "--minus", "7.1_4^1", "--mode", "perp"])]
+            if i % 4 == 0:
+                runs.append((text, cat + ["geography", "general", "--filter", "rankell22"]))
+    for i, text in enumerate(configs):
+        path = tmp_path / f"x{i}.cfg"
+        path.write_text(text)
+        runs.append((text, ["invariants", "--config", str(path), "--format", ("human", "tsv")[i % 2]]))
+    for i, text in enumerate(grams):
+        path = tmp_path / f"w{i}.gram"
+        path.write_text(text)
+        runs.append((text, ["embed", "--w", str(path), "--search-bound", "1"]))
+
+    failures = [(argv[-3:], text, broke) for text, argv in runs if (broke := _fuzz_outcome(argv))]
+    assert not failures, f"{len(failures)} of {len(runs)} runs broke the contract, first: {failures[:3]}"
+    assert len(runs) > 2000
 
 
 def test_config_unknown_block_exit1(tmp_path):

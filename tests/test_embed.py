@@ -528,11 +528,12 @@ def test_summands_tile_the_k3_basis():
 
 
 # every summand set the package and tools/make_configs.py search in, with
-# the factors of no2d and the rank-3 self-glue pushout
+# the factors of no2d, the rank-3 self-glue pushout and no10's N = Ex7.9
 @pytest.mark.parametrize("summands, gram", [
     (("U1", "U2"), blocks.full_catalog()["Ex7.3"].n_gram),
     (("U3", "E8a"), blocks.full_catalog()["Ex7.6"].n_gram),
     (("U1", "U2", "U3"), [[2, 4, -1], [4, 2, 1], [-1, 1, 2]]),
+    (("U1", "U2", "E8a"), blocks.full_catalog()["Ex7.9"].n_gram),
 ])
 def test_place_stays_in_its_summands(summands, gram):
     W = lat.Lattice(gram)

@@ -125,7 +125,7 @@ def main(argv=None):
     _, inv = writer.write(
         "no1", "7.1_4^1", "7.1_4^1", *cert_rows("7.1_4^1", "7.1_4^1", match.PerpendicularOverlattice(2)),
         comment="both blocks from the smooth quartic; glued through the index-2\n"
-        "overlattice of <2> + <2>, so H3 picks up 2-torsion",
+        "overlattice <2> + <2> of <4> + <4>, so H3 picks up 2-torsion",
     )
     check("no1", inv, 0, 155, [2], [], 0, 8)
 
