@@ -1,5 +1,6 @@
 """Replay the frozen CLI corpus (stdout and exit code must match byte for
-byte) and the frozen renderings of seeded g2alg calls.
+byte), the frozen renderings of seeded g2alg calls and the frozen torsion
+linking table of every config.
 
 Both are written by tools/make_golden.py; regenerate them only when a change
 to the output is intended."""
@@ -56,6 +57,23 @@ def test_g2alg_golden_covers_every_case():
 def test_g2alg_golden(name):
     """Each seeded g2alg call renders exactly as frozen by tools/make_golden.py."""
     assert MAKE_GOLDEN.render_call(G2ALG_CASES[name]) == G2ALG[name]
+
+
+LINKING_CASES = dict(MAKE_GOLDEN.linking_cases())
+
+with open(os.path.join(ROOT, "tests", "golden", "linking.json"), encoding="utf-8") as fh:
+    LINKING = json.load(fh)
+
+
+def test_linking_golden_covers_every_config():
+    assert list(LINKING) == list(LINKING_CASES)
+
+
+@pytest.mark.parametrize("name", list(LINKING))
+def test_linking_golden(name):
+    """Each config's torsion linking table (orders and "n/d" values) renders
+    exactly as frozen by tools/make_golden.py."""
+    assert MAKE_GOLDEN.render_call(LINKING_CASES[name]) == LINKING[name]
 
 
 def test_make_golden_check_names_the_first_case_that_differs(tmp_path):

@@ -2,8 +2,10 @@
 """Freeze the stdout and exit code of deterministic CLI invocations into
 tests/golden/corpus.json, which tests/test_golden.py replays, the stdout of
 every demo into tests/golden/demos/, which tests/test_demos.py compares, and a
-rendering of fixed seeded g2alg calls into tests/golden/g2alg.json, which
-tests/test_golden.py recomputes through ``g2alg_cases`` and ``render_call``.
+rendering of fixed seeded g2alg calls into tests/golden/g2alg.json, and the
+torsion linking table of every config into tests/golden/linking.json, both of
+which tests/test_golden.py recomputes through ``g2alg_cases``,
+``linking_cases`` and ``render_call``.
 
 Every case runs in-process through ``tcslat.cli.main`` with the repository
 root as the working directory, so file arguments are repository-relative.
@@ -31,13 +33,14 @@ from fractions import Fraction
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from tcslat import blocks, cli, g2alg  # noqa: E402
+from tcslat import blocks, cli, g2alg, tcs  # noqa: E402
 from tcslat import exactalg as xa  # noqa: E402
 
 GOLDEN = os.path.join("tests", "golden")
 CORPUS = os.path.join(ROOT, GOLDEN, "corpus.json")
 DEMO_GOLDEN = os.path.join(ROOT, GOLDEN, "demos")
 G2ALG_GOLDEN = os.path.join(ROOT, GOLDEN, "g2alg.json")
+LINKING_GOLDEN = os.path.join(ROOT, GOLDEN, "linking.json")
 
 
 def _gram(name):
@@ -149,7 +152,7 @@ def demo_stdout(script):
 
 
 def render(x):
-    """A JSON value that depends only on the value of a g2alg result: Fractions
+    """A JSON value that depends only on the value of a result: Fractions
     as "n/d", dict items sorted by key, other objects as their class name and
     attributes."""
     if x is None or isinstance(x, (bool, int, float, str)):
@@ -278,13 +281,24 @@ def g2alg_cases():
     return out
 
 
+def linking_cases():
+    """(config path, zero-argument call) for the torsion linking table of every
+    config in configs/, in sorted order."""
+    out = []
+    for cfg in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        path = os.path.join(ROOT, "configs", cfg)
+        out.append((os.path.join("configs", cfg),
+                    lambda path=path: tcs.torsion_linking(tcs.load_config(path, blocks.full_catalog()))))
+    return out
+
+
 def _json(value):
     return json.dumps(value, indent=1) + "\n"
 
 
 def golden_files():
-    """(what, where, files) for the corpus, the demo outputs and the g2alg
-    renderings, each recomputed in memory; files are (path, text, cases) with
+    """(what, where, files) for the corpus, the demo outputs, the g2alg
+    renderings and the linking tables, each recomputed in memory; files are (path, text, cases) with
     text the exact file content and cases its entries by name, in file order."""
     corpus = []
     for argv in cases():
@@ -299,6 +313,8 @@ def golden_files():
     yield "demo outputs", DEMO_GOLDEN, demos
     frozen = {name: render_call(call) for name, call in g2alg_cases()}
     yield "g2alg calls", G2ALG_GOLDEN, [(G2ALG_GOLDEN, _json(frozen), frozen)]
+    frozen = {name: render_call(call) for name, call in linking_cases()}
+    yield "linking tables", LINKING_GOLDEN, [(LINKING_GOLDEN, _json(frozen), frozen)]
 
 
 def first_difference(path, text, cases):
