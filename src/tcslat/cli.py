@@ -76,11 +76,11 @@ def cmd_catalog(args):
     return 1 if failures else 0
 
 
-def _find_r_vector(N, r_lattice, bound):
+def _find_r_vector(side, N, r_lattice, bound):
     target = r_lattice.gram[0][0]
     v = lat.find_primitive_vector(N, target, bound)
     if v is None:
-        print(f"no primitive vector of norm {target} within bound {bound}", file=sys.stderr)
+        print(f"{side}: no primitive vector of norm {target} within bound {bound}", file=sys.stderr)
     return v
 
 
@@ -89,8 +89,8 @@ def cmd_pushout(args):
     cat = _load_catalogs(args.catalog)
     plus, minus = cat[args.plus], cat[args.minus]
     Np, Nm = plus.lattice(), minus.lattice()
-    vp = _find_r_vector(Np, R, args.search_bound)
-    vm = _find_r_vector(Nm, R, args.search_bound)
+    vp = _find_r_vector(f"--plus {args.plus}", Np, R, args.search_bound)
+    vm = _find_r_vector(f"--minus {args.minus}", Nm, R, args.search_bound)
     if vp is None or vm is None:
         return 1
     res = glue.orthogonal_pushout(glue.PushoutSpec(Np, Nm, R, [vp], [vm]))
@@ -145,8 +145,8 @@ def cmd_match(args):
             print("error: --mode orth needs --r", file=sys.stderr)
             return 2
         R = _parse_r(args.r)
-        vp = _find_r_vector(Np, R, args.search_bound)
-        vm = _find_r_vector(Nm, R, args.search_bound)
+        vp = _find_r_vector(f"--plus {args.plus}", Np, R, args.search_bound)
+        vm = _find_r_vector(f"--minus {args.minus}", Nm, R, args.search_bound)
         if vp is None or vm is None:
             return 1
         mode = match.Orthogonal(R.gram, [vp], [vm])

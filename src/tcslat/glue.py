@@ -61,17 +61,14 @@ class PushoutResult:
         self.r_in_w = r_in_w
 
 
-def _complete_to_basis(primitive_rows, n):
-    """Rows completing a primitive k x n matrix to a basis of Z^n (the added rows)."""
-    if not primitive_rows:
-        return xa.eye(n)
-    return xa.snf(primitive_rows, left=False).Vinv[len(primitive_rows):]
-
-
-def _projection_coeffs(emb, r_gram_inv):
-    """Row i: coefficients (rationals) of the orthogonal projection of the i-th
-    basis vector of emb's ambient onto R tensor Q."""
-    return xa.matmul(xa.transpose(xa.matmul(emb.basis, emb.ambient.gram)), r_gram_inv)
+def _complete_to_basis(primitive_rows):
+    """For a primitive k x n matrix P: rows C completing P to a basis of Z^n,
+    and the inverse of S = (P; C), both from one Smith form.  U P V = (I | 0)
+    makes U P = Vinv[:k], so C = Vinv[k:], diag(U, I) S = Vinv and
+    S^-1 = V diag(U, I)."""
+    res = xa.snf(primitive_rows)
+    k = len(primitive_rows)
+    return res.Vinv[k:], [xa.matmul([row[:k]], res.U)[0] + row[k:] for row in res.V]
 
 
 def orthogonal_pushout(spec):
@@ -85,18 +82,18 @@ def orthogonal_pushout(spec):
         bp = [row + [0] * nm.rank for row in xa.eye(np_.rank)]
         bm = [[0] * np_.rank + row for row in xa.eye(nm.rank)]
         return PushoutResult(w, lat.Sublattice(w, bp), lat.Sublattice(w, bm), lat.Sublattice(w, []))
-    r_gram_inv = xa.rational_inverse(r.gram)
-    alpha = _projection_coeffs(spec.emb_plus, r_gram_inv)
-    beta = _projection_coeffs(spec.emb_minus, r_gram_inv)
-    # full pairwise pairing table between the N+ basis and the N- basis
-    cross = xa.pairings(alpha, r.gram, beta)
+    # the pairing of the N+ basis with the N- basis goes through the projection onto R:
+    # (B+ G+)^T R^-1 (B- G-), for B+- the rows of R in N+- and G+- their Gram matrices
+    plus_on_r = xa.transpose(xa.matmul(spec.emb_plus.basis, np_.gram))
+    cross = xa.matmul(xa.matmul(plus_on_r, xa.rational_inverse(r.gram)),
+                      xa.matmul(spec.emb_minus.basis, nm.gram))
     for i, row in enumerate(cross):
         for j, v in enumerate(row):
             if v.denominator != 1:
                 return IntegralityFailure(i, j, v)
     cross = [[int(v) for v in row] for row in cross]
     # basis: N+ rows, then completion of R inside N-
-    comp = _complete_to_basis(spec.emb_minus.basis, nm.rank)
+    comp, change_inv = _complete_to_basis(spec.emb_minus.basis)
     k = len(comp)
     glue = xa.matmul(cross, xa.transpose(comp))  # N+ rows against the completion rows
     G = [list(row) + g for row, g in zip(np_.gram, glue)]
@@ -110,7 +107,6 @@ def orthogonal_pushout(spec):
     r_rows = [list(row) + [0] * k for row in spec.emb_plus.basis]
     minus_rows = r_rows + [[0] * np_.rank + row for row in xa.eye(k)]
     # express N- in its own basis order: rows of identity pulled through (R-basis, comp)
-    change_inv = xa.unimodular_inverse([*spec.emb_minus.basis, *comp])  # basis of Z^{r_-}
     n_minus_in_w = lat.Sublattice(w, xa.matmul(change_inv, minus_rows))
     n_plus_in_w = lat.Sublattice(w, [row + [0] * k for row in xa.eye(np_.rank)])
     r_in_w = lat.Sublattice(w, r_rows)
@@ -135,9 +131,8 @@ def _verify_pushout(w, n_plus_in_w, n_minus_in_w, r_in_w, np_, nm):
         raise ValueError("pushout: N+ + N- is not W")
     for comp_of, inside in ((n_plus_in_w, n_minus_in_w), (n_minus_in_w, n_plus_in_w)):
         perp = lat.orthogonal_complement(comp_of)
-        for row in perp.basis:
-            if xa.solve_integer(inside.basis, row) is None:
-                raise ValueError("pushout: perp containment fails")
+        if not lat.sum_sublattices(inside, perp).same_module(inside):
+            raise ValueError("pushout: perp containment fails")
 
 
 class OverlatticeSpec:
@@ -286,7 +281,7 @@ def _overlattice_from_glue(base, glue_gens):
     if not w.is_even():
         return None
     # index bookkeeping
-    index_sq = abs(xa.det(base.gram)) // abs(w.det())
+    index_sq = abs(base.det()) // abs(w.det())
     index = isqrt(index_sq)
     if index * index != index_sq:
         return None

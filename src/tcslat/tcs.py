@@ -241,11 +241,8 @@ class TorsionLinking:
         self.full = full  # block matrix on tor_h4_plus (+) tor_h4_minus
 
 
-def _linking_value(L, Nn, Tt, alpha, k, beta):
-    """b = <t, beta>/k mod 1 where k*alpha = n + t, n in Nn, t in Tt."""
-    x = xa.solve_integer(Nn.basis + Tt.basis, [k * v for v in alpha])
-    if x is None:
-        raise AssertionError("torsion order mismatch in linking computation")
+def _linking_value(L, Nn, Tt, x, k, beta):
+    """b = <t, beta>/k mod 1 where x . (Nn; Tt) = k alpha = n + t, n in Nn, t in Tt."""
     t = xa.matmul([x[Nn.rank :]], Tt.basis)[0]
     return Fraction(L.pair(t, beta), k) % 1
 
@@ -260,16 +257,14 @@ def torsion_linking(cfg):
 def torsion_linking_pair(L, Np, Nm):
     Tp = lat.orthogonal_complement(Np)
     Tm = lat.orthogonal_complement(Nm)
-    gens_plus = xa.snf(Nm.basis + Tp.basis, left=False).torsion_generators()
+    # U (N-; T+) V = D: row i of U solves x . (N-; T+) = d_i Vinv[i], d_i times the
+    # generator Vinv[i] of the i-th cyclic summand of Tor H4 (+)
+    snf_plus = xa.snf(Nm.basis + Tp.basis, right=False)
+    gens_plus = [(snf_plus.U[i], k) for i, k in enumerate(snf_plus.diagonal) if k > 1]
     gens_minus = xa.snf(Np.basis + Tm.basis, left=False).torsion_generators()
     if not gens_plus and not gens_minus:
         return TorsionLinking([], [], [], [])
-    cross = []
-    for alpha, k in gens_plus:
-        row = []
-        for beta, _ in gens_minus:
-            row.append(_linking_value(L, Nm, Tp, alpha, k, beta))
-        cross.append(row)
+    cross = [[_linking_value(L, Nm, Tp, x, k, beta) for beta, _ in gens_minus] for x, k in gens_plus]
     # The diagonal blocks vanish: each summand is isotropic (a structural fact
     # of the construction, recorded rather than recomputed; the cross formula
     # is only well-defined between the two different summands).

@@ -173,7 +173,8 @@ def test_no_r_vector_within_search_bound_exit1(argv):
     # N = <4> is positive definite: neither side has a vector of norm -4
     code, out, err = run(argv)
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["no primitive vector of norm -4 within bound 6"] * 2
+    assert err.splitlines() == [f"--{side} 7.1_4^1: no primitive vector of norm -4 within bound 6"
+                                for side in ("plus", "minus")]
 
 
 def test_embed_command(tmp_path):

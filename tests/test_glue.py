@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tcslat import blocks, glue
 from tcslat import exactalg as xa
-from tcslat import glue
 from tcslat import lattice as lat
 
 
@@ -89,6 +90,139 @@ def test_pushout_no10_rank5():
     assert res.w.rank == 5
     assert lat.signature(res.w) == (2, 3)
     assert res.w.det() * R.det() == N.det() * N.det()
+
+
+# the orthogonal pushouts of MM2-6 x MM2-6 along <-4> and of the no9 configs' pairs
+SELF_AND_NO9_PAIRS = (("MM2-6", "MM2-6", -4), ("MM2-2", "MM2-24", -6), ("MM2-10", "MM2-10", -16),
+                      ("MM2-12", "MM2-12", -4), ("MM2-21", "MM2-21", -4), ("MM2-6", "MM2-12", -4),
+                      ("MM2-6", "MM2-21", -4), ("MM2-12", "MM2-21", -4))
+
+
+def _catalog_pushout_spec(plus, minus, r):
+    cat = blocks.full_catalog()
+    Np, Nm = cat[plus].lattice(), cat[minus].lattice()
+    vp, vm = (lat.find_primitive_vector(N, r, 6) for N in (Np, Nm))
+    return glue.PushoutSpec(Np, Nm, lat.diag_lattice(r), [vp], [vm])
+
+
+def test_pushout_reads_its_smith_forms(monkeypatch):
+    """The change of basis comes from the completing Smith form and the perp
+    containment from Hermite forms: no unimodular inverse, no integer solve."""
+    specs = [_catalog_pushout_spec(*pair) for pair in SELF_AND_NO9_PAIRS]
+    calls = []
+    for name in ("unimodular_inverse", "solve_integer"):
+        real = getattr(xa, name)
+        monkeypatch.setattr(xa, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    for spec in specs:
+        assert isinstance(glue.orthogonal_pushout(spec), glue.PushoutResult)
+    assert calls == []
+
+
+@st.composite
+def primitive_matrices(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    P = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(k)]
+    assume(xa.rank(P) == k and lat.is_primitive(lat.Sublattice(lat.Lattice(xa.eye(n)), P)))
+    return P
+
+
+@settings(max_examples=100, deadline=None)
+@given(primitive_matrices())
+def test_complete_to_basis_inverts_the_completed_basis(P):
+    C, S_inv = glue._complete_to_basis(P)
+    S = np.array(P + C, dtype=object)
+    assert S.shape == (len(P[0]), len(P[0]))
+    eye = np.eye(len(P[0]), dtype=int).astype(object)
+    assert (S @ np.array(S_inv, dtype=object) == eye).all()
+    assert (np.array(S_inv, dtype=object) @ S == eye).all()
+
+
+def test_pushout_degenerate_raises():
+    # a degenerate N+ carries its kernel into W
+    N = lat.Lattice([[-4, 0], [0, 0]])
+    spec = glue.PushoutSpec(N, lat.diag_lattice(-4), lat.diag_lattice(-4), [[1, 0]], [[1]])
+    with pytest.raises(ValueError, match="pushout degenerate"):
+        glue.orthogonal_pushout(spec)
+
+
+def test_pushout_odd_raises():
+    N = lat.Lattice([[-4, 0], [0, 1]])
+    spec = glue.PushoutSpec(N, lat.diag_lattice(-4), lat.diag_lattice(-4), [[1, 0]], [[1]])
+    with pytest.raises(ValueError, match="pushout not even"):
+        glue.orthogonal_pushout(spec)
+
+
+def _verify_args():
+    """The arguments of `_verify_pushout` for the no6 self-glue, as a dict to tamper with."""
+    N = lat.Lattice([[2, 4], [4, 2]])
+    res = glue.orthogonal_pushout(glue.PushoutSpec(N, N, lat.diag_lattice(-4), [[1, -1]], [[1, -1]]))
+    args = dict(w=res.w, n_plus_in_w=res.n_plus_in_w, n_minus_in_w=res.n_minus_in_w,
+                r_in_w=res.r_in_w, np_=N, nm=N)
+    glue._verify_pushout(**args)
+    return args
+
+
+def _rows(S, rows):
+    return lat.Sublattice(S.ambient, rows)
+
+
+@pytest.mark.parametrize("side, message", [("n_plus_in_w", "N\\+ image not isometric"),
+                                           ("n_minus_in_w", "N- image not isometric")])
+def test_verify_pushout_replaced_row_is_not_isometric(side, message):
+    args = _verify_args()
+    S = args[side]
+    args[side] = _rows(S, [[a + b for a, b in zip(*S.basis)], S.basis[1]])
+    with pytest.raises(ValueError, match=message):
+        glue._verify_pushout(**args)
+
+
+def test_verify_pushout_doubled_n_plus_is_not_primitive():
+    args = _verify_args()
+    S = args["n_plus_in_w"]
+    args["n_plus_in_w"] = _rows(S, [[2 * x for x in row] for row in S.basis])
+    args["np_"] = lat.Lattice([[4 * x for x in row] for row in args["np_"].gram])
+    with pytest.raises(glue.NonPrimitiveEmbedding, match="N\\+- not primitive in W"):
+        glue._verify_pushout(**args)
+
+
+def test_verify_pushout_doubled_r_rows():
+    args = _verify_args()
+    args["r_in_w"] = _rows(args["r_in_w"], [[2 * x for x in row] for row in args["r_in_w"].basis])
+    with pytest.raises(ValueError, match="N\\+ intersect N- is not R"):
+        glue._verify_pushout(**args)
+
+
+def test_verify_pushout_r_is_not_the_intersection():
+    args = _verify_args()
+    R = args["r_in_w"]
+    other = next(row for row in args["n_plus_in_w"].basis
+                 if not _rows(R, [row]).same_module(R))
+    args["r_in_w"] = _rows(R, [other])
+    with pytest.raises(ValueError, match="N\\+ intersect N- is not R"):
+        glue._verify_pushout(**args)
+
+
+def test_verify_pushout_basis_that_misses_w():
+    # W (+) <2>: both images, their intersection and R keep their rows, padded by a zero
+    args = _verify_args()
+    w = lat.direct_sum(args["w"], lat.diag_lattice(2))
+    for key in ("n_plus_in_w", "n_minus_in_w", "r_in_w"):
+        args[key] = lat.Sublattice(w, [list(row) + [0] for row in args[key].basis])
+    args["w"] = w
+    with pytest.raises(ValueError, match="N\\+ \\+ N- is not W"):
+        glue._verify_pushout(**args)
+
+
+def test_verify_pushout_n_minus_misses_perp_of_n_plus():
+    # W = <-2> (+) A2, N+ = <e0, e1>, N- = <e0, e2>: both primitive, meeting in
+    # R = <e0> and spanning W, but perp(N+) = <e1 - 2 e2> is not inside N-
+    w = lat.Lattice([[-2, 0, 0], [0, 2, 1], [0, 1, 2]])
+    N = lat.Lattice([[-2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="perp containment fails"):
+        glue._verify_pushout(w, lat.Sublattice(w, [[1, 0, 0], [0, 1, 0]]),
+                             lat.Sublattice(w, [[1, 0, 0], [0, 0, 1]]),
+                             lat.Sublattice(w, [[1, 0, 0]]), N, N)
 
 
 def test_overlattices_of_4_4():

@@ -227,6 +227,18 @@ def test_torsion_linking_no10():
     assert table.full[0][1] == v and table.full[1][0] == v
 
 
+def test_torsion_linking_reads_its_smith_form(monkeypatch):
+    """Row i of U in U (N-; T+) V = D already solves x . (N-; T+) = d_i Vinv[i]:
+    the table makes no integer solve."""
+    cfg = load("no10")
+    calls = []
+    real = xa.solve_integer
+    monkeypatch.setattr(xa, "solve_integer", lambda *a: calls.append(a) or real(*a))
+    table = tcs.torsion_linking(cfg)
+    assert table.cross == [[Fraction(1, 2)]]
+    assert calls == []
+
+
 def test_torsion_linking_synthetic_third():
     # rank-1 images pairing to 3 give Z/3 on both sides and linking 1/3
     L = k3_lattice()
@@ -243,7 +255,8 @@ def test_torsion_linking_synthetic_third():
     assert table.cross[0][0] in (Fraction(1, 3), Fraction(2, 3))
     # explicit generator e1 on both sides: the value is exactly 1/3
     alpha = [1] + [0] * 21
-    val = tcs._linking_value(L, Nm, Tp, alpha, 3, alpha)
+    x = xa.solve_integer(Nm.basis + Tp.basis, [3 * v for v in alpha])
+    val = tcs._linking_value(L, Nm, Tp, x, 3, alpha)
     assert val == Fraction(1, 3)
 
 
@@ -258,15 +271,19 @@ def test_torsion_linking_well_defined_under_solution_change():
     stacked = Nm.basis + Tp.basis
     alpha, k = xa.snf(stacked).torsion_generators()[0]
     beta = xa.snf(Np.basis + Tm.basis).torsion_generators()[0][0]
-    base = tcs._linking_value(L, Nm, Tp, alpha, k, beta)
+    x0 = xa.solve_integer(stacked, [k * v for v in alpha])
+    base = tcs._linking_value(L, Nm, Tp, x0, k, beta)
     assert base == Fraction(1, 2)
     ker = xa.kernel_basis(stacked)
-    x0 = np.array(xa.solve_integer(stacked, [k * v for v in alpha]), dtype=object)
+    assert ker
+    x0 = np.array(x0, dtype=object)
     rng = random.Random(1)
     for _ in range(5):
         x = x0.copy()
         for row in ker:
             x = x + rng.randint(-2, 2) * np.array(row, dtype=object)
+        assert list(x @ np.array(stacked, dtype=object)) == [k * v for v in alpha]
+        assert tcs._linking_value(L, Nm, Tp, [int(v) for v in x], k, beta) == base
         t = x[Nm.rank:] @ np.array(Tp.basis, dtype=object)
         val = Fraction(int(t @ np.array(L.gram, dtype=object) @ np.array(beta, dtype=object)), k) % 1
         assert val == base
