@@ -1,4 +1,6 @@
+import io
 import itertools
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from tcslat import exactalg as xa
 from tcslat import g2alg
+
+_PHI0, _PSI0 = g2alg.phi0, g2alg.psi0  # the factories, kept before any test patches them
 
 
 def e(i, n=7):
@@ -185,6 +189,47 @@ def test_identity_suite_detects_corruption():
     assert good == g2alg.gram_determinant([u, v, w], g)
     lhs = bad.evaluate(u, v, w) ** 2 + Fraction(1, 4) * g.pair(ch, ch)
     assert lhs != g2alg.gram_determinant([u, v, w], g)
+
+
+def _flipped(form_factory, idx):
+    """A model-form factory whose copies carry the term idx with the opposite sign."""
+    def flipped():
+        form = form_factory()
+        form[idx] = -form[idx]
+        return form
+    return flipped
+
+
+# (which model form, its corrupted factory, samples, the message the suite must abort with).
+# No alternating 3-form fails the cross-norm identity first under the identity metric: the
+# double-cross identity on the basis triples (i, i, k), checked earlier, already implies it.
+CORRUPTIONS = {
+    "2 phi0": ("phi0", lambda: 2 * _PHI0(), 0, "double-cross identity fails on basis (0,0,1)"),
+    "phi0, term 123 flipped": ("phi0", _flipped(_PHI0, (0, 1, 2)), 0,
+                               "double-cross identity fails on basis (0,1,3)"),
+    **{f"psi0, term {idx} flipped": ("psi0", _flipped(_PSI0, idx), 1, "calibration decomposition fails on sample 0")
+       for idx in _PSI0().coeffs},
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_identity_suite_fails_on_a_corrupted_model_form(monkeypatch, name):
+    from tcslat import cli
+
+    which, corrupted, samples, message = CORRUPTIONS[name]
+    monkeypatch.setattr(g2alg, which, corrupted)
+    with pytest.raises(AssertionError) as exc:
+        g2alg.verify_identity_suite(samples=samples, seed=0)
+    assert str(exc.value) == message
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["g2", "verify", "--samples", str(samples), "--seed", "0"])
+    assert (code, out.getvalue(), err.getvalue()) == (1, "", f"identity failure: {message}\n")
+
+
+def test_identity_suite_needs_a_sample_to_see_a_flipped_psi0_term(monkeypatch):
+    monkeypatch.setattr(g2alg, "psi0", _flipped(_PSI0, (3, 4, 5, 6)))
+    assert g2alg.verify_identity_suite(samples=0)["triples_checked"] == 343
 
 
 def test_wedge_and_contract_consistency():
