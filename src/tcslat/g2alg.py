@@ -46,7 +46,9 @@ class Form:
                      {idx: c * scalar.numerator for idx, c in terms.items()})
 
     def __eq__(self, other):
-        return (self.degree, self.dimension, self.coeffs) == (other.degree, other.dimension, other.coeffs)
+        if isinstance(other, Form):
+            return (self.degree, self.dimension, self.coeffs) == (other.degree, other.dimension, other.coeffs)
+        return NotImplemented
 
     def is_zero(self):
         return not self.coeffs
@@ -218,12 +220,17 @@ def identity_metric(n=7):
 _identity = functools.lru_cache(maxsize=None)(identity_metric)  # the g=None default, kept from callers
 
 
+def _raise_numerators(terms, rows):
+    """The integer vector (terms(r1, ..., rk, e_i))_i: the integer rows contracted in order."""
+    for v in rows:
+        terms = _contract(terms, v)
+    return [terms.get((i,), 0) for i in range(len(rows[0]))]
+
+
 def _raise_index(form, vectors, g, scale=1):
     """The w with g(w, .) = scale * form(v1, ..., vk, .): the vectors contracted in order."""
     (d, terms), (den, rows) = _numerators(form), _clear(vectors, form.dimension)
-    for v in rows:
-        terms = _contract(terms, v)
-    rhs = [Fraction(scale * terms.get((i,), 0), d * den ** len(rows)) for i in range(form.dimension)]
+    rhs = [Fraction(scale * c, d * den ** len(rows)) for c in _raise_numerators(terms, rows)]
     return (g if g is not None else _identity(form.dimension)).solve(rhs)
 
 
@@ -296,6 +303,8 @@ def metric_from_3form(phi):
 
 def gram_determinant(vectors, g=None):
     """Of the symmetric Gram matrix, from k(k+1)/2 pairings."""
+    if not vectors:
+        raise ValueError("need at least one vector")
     g, k = g if g is not None else _identity(len(vectors[0])), len(vectors)
     gram = [[None] * k for _ in range(k)]
     for i, j in itertools.combinations_with_replacement(range(k), 2):
@@ -399,46 +408,37 @@ def verify_identity_suite(samples=100, seed=0):
     """Evaluate the cross-product norm identity, the double-cross identity,
     the calibration decomposition identity on all basis triples and `samples`
     seeded rational triples, and the wedge relations of the standard triple of
-    2-forms on R^4.  Aborts with a counterexample on any failure."""
+    2-forms on R^4.  Aborts with a counterexample on any failure.
+
+    A triple is cleared once to integer rows U, V, W over one denominator D. Each identity
+    (identity metric), multiplied through by its denominators, is decided on the integer
+    numerators that `cross`, `chi` and `Form.evaluate` divide at their boundary; D cancels."""
     import random
 
-    phi = phi0()
-    psi = psi0()
-    g = identity_metric(7)
-    rng = random.Random(seed)
+    (dp, phi), (ds, psi), rng = _numerators(phi0()), _numerators(psi0()), random.Random(seed)
 
-    def norm2(v):
-        return g.pair(v, v)
-
-    def check_triple(u, v, w, tag):
-        uxv = cross(u, v, phi, g)
-        lhs = norm2(uxv)
-        rhs = norm2(u) * norm2(v) - g.pair(u, v) ** 2
-        if lhs != rhs:
+    def check_triple(U, V, W, tag):
+        # cross(u, v) = X / (dp D^2), chi(u, v, w) = -2 H / (ds D^3), phi(u, v, w) = ev / (dp D^3)
+        gram = [[sum(map(mul, a, b)) for b in (U, V, W)] for a in (U, V, W)]
+        (uu, uv, uw), (_, vv, vw) = gram[:2]
+        X = _raise_numerators(phi, (U, V))
+        if sum(map(mul, X, X)) != dp * dp * (uu * vv - uv * uv):
             raise AssertionError(f"cross-norm identity fails on {tag}")
-        cv = cross(v, w, phi, g)
-        lhs_b = [a + b for a, b in zip(cross(u, cv, phi, g), cross(uxv, w, phi, g))]
-        uw, uv, wv = 2 * g.pair(u, w), g.pair(u, v), g.pair(w, v)
-        rhs_b = [uw * b - uv * c - wv * a for a, b, c in zip(_fvec(u, 7), _fvec(v, 7), _fvec(w, 7))]
-        if any(a != b for a, b in zip(lhs_b, rhs_b)):
+        A1, A2 = _raise_numerators(phi, (U, _raise_numerators(phi, (V, W)))), _raise_numerators(phi, (X, W))
+        if any(x + y != dp * dp * (2 * uw * b - uv * c - vw * a) for x, y, a, b, c in zip(A1, A2, U, V, W)):
             raise AssertionError(f"double-cross identity fails on {tag}")
-        chv = chi(u, v, w, psi, g)
-        lhs_c = phi.evaluate(u, v, w) ** 2 + Fraction(1, 4) * norm2(chv)
-        rhs_c = gram_determinant([u, v, w], g)
-        if lhs_c != rhs_c:
+        ev, H = _pull(phi, (U, V, W)).get((0, 1, 2), 0), _raise_numerators(psi, (U, V, W))
+        if ds * ds * ev * ev + dp * dp * sum(map(mul, H, H)) != dp * dp * ds * ds * xa.det(gram):
             raise AssertionError(f"calibration decomposition fails on {tag}")
 
     basis = xa.eye(7)
-    count = 0
     for i, j, k in itertools.product(range(7), repeat=3):
         check_triple(basis[i], basis[j], basis[k], f"basis ({i},{j},{k})")
-        count += 1
     for s in range(samples):
-        u = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]
-        v = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]
-        w = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(7)]
-        check_triple(u, v, w, f"sample {s}")
-        count += 1
+        # u, v, w: seven entries p / q each, drawn in that order; D = lcm of the 21 q
+        drawn = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(21)]
+        D = lcm(*(q for _, q in drawn))
+        check_triple(*([p * (D // q) for p, q in drawn[r : r + 7]] for r in (0, 7, 14)), f"sample {s}")
 
     # the standard triple of 2-forms on R^4 and its wedge relations
     wI = form_from_terms(2, 4, [(1, "12"), (1, "34")])
@@ -450,4 +450,4 @@ def verify_identity_suite(samples=100, seed=0):
     for a, b in ((wI, wJ), (wJ, wK), (wK, wI)):
         if not a.wedge(b).is_zero():
             raise AssertionError("mixed wedge of the standard 2-form triple is nonzero")
-    return {"triples_checked": count, "hk_square": squares[0]}
+    return {"triples_checked": len(basis) ** 3 + max(samples, 0), "hk_square": squares[0]}

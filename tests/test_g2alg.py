@@ -232,6 +232,51 @@ def test_identity_suite_needs_a_sample_to_see_a_flipped_psi0_term(monkeypatch):
     assert g2alg.verify_identity_suite(samples=0)["triples_checked"] == 343
 
 
+def test_identity_suite_fails_on_a_product_that_is_not_alternating(monkeypatch):
+    # no corrupted model form reaches the cross-norm check first (see CORRUPTIONS), but a
+    # raised product that does not vanish on (u, u) does, through the core the suite calls
+    raise_numerators = g2alg._raise_numerators
+    monkeypatch.setattr(g2alg, "_raise_numerators",
+                        lambda terms, rows: [c + r for c, r in zip(raise_numerators(terms, rows), rows[0])])
+    with pytest.raises(AssertionError, match=r"^cross-norm identity fails on basis \(0,0,0\)$"):
+        g2alg.verify_identity_suite(samples=0)
+
+
+def test_identity_suite_builds_no_fraction_on_its_triples(monkeypatch):
+    phi, psi = g2alg.phi0(), g2alg.psi0()  # built before counting starts
+    monkeypatch.setattr(g2alg, "phi0", lambda: phi)
+    monkeypatch.setattr(g2alg, "psi0", lambda: psi)
+    built, counting = [], [True]
+
+    def spy(make):
+        return lambda cls, *args, **kwargs: (counting and built.append(args)) or make(cls, *args, **kwargs)
+
+    # every Fraction passes through __new__, or on Python 3.12+ through _from_coprime_ints
+    monkeypatch.setattr(Fraction, "__new__", spy(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(spy(coprime)))
+    assert Fraction(1, 2) * 3 and built  # the spy sees builds
+    del built[:]
+    # the suite's first form_from_terms call starts the 2-form checks, after the last triple
+    form_from_terms = g2alg.form_from_terms
+    monkeypatch.setattr(g2alg, "form_from_terms", lambda *args: counting.clear() or form_from_terms(*args))
+    assert g2alg.verify_identity_suite(samples=5)["triples_checked"] == 343 + 5
+    assert not counting and built == []
+
+
+def test_form_equality_with_another_type_is_false():
+    assert g2alg.phi0() == g2alg.phi0() and g2alg.phi0() != g2alg.psi0()
+    assert (g2alg.phi0() == 5) is False and (5 != g2alg.phi0()) is True
+    assert g2alg.Form.__eq__(g2alg.phi0(), 5) is NotImplemented
+
+
+def test_gram_determinant_of_no_vectors_is_a_value_error():
+    for g in (None, g2alg.identity_metric()):
+        with pytest.raises(ValueError, match="at least one vector"):
+            g2alg.gram_determinant([], g)
+
+
 def test_wedge_and_contract_consistency():
     phi = g2alg.phi0()
     psi = g2alg.psi0()
@@ -434,3 +479,36 @@ def test_mask_wedge_matches_sorting_by_inversions(pair):
     assert (product.degree, product.dimension) == (a.degree + b.degree, a.dimension)
     assert product.coeffs == _ref_wedge(a, b)
     assert all(type(c) is Fraction for c in product.coeffs.values())
+
+
+def _pulled_phi0():
+    """M^* phi0 for an upper triangular M: its metric is exact, not the identity, with denominators."""
+    M = xa.eye(7)
+    M[0][0], M[0][3], M[1][5], M[2][6], M[4][6] = 2, Fraction(1, 2), -1, Fraction(2, 3), 1
+    return g2alg.pullback(g2alg.phi0(), M)
+
+
+@settings(max_examples=40, deadline=None)
+@example([e(1), e(2), e(3)], False)
+@example([[Fraction(1, 2), -3, 0, 0, Fraction(2, 3), 1, 0], [0, 0, 1, Fraction(-1, 3), 0, 2, 1], [1] * 7], True)
+@given(rational_matrices(3), st.booleans())
+def test_wrappers_return_the_cores_over_their_denominators(rows, pulled):
+    phi = _pulled_phi0() if pulled else g2alg.phi0()
+    g = g2alg.metric_from_3form(phi).g
+    assert g._is_identity != pulled
+    (dp, phi_n), (ds, psi_n) = g2alg._numerators(phi), g2alg._numerators(g2alg.psi0())
+    den, (U, V, W) = xa.clear_denominators(rows)
+    # g . cross(u, v) = X / (dp D^2) and g . chi(u, v, w) = -2 H / (ds D^3), read off the cores
+    crossed, chied = g2alg.cross(*rows[:2], phi, g), g2alg.chi(*rows, g2alg.psi0(), g)
+    assert xa.matmul([crossed], g.matrix)[0] == [Fraction(c, dp * den**2)
+                                                for c in g2alg._raise_numerators(phi_n, (U, V))]
+    assert xa.matmul([chied], g.matrix)[0] == [Fraction(-2 * c, ds * den**3)
+                                              for c in g2alg._raise_numerators(psi_n, (U, V, W))]
+    value = phi.evaluate(*rows)
+    assert value == Fraction(g2alg._pull(phi_n, (U, V, W)).get((0, 1, 2), 0), dp * den**3)
+    dg, G = xa.clear_denominators(g.matrix)
+    gd = g2alg.gram_determinant(rows, g)
+    assert gd == Fraction(xa.det([[xa.pair(a, G, b) for b in (U, V, W)] for a in (U, V, W)]), den**6 * dg**3)
+    if not pulled:
+        assert gd == Fraction(xa.det(xa.pairings([U, V, W], xa.eye(7))), den**6)
+    assert all(type(x) is Fraction for x in crossed + chied + [value, gd])
