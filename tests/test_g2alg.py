@@ -509,6 +509,4 @@ def test_wrappers_return_the_cores_over_their_denominators(rows, pulled):
     dg, G = xa.clear_denominators(g.matrix)
     gd = g2alg.gram_determinant(rows, g)
     assert gd == Fraction(xa.det([[xa.pair(a, G, b) for b in (U, V, W)] for a in (U, V, W)]), den**6 * dg**3)
-    if not pulled:
-        assert gd == Fraction(xa.det(xa.pairings([U, V, W], xa.eye(7))), den**6)
     assert all(type(x) is Fraction for x in crossed + chied + [value, gd])
