@@ -227,9 +227,10 @@ _POOLS = {}
 
 
 def _block_pool(block_gram, bound):
-    """(pool, min norm, max norm, capped bound b) for one ambient block: the
-    pool holds all vectors with coordinates in [-b, b] as (coords, norm) in
-    deterministic order, the zero vector first.
+    """(pool, min norm, max norm, capped bound b, by norm) for one ambient
+    block: the pool holds all vectors with coordinates in [-b, b] as (coords,
+    norm) in deterministic order, the zero vector first, and `by norm` maps
+    each norm to its pool entries in pool order.
 
     High-rank blocks cap the coordinate bound so the pool stays enumerable.
     Each (block Gram, capped bound) is enumerated once per process, on first
@@ -243,8 +244,10 @@ def _block_pool(block_gram, bound):
     if key not in _POOLS:
         L = lat.Lattice(block_gram)
         pool = (((0,) * n, 0),) + tuple((x, L.norm(x)) for x in lat.candidate_vectors(n, b))
-        norms = [nm for _, nm in pool]
-        _POOLS[key] = (pool, min(norms), max(norms), b)
+        by_norm = {}
+        for v in pool:
+            by_norm.setdefault(v[1], []).append(v)
+        _POOLS[key] = (pool, min(by_norm), max(by_norm), b, by_norm)
     return _POOLS[key]
 
 
@@ -289,7 +292,7 @@ def _backtracking_strategy(W, ambient, bound, prefix):
     reach the target, and its subtree failed; g keeps the Gram, the box, rank
     and primitivity, so the subtree under x, its image under g^-1, fails too:
     the first hit and every None are those of the unpruned search."""
-    blocks = []  # (coordinates, Gram, pool, min norm, max norm, capped bound)
+    blocks = []  # (coordinates, Gram, pool, min norm, max norm, capped bound, by norm)
     for comp in lat.gram_blocks(ambient.gram):
         bg = [[ambient.gram[i][j] for j in comp] for i in comp]
         blocks.append((comp, bg) + _block_pool(bg, bound))
@@ -330,8 +333,10 @@ def _backtracking_strategy(W, ambient, bound, prefix):
                             return True
                         placed.pop()
                 return False
-            pool, cap = blocks[bi][2], caps[bi]
+            cap = caps[bi]
             lo, hi = target[i][i] - hi_rest[bi], target[i][i] - lo_rest[bi]
+            # an exact window, as at the last block, needs only the pieces of that norm
+            pool = blocks[bi][6].get(lo - norm_acc, ()) if lo == hi else blocks[bi][2]
             for piece, nm in pool:
                 na = norm_acc + nm
                 if not lo <= na <= hi:

@@ -378,17 +378,50 @@ def candidate_vectors(n, bound):
 
 def find_primitive_vector(L, norm, bound):
     """A primitive vector of the requested norm with coordinates in [-bound, bound],
-    or None (not a nonexistence proof)."""
+    or None (not a nonexistence proof): the first in `candidate_vectors` order.
+
+    The walk fixes all coordinates but the last depth first, carrying the norm
+    a of the fixed ones and their linear form on the later ones, and solves
+    a + b c + g c^2 = norm for the last coordinate c (Fincke and Pohst, Math.
+    Comp. 44, 1985)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    for x in candidate_vectors(L.rank, bound):
-        g = 0
-        for c in x:
-            g = gcd(g, c)
-        if g != 1:
-            continue
-        if L.norm(x) == norm:
-            return list(x)
+    G, last = L.gram, L.rank - 1
+    if last < 0:
+        return None  # the empty vector is not primitive
+    g = G[last][last]
+
+    def walk(i, x, a, lin, top, div):
+        # lin[k]: the coefficient of coordinate i + k in the norm; top, div: max |x_j|, gcd of x
+        if i < last:
+            Gi = G[i]
+            for c in orders[i]:
+                found = walk(i + 1, x + [c], a + (lin[0] + Gi[i] * c) * c,
+                             [f + 2 * c * gij for f, gij in zip(lin[1:], Gi[i + 1:])],
+                             max(top, abs(c)), gcd(div, c))
+                if found:
+                    return found
+            return None
+        b, rest = lin[0], norm - a
+        if g == 0 and b == 0:
+            roots = orders[last] if rest == 0 else ()
+        elif g == 0:
+            roots = (rest // b,) if rest % b == 0 else ()
+        else:
+            disc = b * b + 4 * g * rest
+            r = isqrt(max(disc, 0))
+            roots = {(s - b) // (2 * g) for s in (r, -r) if (s - b) % (2 * g) == 0} if r * r == disc else ()
+        for c in sorted((c for c in roots if c in place), key=place.get):
+            if (top == shell or abs(c) == shell) and gcd(div, c) == 1:
+                return x + [c]
+        return None
+
+    for shell in range(1, bound + 1):
+        orders = [_coordinate_order(shell, i == 0) for i in range(last + 1)]
+        place = {c: k for k, c in enumerate(orders[last])}
+        found = walk(0, [], 0, [0] * (last + 1), 0, 0)
+        if found:
+            return found
     return None
 
 

@@ -54,3 +54,17 @@ def membership_via_complements(triple, emb_plus, emb_minus):
         ("k_0 in span(T-)", triple.k_0, Tm),
     )
     return [f"membership fails: {label}" for label, v, sub in checks if not in_span_by_rank(v, sub)]
+
+
+def primitive_vector_by_scan(L, norm, bound):
+    """The first primitive vector of `lat.candidate_vectors(L.rank, bound)` with
+    the requested norm, by testing each candidate's gcd and whole norm in turn:
+    the scan that `lat.find_primitive_vector` replaces with its last-coordinate
+    solve."""
+    for x in lat.candidate_vectors(L.rank, bound):
+        g = 0
+        for c in x:
+            g = gcd(g, c)
+        if g == 1 and L.norm(x) == norm:
+            return list(x)
+    return None

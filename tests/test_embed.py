@@ -218,7 +218,7 @@ def _parent_backtracking_strategy(W, ambient, bound, prefix):
     norm_ranges = []
     for comp in lat.gram_blocks(ambient.gram):
         bg = [[ambient.gram[i][j] for j in comp] for i in comp]
-        pool, lo, hi, _ = embed._block_pool(bg, bound)
+        pool, lo, hi, _, _ = embed._block_pool(bg, bound)
         blocks_.append((comp, bg, pool))
         norm_ranges.append((lo, hi))
     target = W.gram
@@ -383,6 +383,48 @@ def test_place_returns_what_the_unpruned_search_returns_in_u3_e8a(case):
         assert got == embed.place(W, summands, 1, prefix)
 
 
+def _disjoint_minus_grams():
+    """The distinct minus Grams of rank 1 and 2 in the catalog, each with the
+    bound `match._embed_factor_pair_disjoint` places it into U3 + E8a at."""
+    grams = {tuple(map(tuple, rec.n_gram)) for rec in blocks.full_catalog()
+             if rec.n_gram is not None and len(rec.n_gram) <= 2}
+    return [(g, max(3, max(abs(x) for row in g for x in row) // 2 + 1)) for g in sorted(grams)]
+
+
+# E8a is the last block of U3 + E8a, so its pieces come from the norm index;
+# the parent search scans the whole pool there; <100> exhausts
+@pytest.mark.parametrize("gram, bound", _disjoint_minus_grams() + [(((100,),), 3)])
+def test_place_into_u3_e8a_returns_what_the_full_pool_scan_returns(gram, bound):
+    W = lat.Lattice(gram)
+    assert embed.place(W, ("U3", "E8a"), bound) == _parent_place(W, ("U3", "E8a"), bound)
+
+
+def test_place_visits_only_last_block_pieces_of_the_needed_norm(monkeypatch):
+    passes = []
+
+    class Logged(tuple):
+        def __iter__(self):
+            passes.append([])
+            for entry in tuple.__iter__(self):
+                passes[-1].append(entry)
+                yield entry
+
+    block_pool = embed._block_pool
+
+    def logged(block_gram, bound):
+        got = list(block_pool(block_gram, bound))
+        if len(block_gram) == 8:  # E8a, the last block
+            got[0] = Logged(got[0])
+            got[4] = {nm: Logged(v) for nm, v in got[4].items()}
+        return tuple(got)
+
+    Ws = [lat.Lattice(gram) for gram in ([[-4]], [[8, 4], [4, -20]])]
+    expected = [_parent_place(W, ("U3", "E8a"), 3) for W in Ws]
+    monkeypatch.setattr(embed, "_block_pool", logged)
+    assert [embed.place(W, ("U3", "E8a"), 3) for W in Ws] == expected
+    assert passes and all(len({nm for _, nm in seen}) <= 1 for seen in passes)
+
+
 def test_the_pruned_oracle_example_hits_after_pruned_roots(monkeypatch):
     gram, summands, bound = PRUNED_HIT
     verdicts = []
@@ -464,14 +506,14 @@ def test_first_in_orbit_is_the_least_image(pieces):
 @given(p=st.lists(st.integers(-3, 3), min_size=8, max_size=8))
 def test_closed_form_cap_is_the_pool_maximum(gram, bound, p):
     p = p[: len(gram)]
-    pool, _, _, b = embed._block_pool(gram, bound)
+    pool, _, _, b, _ = embed._block_pool(gram, bound)
     form = [sum(map(mul, row, p)) for row in gram]
     assert b * sum(map(abs, form)) == max(abs(xa.pair(x, gram, p)) for x, _ in pool)
 
 
 @pytest.mark.parametrize("gram, bound", [(lat.U().gram, 3), (lat.E8(-1).gram, 4)])
 def test_block_pool_is_the_candidate_enumeration(gram, bound):
-    pool, lo, hi, _ = embed._block_pool(gram, bound)
+    pool, lo, hi, _, by_norm = embed._block_pool(gram, bound)
     n = len(gram)
     L = lat.Lattice(gram)
     capped = bound if n == 2 else 1
@@ -479,6 +521,7 @@ def test_block_pool_is_the_candidate_enumeration(gram, bound):
     assert isinstance(pool, tuple) and all(isinstance(v, tuple) for v in pool)
     assert list(pool) == fresh
     assert (lo, hi) == (min(nm for _, nm in fresh), max(nm for _, nm in fresh))
+    assert by_norm == {norm: [v for v in fresh if v[1] == norm] for _, norm in fresh}
 
 
 def test_place_enumerates_each_pool_once(monkeypatch):

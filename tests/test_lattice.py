@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from tcslat import exactalg as xa
 from tcslat import lattice as lat
 
+import oracles
+
 
 def test_e8_is_even_unimodular_definite():
     E8 = lat.E8()
@@ -288,6 +290,59 @@ def test_find_primitive_vector():
     assert list(lat.find_primitive_vector(lat.diag_lattice(4), 4, 2)) == [1]
     assert list(lat.find_primitive_vector(lat.U(3), 12, 3)) == [1, 2]
     assert lat.find_primitive_vector(lat.A2(-1), 2, 4) is None
+    # rank 0: the empty vector is not primitive
+    assert lat.find_primitive_vector(lat.Lattice([]), 0, 1) is None
+
+
+def _random_walk_case(rng):
+    """(Gram, norm, bound): a symmetric Gram of rank 1-5 with entries in
+    [-4, 4]; its last diagonal entry is 0 in about a third of the cases and
+    its whole last row in about a tenth, so the last coordinate's equation is
+    also linear or constant."""
+    n = rng.randint(1, 5)
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = rng.randint(-4, 4)
+    if rng.random() < 0.3:
+        G[-1][-1] = 0
+    if rng.random() < 0.1:
+        for j in range(n):
+            G[-1][j] = G[j][-1] = 0
+    return G, rng.randint(-12, 12), rng.randint(1, 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_primitive_vector_is_the_first_hit_of_the_scan(seed):
+    rng = random.Random(seed)
+    results = []
+    for _ in range(150):
+        G, norm, bound = _random_walk_case(rng)
+        L = lat.Lattice(G)
+        results.append(lat.find_primitive_vector(L, norm, bound))
+        assert results[-1] == oracles.primitive_vector_by_scan(L, norm, bound), (G, norm, bound)
+    assert None in results and any(results)
+
+
+# (Gram, norm, bound, first hit).  Last diagonal entry 0: at x0 = 2 the last
+# coordinate's equation 8 + 4 c = 20 has its root c = 3 outside the box
+# [-2, 2]; at x0 = 1, 2 + 2 c = 8 has c = 3 only in the shell of 3.  Last row 0:
+# every c solves, and the first with gcd 1 wins.
+@pytest.mark.parametrize("gram, norm, bound, hit", [
+    ([[2, 1], [1, 0]], 20, 2, None),
+    ([[2, 1], [1, 0]], 20, 3, [2, 3]),
+    ([[2, 1], [1, 0]], 8, 2, None),
+    ([[2, 1], [1, 0]], 8, 3, [1, 3]),
+    ([[2, 0], [0, 0]], 8, 1, None),
+    ([[2, 0], [0, 0]], 8, 2, [2, 1]),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, 0]], 6, 2, [1, 1, 0]),
+    ([[0, 0], [0, 0]], 0, 2, [1, 0]),
+    ([[0, 0], [0, 0]], 1, 2, None),
+])
+def test_find_primitive_vector_solves_linear_and_constant_last_coordinates(gram, norm, bound, hit):
+    L = lat.Lattice(gram)
+    assert lat.find_primitive_vector(L, norm, bound) == hit
+    assert oracles.primitive_vector_by_scan(L, norm, bound) == hit
 
 
 def _stack_candidate_vectors(n, bound):

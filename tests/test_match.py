@@ -168,6 +168,14 @@ def test_certificate_burkhardt_obstructed_all_m2mod3():
         assert cert.code == match.EMBEDDING_IMPOSSIBLE
 
 
+# the walk exhausts the 11^6 box of Ex7.7's T and agrees with the obstruction
+@pytest.mark.parametrize("m", [2, 8, 14])
+def test_burkhardt_walk_finds_nothing_where_the_obstruction_holds(m):
+    T = match._burkhardt()[0]
+    assert embed.mod_obstruction(T, m, 3)
+    assert lat.find_primitive_vector(T, m, 5) is None
+
+
 def test_certificate_burkhardt_constructive():
     cert = match.build_certificate(CAT["Ex7.7"], CAT["7.1_4^1"], match.PerpendicularPrimitive())
     assert isinstance(cert, match.MatchCertificate)
